@@ -32,7 +32,6 @@ from .errors import (
 )
 from .ingest import FindingKind, IngestReport, ValidationFinding, parse_csv, validate
 from .model import (
-    Category,
     DescriptiveStats,
     Direction,
     EntropyVector,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "Category",
     "Direction",
     "IndicatorSpec",
     "Schema",

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .entropy import WEIGHT_RULES, QuadratureConfig
@@ -34,104 +33,45 @@ from .report import (
 )
 from .scoring import METHODS, EvaluationOptions, run_pipeline
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 # Marker for dump flags given without a path: resolve against --out-dir.
 _USE_OUT_DIR = ""
 
-_CONFIG_KEYS = {
-    "input",
-    "schema",
-    "method",
-    "weight_rule",
-    "bandwidth",
-    "boundary_correction",
-    "quadrature_points",
-    "scale",
-    "out_dir",
-    "threads",
+# The JSON type each --config key must hold.  A bool is never accepted as
+# a number, and "bandwidth" may also be the string "silverman".
+_CONFIG_TYPES = {
+    "input": str,
+    "schema": str,
+    "method": str,
+    "weight_rule": str,
+    "bandwidth": float,
+    "boundary_correction": bool,
+    "quadrature_points": int,
+    "scale": float,
+    "out_dir": str,
+    "threads": int,
 }
+_JSON_TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one CLI invocation."""
+class RunPaths(NamedTuple):
+    """Files one CLI invocation reads and writes."""
 
     input: Path
-    schema: str = "default"
-    method: str = "continuous"
-    weight_rule: str = "paper"
-    bandwidth: float | None = None
-    boundary_correction: bool = True
-    quadrature_points: int = 10001
-    scale: float = 100.0
-    out_dir: Path | None = None
-    dump_normalized: Path | None = None
-    dump_cdf_dir: Path | None = None
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.quadrature_points < 3 or self.quadrature_points % 2 == 0:
-            raise InvariantError("quadrature points must be odd and >= 3")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise InvariantError("scale must be positive")
-        if self.method not in METHODS:
-            raise InvariantError(f"method must be one of {METHODS}")
-        if self.weight_rule not in WEIGHT_RULES:
-            raise InvariantError(f"weight rule must be one of {WEIGHT_RULES}")
-        if self.bandwidth is not None and not (
-            math.isfinite(self.bandwidth) and self.bandwidth > 0
-        ):
-            raise InvariantError("bandwidth must be positive")
-        if self.threads < 1:
-            raise InvariantError("threads must be >= 1")
-
-    def options(self) -> EvaluationOptions:
-        return EvaluationOptions(
-            method=self.method,
-            weight_rule=self.weight_rule,
-            bandwidth=self.bandwidth,
-            boundary_correction=self.boundary_correction,
-            quadrature=QuadratureConfig(points=self.quadrature_points),
-            scale=self.scale,
-            threads=self.threads,
-        )
-
-
-def _odd_points(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 3 or value % 2 == 0:
-        raise argparse.ArgumentTypeError("quadrature grid must be odd and >= 3")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+    schema: str
+    out_dir: Path | None
+    dump_normalized: Path | None
+    dump_cdf_dir: Path | None
 
 
 def _bandwidth_arg(text: str) -> float | str:
     if text == "silverman":
-        return "silverman"
-    return _positive_float(text)
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is neither a number nor 'silverman'") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,10 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON file with default option values")
 
     pipeline = argparse.ArgumentParser(add_help=False)
-    pipeline.add_argument("--method", choices=METHODS, help="entropy method (default continuous)")
+    pipeline.add_argument(
+        "--method",
+        metavar="{" + ",".join(METHODS) + "}",
+        help="entropy method (default continuous)",
+    )
     pipeline.add_argument(
         "--weight-rule",
-        choices=WEIGHT_RULES,
+        metavar="{" + ",".join(WEIGHT_RULES) + "}",
         help="weights proportional to entropy (paper) or to 1 - entropy (classic)",
     )
     pipeline.add_argument(
@@ -176,11 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--quadrature-points",
-        type=_odd_points,
+        type=int,
         metavar="N",
         help="odd Simpson grid size on [0, 1] (default 10001)",
     )
-    pipeline.add_argument("--threads", type=_positive_int, metavar="N", help="max worker threads")
+    pipeline.add_argument("--threads", type=int, metavar="N", help="max worker threads")
     pipeline.add_argument("--out-dir", metavar="DIR", help="directory for machine-readable CSVs")
 
     p_eval = sub.add_parser(
@@ -188,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, pipeline],
         help="score and rank all entities, print the full report",
     )
-    p_eval.add_argument("--scale", type=_positive_float, help="score magnification (default 100)")
+    p_eval.add_argument("--scale", type=float, help="score magnification (default 100)")
     p_eval.add_argument(
         "--dump-normalized",
         nargs="?",
@@ -227,38 +171,60 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         parser.error(f"config {path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         parser.error(f"config {path} must hold a JSON object")
-    unknown = sorted(set(payload) - _CONFIG_KEYS)
+    unknown = sorted(set(payload) - set(_CONFIG_TYPES))
     if unknown:
         parser.error(f"config {path} has unknown keys: {', '.join(unknown)}")
+    for key, value in payload.items():
+        if value is None or (key == "bandwidth" and value == "silverman"):
+            continue  # null leaves the default
+        want = _CONFIG_TYPES[key]
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) is not (want is bool) or not isinstance(value, accepted):
+            parser.error(f"config {path}: {key} must be {_JSON_TYPE_NAMES[want]}, got {value!r}")
     return payload
 
 
-def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    """Merge flags over config-file values over built-in defaults."""
+def resolve_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> tuple[RunPaths, EvaluationOptions]:
+    """Merge flags over config-file values over built-in defaults.
+
+    EvaluationOptions is the only judge of option values; its
+    InvariantError is a usage error, as is any other bad flag or config
+    value.
+    """
     file_values = _load_config_file(args.config, parser) if args.config else {}
 
-    def pick(flag_value, key, default):
+    def pick(key, default):
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             return flag_value
-        if key in file_values and file_values[key] is not None:
-            return file_values[key]
-        return default
+        file_value = file_values.get(key)
+        return default if file_value is None else file_value
 
-    input_path = pick(args.input, "input", None)
+    input_path = pick("input", None)
     if input_path is None:
         parser.error("--input is required")
 
-    bandwidth = pick(getattr(args, "bandwidth", None), "bandwidth", "silverman")
-    if bandwidth == "silverman":
-        bandwidth = None
-
-    no_correction = getattr(args, "no_boundary_correction", None)
-    if no_correction:
+    bandwidth = pick("bandwidth", "silverman")
+    if getattr(args, "no_boundary_correction", None):
         boundary_correction = False
     else:
-        boundary_correction = file_values.get("boundary_correction", True)
+        boundary_correction = pick("boundary_correction", True)
+    try:
+        options = EvaluationOptions(
+            method=pick("method", "continuous"),
+            weight_rule=pick("weight_rule", "paper"),
+            bandwidth=None if bandwidth == "silverman" else float(bandwidth),
+            boundary_correction=boundary_correction,
+            quadrature=QuadratureConfig(points=pick("quadrature_points", 10001)),
+            scale=float(pick("scale", 100.0)),
+            threads=pick("threads", os.cpu_count() or 1),
+        )
+    except (InvariantError, OverflowError) as exc:
+        parser.error(str(exc))
 
-    out_dir = pick(getattr(args, "out_dir", None), "out_dir", None)
+    out_dir = pick("out_dir", None)
     out_dir = Path(out_dir) if out_dir is not None else None
 
     def resolve_dump(raw, default_name: str | None, flag: str):
@@ -270,38 +236,26 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             return out_dir / default_name if default_name else out_dir
         return Path(raw)
 
-    try:
-        return RunConfig(
-            input=Path(input_path),
-            schema=str(pick(args.schema, "schema", "default")),
-            method=str(pick(getattr(args, "method", None), "method", "continuous")),
-            weight_rule=str(pick(getattr(args, "weight_rule", None), "weight_rule", "paper")),
-            bandwidth=bandwidth,
-            boundary_correction=bool(boundary_correction),
-            quadrature_points=int(
-                pick(getattr(args, "quadrature_points", None), "quadrature_points", 10001)
-            ),
-            scale=float(pick(getattr(args, "scale", None), "scale", 100.0)),
-            out_dir=out_dir,
-            dump_normalized=resolve_dump(
-                getattr(args, "dump_normalized", None), "normalized.csv", "--dump-normalized"
-            ),
-            dump_cdf_dir=resolve_dump(getattr(args, "dump_cdf", None), None, "--dump-cdf"),
-            threads=int(pick(getattr(args, "threads", None), "threads", os.cpu_count() or 1)),
-        )
-    except (InvariantError, TypeError, ValueError) as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")  # parser.error always exits
+    paths = RunPaths(
+        input=Path(input_path),
+        schema=pick("schema", "default"),
+        out_dir=out_dir,
+        dump_normalized=resolve_dump(
+            getattr(args, "dump_normalized", None), "normalized.csv", "--dump-normalized"
+        ),
+        dump_cdf_dir=resolve_dump(getattr(args, "dump_cdf", None), None, "--dump-cdf"),
+    )
+    return paths, options
 
 
-def _resolve_schema(cfg: RunConfig) -> Schema:
-    if cfg.schema == "default":
+def _resolve_schema(paths: RunPaths) -> Schema:
+    if paths.schema == "default":
         return default_schema()
-    return load_schema(cfg.schema)
+    return load_schema(paths.schema)
 
 
-def _read_dataset(cfg: RunConfig, schema: Schema):
-    with open(cfg.input, "rb") as fh:
+def _read_dataset(paths: RunPaths, schema: Schema):
+    with open(paths.input, "rb") as fh:
         return parse_csv(fh, schema)
 
 
@@ -314,9 +268,9 @@ def _note_drops(report) -> None:
         )
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    schema = _resolve_schema(cfg)
-    dataset, report = _read_dataset(cfg, schema)
+def _cmd_validate(paths: RunPaths, options: EvaluationOptions) -> int:
+    schema = _resolve_schema(paths)
+    dataset, report = _read_dataset(paths, schema)
     _note_drops(report)
     findings = validate(dataset)
     if findings:
@@ -330,23 +284,23 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_weights(cfg: RunConfig) -> int:
-    schema = _resolve_schema(cfg)
-    dataset, report = _read_dataset(cfg, schema)
+def _cmd_weights(paths: RunPaths, options: EvaluationOptions) -> int:
+    schema = _resolve_schema(paths)
+    dataset, report = _read_dataset(paths, schema)
     _note_drops(report)
-    result = run_pipeline(dataset, cfg.options())
+    result = run_pipeline(dataset, options)
     sys.stdout.write(weights_table(schema, result.report.entropies, result.report.weights))
-    if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        write_weights_csv(cfg.out_dir / "weights.csv", schema, result.report.entropies, result.report.weights)
+    if paths.out_dir is not None:
+        paths.out_dir.mkdir(parents=True, exist_ok=True)
+        write_weights_csv(paths.out_dir / "weights.csv", schema, result.report.entropies, result.report.weights)
     return 0
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    schema = _resolve_schema(cfg)
-    dataset, ingest_report = _read_dataset(cfg, schema)
+def _cmd_evaluate(paths: RunPaths, options: EvaluationOptions) -> int:
+    schema = _resolve_schema(paths)
+    dataset, ingest_report = _read_dataset(paths, schema)
     _note_drops(ingest_report)
-    result = run_pipeline(dataset, cfg.options())
+    result = run_pipeline(dataset, options)
     report = result.report
 
     sys.stdout.write(ranking_table(dataset.entity_ids, report.scores, report.ranking))
@@ -355,20 +309,20 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     sys.stdout.write("\n")
     sys.stdout.write(stats_block(report.stats))
 
-    if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        write_weights_csv(cfg.out_dir / "weights.csv", schema, report.entropies, report.weights)
-        write_scores_csv(cfg.out_dir / "scores.csv", dataset.entity_ids, report.scores, report.ranking)
-    if cfg.dump_normalized is not None:
-        cfg.dump_normalized.parent.mkdir(parents=True, exist_ok=True)
-        write_normalized_csv(cfg.dump_normalized, dataset.entity_ids, result.normalized)
-    if cfg.dump_cdf_dir is not None:
+    if paths.out_dir is not None:
+        paths.out_dir.mkdir(parents=True, exist_ok=True)
+        write_weights_csv(paths.out_dir / "weights.csv", schema, report.entropies, report.weights)
+        write_scores_csv(paths.out_dir / "scores.csv", dataset.entity_ids, report.scores, report.ranking)
+    if paths.dump_normalized is not None:
+        paths.dump_normalized.parent.mkdir(parents=True, exist_ok=True)
+        write_normalized_csv(paths.dump_normalized, dataset.entity_ids, result.normalized)
+    if paths.dump_cdf_dir is not None:
         if result.cdfs is None:
             print("note: --dump-cdf has no effect with --method discrete", file=sys.stderr)
         else:
-            cfg.dump_cdf_dir.mkdir(parents=True, exist_ok=True)
+            paths.dump_cdf_dir.mkdir(parents=True, exist_ok=True)
             for spec, cdf in zip(schema, result.cdfs):
-                write_cdf_csv(cfg.dump_cdf_dir / f"cdf_{spec.name}.csv", cdf)
+                write_cdf_csv(paths.dump_cdf_dir / f"cdf_{spec.name}.csv", cdf)
     return 0
 
 
@@ -384,11 +338,11 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = resolve_config(args, parser)
+        paths, options = resolve_config(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](paths, options)
     except EntroscoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,7 @@ class TooFewRowsError(EntroscoreError):
 
 
 class DuplicateEntityIdError(EntroscoreError):
-    """Two retained rows share the same entity identifier."""
+    """An entity identifier is blank, or two retained rows share one."""
 
 
 class DegenerateColumnError(EntroscoreError):

@@ -20,9 +20,11 @@ from .errors import (
     EmptyInputError,
     HeaderMismatchError,
     InvariantError,
+    NonFiniteInputError,
     TooFewRowsError,
 )
 from .model import RawDataset, Schema
+from .normalize import _column_fault
 
 __all__ = [
     "ENTITY_COLUMN",
@@ -93,16 +95,25 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
 
     The header's first column must be literally ``entity_id``; the
     remaining columns are matched to schema indicator names by header
-    name, so the column order of the file does not matter.
+    name, so the column order of the file does not matter.  A row with
+    fewer or more cells than the header is dropped like a row with a
+    missing cell.  A caller's binary handle is left open.
 
     Raises HeaderMismatchError, EmptyInputError, TooFewRowsError, or
-    DuplicateEntityIdError.
+    DuplicateEntityIdError (also for a blank entity id).
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    reader = csv.reader(text)
+    try:
+        return _parse_records(csv.reader(text), schema)
+    finally:
+        # Unhook the wrapper so collecting it neither closes the caller's
+        # handle nor warns about it.
+        text.detach()
 
+
+def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
     try:
         header = next(reader)
     except StopIteration:
@@ -140,15 +151,17 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
             continue  # blank line, not a data row
         rows_read += 1
         entity_id = record[0].strip()
+        if not entity_id:
+            raise DuplicateEntityIdError(f"line {reader.line_num}: blank entity id")
         cells: list[float] = []
-        complete = True
-        for name in schema.names:
-            pos = column_of[name]
-            value = _parse_cell(record[pos]) if pos < len(record) else None
-            if value is None:
-                complete = False
-                break
-            cells.append(value)
+        complete = len(record) == len(header)
+        if complete:
+            for name in schema.names:
+                value = _parse_cell(record[column_of[name]])
+                if value is None:
+                    complete = False
+                    break
+                cells.append(value)
         if complete:
             entity_ids.append(entity_id)
             rows.append(cells)
@@ -177,31 +190,21 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
 def validate(dataset: RawDataset) -> list[ValidationFinding]:
     """Check a dataset for conditions that make it unevaluable.
 
-    Returns one DegenerateColumn finding per indicator whose finite values
-    have no spread, and one NonFiniteValue finding per indicator holding
-    NaN or infinite entries.  An empty list means the dataset can be
-    normalized and scored.
+    Returns one finding per indicator column that cannot be normalized:
+    NonFiniteValue when it holds NaN or infinite entries (naming the
+    entities) or its range overflows float64, DegenerateColumn when it has
+    no spread.  An empty list means the dataset can be normalized and
+    scored.
     """
     findings: list[ValidationFinding] = []
     for j, spec in enumerate(dataset.schema):
-        column = dataset.values[:, j]
-        bad = ~np.isfinite(column)
-        if np.any(bad):
-            offenders = [dataset.entity_ids[i] for i in np.flatnonzero(bad)]
-            findings.append(
-                ValidationFinding(
-                    FindingKind.NON_FINITE_VALUE,
-                    spec.name,
-                    f"non-finite value for entities: {', '.join(offenders)}",
-                )
+        fault = _column_fault(dataset.values[:, j], dataset.entity_ids)
+        if fault is not None:
+            error, detail = fault
+            kind = (
+                FindingKind.NON_FINITE_VALUE
+                if error is NonFiniteInputError
+                else FindingKind.DEGENERATE_COLUMN
             )
-        finite = column[~bad]
-        if np.unique(finite).size < 2:
-            findings.append(
-                ValidationFinding(
-                    FindingKind.DEGENERATE_COLUMN,
-                    spec.name,
-                    "fewer than two distinct finite values",
-                )
-            )
+            findings.append(ValidationFinding(kind, spec.name, detail))
     return findings

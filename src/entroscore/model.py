@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvariantError
 
 __all__ = [
-    "Category",
     "Direction",
     "IndicatorSpec",
     "Schema",
@@ -39,15 +38,6 @@ __all__ = [
 SCHEMA_FORMAT_VERSION = 1
 
 WEIGHT_SUM_TOLERANCE = 1e-12
-
-
-class Category(str, Enum):
-    """Indicator grouping; metadata only, never used in computation."""
-
-    PROFITABILITY = "profitability"
-    SOLVENCY = "solvency"
-    SUSTAINABLE_DEVELOPMENT = "sustainable_development"
-    OPERATION = "operation"
 
 
 class Direction(str, Enum):
@@ -69,20 +59,21 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicatorSpec:
-    """Name, category, and direction of one indicator column."""
+    """Name, category, and direction of one indicator column.
+
+    The category is free-form grouping metadata, never used in computation.
+    """
 
     name: str
-    category: Category
+    category: str
     direction: Direction
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise InvariantError("indicator name must be a non-empty string")
+        if not isinstance(self.category, str) or not self.category:
+            raise InvariantError("indicator category must be a non-empty string")
         # Accept plain strings for convenience when parsing config files.
-        try:
-            object.__setattr__(self, "category", Category(self.category))
-        except ValueError:
-            raise InvariantError(f"unknown category {self.category!r}") from None
         try:
             object.__setattr__(self, "direction", Direction(self.direction))
         except ValueError:
@@ -128,7 +119,7 @@ class Schema:
         return [
             {
                 "name": spec.name,
-                "category": spec.category.value,
+                "category": spec.category,
                 "direction": spec.direction.value,
             }
             for spec in self.indicators
@@ -172,24 +163,24 @@ def load_schema(path: str | Path) -> Schema:
         raise InvariantError(f"schema file {path} has a malformed record: {exc}") from exc
 
 
-_DEFAULT_ROWS: tuple[tuple[str, Category, Direction], ...] = (
-    ("operating_profit_ratio", Category.PROFITABILITY, Direction.POSITIVE),
-    ("return_on_assets", Category.PROFITABILITY, Direction.POSITIVE),
-    ("return_on_invested_capital", Category.PROFITABILITY, Direction.POSITIVE),
-    ("debt_coverage_ratio", Category.SOLVENCY, Direction.POSITIVE),
-    ("current_ratio", Category.SOLVENCY, Direction.POSITIVE),
-    ("operating_cash_flow_to_operating_profit_ratio", Category.SOLVENCY, Direction.POSITIVE),
-    ("debt_asset_ratio", Category.SOLVENCY, Direction.INVERSE),
-    ("sustainable_growth_rate", Category.SUSTAINABLE_DEVELOPMENT, Direction.POSITIVE),
-    ("hedging_and_proliferating_ratios", Category.SUSTAINABLE_DEVELOPMENT, Direction.POSITIVE),
-    ("total_assets_growth_rate", Category.SUSTAINABLE_DEVELOPMENT, Direction.POSITIVE),
-    ("revenue_growth_rate", Category.SUSTAINABLE_DEVELOPMENT, Direction.POSITIVE),
-    ("net_profit_growth_rate", Category.SUSTAINABLE_DEVELOPMENT, Direction.POSITIVE),
-    ("receivables_turnover", Category.OPERATION, Direction.POSITIVE),
-    ("inventory_turnover", Category.OPERATION, Direction.POSITIVE),
-    ("total_assets_turnover", Category.OPERATION, Direction.POSITIVE),
-    ("rate_of_cost_profit", Category.OPERATION, Direction.POSITIVE),
-    ("capital_intensity", Category.OPERATION, Direction.INVERSE),
+_DEFAULT_ROWS: tuple[tuple[str, str, Direction], ...] = (
+    ("operating_profit_ratio", "profitability", Direction.POSITIVE),
+    ("return_on_assets", "profitability", Direction.POSITIVE),
+    ("return_on_invested_capital", "profitability", Direction.POSITIVE),
+    ("debt_coverage_ratio", "solvency", Direction.POSITIVE),
+    ("current_ratio", "solvency", Direction.POSITIVE),
+    ("operating_cash_flow_to_operating_profit_ratio", "solvency", Direction.POSITIVE),
+    ("debt_asset_ratio", "solvency", Direction.INVERSE),
+    ("sustainable_growth_rate", "sustainable_development", Direction.POSITIVE),
+    ("hedging_and_proliferating_ratios", "sustainable_development", Direction.POSITIVE),
+    ("total_assets_growth_rate", "sustainable_development", Direction.POSITIVE),
+    ("revenue_growth_rate", "sustainable_development", Direction.POSITIVE),
+    ("net_profit_growth_rate", "sustainable_development", Direction.POSITIVE),
+    ("receivables_turnover", "operation", Direction.POSITIVE),
+    ("inventory_turnover", "operation", Direction.POSITIVE),
+    ("total_assets_turnover", "operation", Direction.POSITIVE),
+    ("rate_of_cost_profit", "operation", Direction.POSITIVE),
+    ("capital_intensity", "operation", Direction.INVERSE),
 )
 
 

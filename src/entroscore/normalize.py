@@ -8,6 +8,9 @@ indicators map their minimum to 1.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from .errors import (
@@ -21,44 +24,66 @@ from .model import Direction, NormalizedMatrix, RawDataset
 __all__ = ["normalize_positive", "normalize_inverse", "normalize_matrix"]
 
 
-def _checked_column(column) -> np.ndarray:
-    col = np.asarray(column, dtype=np.float64)
+def _column_fault(
+    col: np.ndarray, ids: Sequence[str] | None = None
+) -> tuple[type[EntroscoreError], str] | None:
+    """Why a raw float64 column cannot be min-max normalized, or None.
+
+    The one home of the non-finite and degenerate-column checks:
+    ingest.validate reports the fault and the normalizers raise it.  ids,
+    when given, label the entries so a non-finite fault names them.
+    """
     if col.ndim != 1:
-        raise InvariantError("column must be one-dimensional")
+        return InvariantError, "column must be one-dimensional"
     if col.size < 2:
-        raise DegenerateColumnError("column needs at least two entries")
-    if not np.all(np.isfinite(col)):
-        raise NonFiniteInputError("column contains NaN or infinite values")
-    if col.max() == col.min():
-        raise DegenerateColumnError("column has no spread (max equals min)")
-    return col
+        return DegenerateColumnError, "column needs at least two entries"
+    bad = ~np.isfinite(col)
+    if bad.any():
+        if ids is None:
+            return NonFiniteInputError, "column contains NaN or infinite values"
+        offenders = ", ".join(ids[i] for i in np.flatnonzero(bad))
+        return NonFiniteInputError, f"non-finite value for entities: {offenders}"
+    lo, hi = float(col.min()), float(col.max())
+    if hi == lo:
+        return DegenerateColumnError, "fewer than two distinct finite values"
+    # Python float arithmetic overflows to inf without a numpy warning.
+    if not math.isfinite(hi - lo):
+        return NonFiniteInputError, f"range {lo!r} to {hi!r} overflows float64"
+    return None
+
+
+def _rescale(column, inverse: bool, ids: Sequence[str] | None = None) -> np.ndarray:
+    col = np.asarray(column, dtype=np.float64)
+    fault = _column_fault(col, ids)
+    if fault is not None:
+        error, detail = fault
+        raise error(detail)
+    lo, hi = col.min(), col.max()
+    return (hi - col) / (hi - lo) if inverse else (col - lo) / (hi - lo)
 
 
 def normalize_positive(column) -> np.ndarray:
     """Rescale a higher-is-better column: (x - min) / (max - min)."""
-    col = _checked_column(column)
-    lo = col.min()
-    return (col - lo) / (col.max() - lo)
+    return _rescale(column, inverse=False)
 
 
 def normalize_inverse(column) -> np.ndarray:
     """Rescale a lower-is-better column: (max - x) / (max - min)."""
-    col = _checked_column(column)
-    hi = col.max()
-    return (hi - col) / (hi - col.min())
+    return _rescale(column, inverse=True)
 
 
 def normalize_matrix(dataset: RawDataset) -> NormalizedMatrix:
     """Normalize every column of a dataset per its schema direction.
 
-    Column errors are re-raised with the offending indicator named.
+    Column errors are raised with the offending indicator named, and a
+    non-finite value with the offending entity ids.
     """
     n, m = dataset.values.shape
     out = np.empty((n, m), dtype=np.float64)
     for j, spec in enumerate(dataset.schema):
-        fn = normalize_positive if spec.direction is Direction.POSITIVE else normalize_inverse
+        inverse = spec.direction is Direction.INVERSE
         try:
-            out[:, j] = fn(dataset.values[:, j])
+            out[:, j] = _rescale(dataset.values[:, j], inverse, dataset.entity_ids)
         except EntroscoreError as exc:
             raise type(exc)(f"indicator '{spec.name}': {exc}") from None
     return NormalizedMatrix(out, dataset.schema)

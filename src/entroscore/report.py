@@ -15,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .density import CdfEstimate
-from .model import Category, DescriptiveStats, EntropyVector, NormalizedMatrix, Schema, WeightVector
+from .model import DescriptiveStats, EntropyVector, NormalizedMatrix, Schema, WeightVector
 
 __all__ = [
     "CATEGORY_LABELS",
@@ -29,11 +29,13 @@ __all__ = [
     "CDF_GRID_POINTS",
 ]
 
+# Display labels of the built-in schema's categories; any other category
+# prints verbatim.
 CATEGORY_LABELS = {
-    Category.PROFITABILITY: "Profitability capability",
-    Category.SOLVENCY: "Solvency",
-    Category.SUSTAINABLE_DEVELOPMENT: "Capacity for sustainable development",
-    Category.OPERATION: "Operation capacity",
+    "profitability": "Profitability capability",
+    "solvency": "Solvency",
+    "sustainable_development": "Capacity for sustainable development",
+    "operation": "Operation capacity",
 }
 
 CDF_GRID_POINTS = 101
@@ -74,7 +76,7 @@ def weights_table(schema: Schema, entropies: EntropyVector, weights: WeightVecto
     """Aligned category / indicator / entropy / weight table."""
     rows = [
         (
-            CATEGORY_LABELS[spec.category],
+            CATEGORY_LABELS.get(spec.category, spec.category),
             spec.label,
             _fixed(float(entropies.entropies[j]), 6),
             _fixed(float(weights.weights[j]), 6),
@@ -124,7 +126,7 @@ def write_weights_csv(path: Path, schema: Schema, entropies: EntropyVector, weig
         for j, spec in enumerate(schema):
             out.writerow(
                 [
-                    spec.category.value,
+                    spec.category,
                     spec.name,
                     _full(float(entropies.entropies[j])),
                     _full(float(weights.weights[j])),

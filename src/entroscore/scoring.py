@@ -23,14 +23,11 @@ from .entropy import (
     continuous_entropy,
     discrete_entropy,
 )
-from .errors import (
-    DegenerateColumnError,
-    DimensionMismatchError,
-    EntroscoreError,
-    InvariantError,
-    NonFiniteInputError,
-)
-from .ingest import FindingKind, validate
+from .errors import DimensionMismatchError, EntroscoreError, InvariantError
+
+# Not called: normalize_matrix holds the pipeline's one column check.  The
+# name stays importable here because bench/tracer.py hooks scoring.validate.
+from .ingest import validate  # noqa: F401
 from .model import (
     DescriptiveStats,
     EntropyVector,
@@ -167,19 +164,10 @@ def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) 
 
     Indicator columns are independent, so they are processed on a thread
     pool when options.threads > 1; results are assembled in column order
-    and are bit-identical to a sequential run.
+    and are bit-identical to a sequential run.  A column that cannot be
+    normalized raises the error normalize_matrix names it with.
     """
     options = options or EvaluationOptions()
-    findings = validate(dataset)
-    if findings:
-        first = findings[0]
-        exc = (
-            NonFiniteInputError
-            if first.kind is FindingKind.NON_FINITE_VALUE
-            else DegenerateColumnError
-        )
-        raise exc(f"indicator '{first.indicator}': {first.detail}")
-
     normalized = normalize_matrix(dataset)
     names = dataset.schema.names
 

@@ -7,6 +7,7 @@ directly and capsys sees the streams.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,9 @@ class TestExitCodes:
             ("--bandwidth", "junk"),
             ("--method", "magic"),
             ("--weight-rule", "softmax"),
+            ("--scale", "0"),
+            ("--bandwidth", "-1"),
+            ("--bandwidth", "inf"),
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, small_csv, flag, value, capsys):
@@ -117,6 +121,28 @@ class TestValidate:
         assert run(["validate", "--input", str(csv_path),
                     "--schema", str(schema_path)]) == 0
         assert "1 row(s) dropped" in capsys.readouterr().out
+
+
+    def test_overflowing_range_is_a_named_data_error(self, tmp_path, capsys):
+        schema_path = tmp_path / "schema.json"
+        es.save_schema(
+            es.Schema((es.IndicatorSpec("huge", "operation", "positive"),)), schema_path
+        )
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_bytes(csv_bytes(
+            ["entity_id", "huge"], [["a", "-1e308"], ["b", "0"], ["c", "1e308"]]
+        ))
+        args = ["--input", str(csv_path), "--schema", str(schema_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["validate", *args]) == 1
+            assert capsys.readouterr().err.startswith(
+                "NonFiniteValue: indicator 'huge': range -1e+308 to 1e+308 overflows"
+            )
+            assert run(["evaluate", *args]) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: indicator 'huge': range -1e+308 to 1e+308 overflows"
+            )
 
 
 class TestWeights:
@@ -205,6 +231,28 @@ class TestEvaluate:
         assert "Capital intensity" in capsys.readouterr().out
 
 
+class TestSchemaCategories:
+    def test_free_category_loads_and_prints_verbatim(self, tmp_path, capsys):
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({
+            "version": 1,
+            "indicators": [
+                {"name": "jobs", "category": "throughput", "direction": "positive"},
+                {"name": "cost", "category": "operation", "direction": "inverse"},
+            ],
+        }))
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(csv_bytes(
+            ["entity_id", "jobs", "cost"],
+            [["a", "1", "9"], ["b", "4", "2"], ["c", "3", "5"], ["d", "7", "1"]],
+        ))
+        assert run(["weights", "--input", str(csv_path),
+                    "--schema", str(schema_path)]) == 0
+        out = capsys.readouterr().out
+        assert "\nthroughput          Jobs" in out
+        assert "\nOperation capacity  Cost" in out
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -240,6 +288,53 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quadrature_points": 10}))
         assert run(["weights", *base_args(small_csv), "--config", str(cfg)]) == 2
+
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("boundary_correction", "false"),
+            ("boundary_correction", 0),
+            ("threads", 2.7),
+            ("threads", True),
+            ("quadrature_points", "101"),
+            ("quadrature_points", 101.0),
+            ("scale", "100"),
+            ("scale", False),
+            ("bandwidth", "0.5"),
+            ("method", 1),
+            ("schema", 5),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "weights"])
+    def test_config_value_types_are_strict(self, small_csv, tmp_path, capsys,
+                                           command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run([command, *base_args(small_csv), "--config", str(cfg)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload", [{"threads": 0}, {"scale": -1}, {"bandwidth": 0}, {"scale": 10**400}]
+    )
+    def test_config_value_out_of_range_fails_validate_too(self, small_csv, tmp_path,
+                                                          capsys, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["validate", *base_args(small_csv), "--config", str(cfg)]) == 2
+
+    def test_config_values_of_the_right_types_are_used(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "boundary_correction": False, "threads": 2, "scale": 50,
+            "bandwidth": 0.25, "quadrature_points": 101, "method": None,
+        }))
+        assert run(["evaluate", *base_args(small_csv), "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert run(["evaluate", *base_args(small_csv), "--no-boundary-correction",
+                    "--threads", "2", "--scale", "50", "--bandwidth", "0.25",
+                    "--quadrature-points", "101"]) == 0
+        assert capsys.readouterr().out == from_config
 
 
 class TestDeterminism:

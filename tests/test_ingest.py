@@ -6,6 +6,9 @@ unparseable cell, and reports exactly what it dropped.
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,12 @@ class TestMissingPolicy:
         _, report = parse(data)
         assert report.dropped_ids == ("bad",)
 
+    def test_long_row_drops_the_row(self):
+        data = csv_bytes(HEADER2, [["a", "1", "2"], ["bad", "1", "2", "3"], ["b", "4", "5"]])
+        ds, report = parse(data)
+        assert report.dropped_ids == ("bad",)
+        assert ds.entity_ids == ("a", "b")
+
     def test_three_defective_rows_out_of_108(self):
         rng = np.random.default_rng(31)
         rows = []
@@ -142,6 +151,12 @@ class TestRowCountErrors:
         with pytest.raises(es.DuplicateEntityIdError, match="duplicate entity ids: a"):
             parse(data)
 
+    @pytest.mark.parametrize("blank", ["", "   "])
+    def test_blank_entity_id_names_its_line(self, blank):
+        data = csv_bytes(HEADER2, [["a", "1", "2"], [blank, "3", "4"], ["b", "5", "6"]])
+        with pytest.raises(es.DuplicateEntityIdError, match="line 3: blank entity id"):
+            parse(data)
+
     def test_duplicate_among_dropped_rows_is_fine(self):
         # Only retained rows need distinct ids.
         data = csv_bytes(
@@ -179,6 +194,31 @@ class TestValidate:
         flagged = next(f for f in findings if f.kind is es.FindingKind.NON_FINITE_VALUE)
         assert "b" in flagged.detail
 
+    def test_one_finding_per_bad_column(self):
+        ds = es.RawDataset(
+            ("a", "b", "c"),
+            np.array([[np.inf, 4.0, 1.0], [3.0, 4.0, 2.0], [3.0, 4.0, np.nan]]),
+            simple_schema(3),
+        )
+        findings = es.validate(ds)
+        assert [(f.kind, f.indicator) for f in findings] == [
+            (es.FindingKind.NON_FINITE_VALUE, "ind_00"),
+            (es.FindingKind.DEGENERATE_COLUMN, "ind_01"),
+            (es.FindingKind.NON_FINITE_VALUE, "ind_02"),
+        ]
+        assert findings[0].detail == "non-finite value for entities: a"
+        assert findings[2].detail == "non-finite value for entities: c"
+
+    def test_overflowing_range_flagged_without_warning(self):
+        ds = es.RawDataset(("a", "b"), np.array([[-1e308, 1.0], [1e308, 2.0]]), SCHEMA2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            findings = es.validate(ds)
+        assert len(findings) == 1
+        assert findings[0].kind is es.FindingKind.NON_FINITE_VALUE
+        assert findings[0].indicator == "ind_00"
+        assert "overflows" in findings[0].detail
+
     def test_finding_kind_values(self):
         assert es.FindingKind.DEGENERATE_COLUMN.value == "DegenerateColumn"
         assert es.FindingKind.NON_FINITE_VALUE.value == "NonFiniteValue"
@@ -193,3 +233,16 @@ class TestDeterminism:
         ds2, _ = parse(payload)
         assert np.array_equal(ds1.values, ds2.values)
         assert ds1.entity_ids == ds2.entity_ids
+
+
+class TestCallerHandle:
+    def test_handle_left_open_and_no_resource_warning(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(csv_bytes(HEADER2, [["a", "1", "2"], ["b", "3", "4"]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(path, "rb") as fh:
+                parse(fh)
+                assert not fh.closed
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -19,17 +19,21 @@ from helpers import simple_schema
 class TestIndicatorSpec:
     def test_coerces_plain_strings(self):
         spec = es.IndicatorSpec("return_on_assets", "profitability", "positive")
-        assert spec.category is es.Category.PROFITABILITY
+        assert spec.category == "profitability"
         assert spec.direction is es.Direction.POSITIVE
 
     def test_accepts_enum_members(self):
-        spec = es.IndicatorSpec("x", es.Category.SOLVENCY, es.Direction.INVERSE)
-        assert spec.category is es.Category.SOLVENCY
+        spec = es.IndicatorSpec("x", "solvency", es.Direction.INVERSE)
+        assert spec.category == "solvency"
         assert spec.direction is es.Direction.INVERSE
 
-    @pytest.mark.parametrize("category", ["", "liquidity", "Profitability "])
-    def test_rejects_unknown_category(self, category):
-        with pytest.raises(es.InvariantError):
+    @pytest.mark.parametrize("category", ["liquidity", "Profitability ", "throughput"])
+    def test_accepts_free_category(self, category):
+        assert es.IndicatorSpec("x", category, "positive").category == category
+
+    @pytest.mark.parametrize("category", ["", None, 3])
+    def test_rejects_blank_or_non_string_category(self, category):
+        with pytest.raises(es.InvariantError, match="category"):
             es.IndicatorSpec("x", category, "positive")
 
     @pytest.mark.parametrize("direction", ["up", "negative", ""])
@@ -143,10 +147,10 @@ class TestDefaultSchema:
         for spec in schema:
             counts[spec.category] = counts.get(spec.category, 0) + 1
         assert counts == {
-            es.Category.PROFITABILITY: 3,
-            es.Category.SOLVENCY: 4,
-            es.Category.SUSTAINABLE_DEVELOPMENT: 5,
-            es.Category.OPERATION: 5,
+            "profitability": 3,
+            "solvency": 4,
+            "sustainable_development": 5,
+            "operation": 5,
         }
 
 

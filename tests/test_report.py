@@ -35,9 +35,24 @@ class TestWeightsTable:
         )
 
     def test_category_labels_cover_all_categories(self):
-        assert set(rep.CATEGORY_LABELS) == set(es.Category)
-        assert rep.CATEGORY_LABELS[es.Category.SUSTAINABLE_DEVELOPMENT] == (
+        assert set(rep.CATEGORY_LABELS) == {s.category for s in es.default_schema()}
+        assert rep.CATEGORY_LABELS["sustainable_development"] == (
             "Capacity for sustainable development"
+        )
+
+    def test_unlabelled_category_prints_verbatim(self, tmp_path):
+        schema = es.Schema((
+            es.IndicatorSpec("jobs_per_hour", "throughput", "positive"),
+            es.IndicatorSpec("alpha_rate", "profitability", "positive"),
+        ))
+        ev = es.EntropyVector(np.array([0.25, 0.75]))
+        wv = es.WeightVector(np.array([0.25, 0.75]))
+        table = rep.weights_table(schema, ev, wv).splitlines()
+        assert table[2].startswith("throughput                Jobs per hour")
+        assert table[3].startswith("Profitability capability  Alpha rate")
+        rep.write_weights_csv(tmp_path / "w.csv", schema, ev, wv)
+        assert (tmp_path / "w.csv").read_text().splitlines()[1].startswith(
+            "throughput,jobs_per_hour,"
         )
 
 

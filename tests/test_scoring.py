@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ class TestEvaluate:
         ds = es.RawDataset(("a", "b", "c"), values, simple_schema(2))
         with pytest.raises(es.NonFiniteInputError, match="ind_01"):
             es.evaluate(ds)
+
+    def test_overflowing_range_error_names_indicator(self):
+        values = np.array([[1.0, -1e308], [2.0, 0.0], [3.0, 1e308]])
+        ds = es.RawDataset(("a", "b", "c"), values, simple_schema(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(es.NonFiniteInputError, match="indicator 'ind_01': range"):
+                es.run_pipeline(ds)
+
+    def test_non_finite_error_names_entities(self):
+        values = np.array([[1.0, np.nan], [2.0, np.inf], [3.0, 9.0]])
+        ds = es.RawDataset(("a", "b", "c"), values, simple_schema(2))
+        with pytest.raises(es.NonFiniteInputError) as info:
+            es.run_pipeline(ds)
+        assert str(info.value) == "indicator 'ind_01': non-finite value for entities: a, b"
 
     def test_fixed_bandwidth_override(self):
         rng = np.random.default_rng(30)
