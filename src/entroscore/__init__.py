@@ -15,7 +15,6 @@ from .entropy import (
     discrete_entropy,
 )
 from .errors import (
-    AllSamplesEqualError,
     AllZeroEntropyError,
     DegenerateColumnError,
     DimensionMismatchError,
@@ -28,9 +27,8 @@ from .errors import (
     NonFiniteInputError,
     QuadratureOutOfRangeError,
     TooFewRowsError,
-    ZeroColumnError,
 )
-from .ingest import FindingKind, IngestReport, ValidationFinding, parse_csv, validate
+from .ingest import IngestReport, ValidationFinding, parse_csv, validate
 from .model import (
     DescriptiveStats,
     Direction,
@@ -78,7 +76,6 @@ __all__ = [
     "validate",
     "IngestReport",
     "ValidationFinding",
-    "FindingKind",
     # normalize
     "normalize_positive",
     "normalize_inverse",
@@ -110,10 +107,8 @@ __all__ = [
     "DuplicateEntityIdError",
     "DegenerateColumnError",
     "NonFiniteInputError",
-    "AllSamplesEqualError",
     "InvalidBandwidthError",
     "QuadratureOutOfRangeError",
-    "ZeroColumnError",
     "AllZeroEntropyError",
     "DimensionMismatchError",
 ]

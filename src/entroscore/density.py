@@ -15,7 +15,8 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import AllSamplesEqualError, InvalidBandwidthError, InvariantError
+from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError
+from .model import _sample_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
@@ -28,13 +29,10 @@ def select_bandwidth(samples) -> float:
 
     The standard deviation is the sample form (n - 1 denominator).  If one
     of the two spread measures is zero the other is used; if both are zero
-    the samples are all equal and AllSamplesEqualError is raised.
+    DegenerateColumnError is raised.  That happens when max equals min, and
+    also when the spread underflows to zero in float64.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise InvariantError("bandwidth selection needs at least two samples")
-    if not np.all(np.isfinite(x)):
-        raise InvariantError("bandwidth selection needs finite samples")
+    x = _sample_array(samples, "bandwidth selection")
     # Sort so the reduction order, and hence the result bit pattern, does
     # not depend on how the caller happened to order the samples.
     x = np.sort(x)
@@ -44,7 +42,9 @@ def select_bandwidth(samples) -> float:
     if spread == 0.0:
         spread = max(std, iqr / 1.34)
     if spread == 0.0:
-        raise AllSamplesEqualError("all samples are equal; no bandwidth exists")
+        raise DegenerateColumnError(
+            "sample standard deviation and IQR are both zero; no bandwidth exists"
+        )
     return 0.9 * spread * x.size ** (-0.2)
 
 
@@ -58,11 +58,7 @@ class CdfEstimate:
     """
 
     def __init__(self, samples, bandwidth: float, boundary_correction: bool = True):
-        x = np.sort(np.asarray(samples, dtype=np.float64))
-        if x.ndim != 1 or x.size < 2:
-            raise InvariantError("a CDF estimate needs at least two samples")
-        if not np.all(np.isfinite(x)):
-            raise InvariantError("samples must be finite")
+        x = np.sort(_sample_array(samples, "a CDF estimate"))
         if x[0] < 0.0 or x[-1] > 1.0:
             raise InvariantError("samples must lie in [0, 1]")
         bandwidth = float(bandwidth)

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import (
     AllZeroEntropyError,
+    DegenerateColumnError,
     InvariantError,
     QuadratureOutOfRangeError,
-    ZeroColumnError,
 )
-from .model import EntropyVector, WeightVector
+from .model import EntropyVector, WeightVector, _sample_array
 
 __all__ = [
     "QuadratureConfig",
@@ -35,6 +35,9 @@ __all__ = [
 # Tolerated quadrature overshoot of the [0, 1] entropy bound.
 _NOISE_BUDGET = 1e-9
 
+# CDF values at or below this are taken to give phi*ln(phi) its limit, 0.
+_PHI_FLOOR = 1e-12
+
 WEIGHT_RULES = ("paper", "classic")
 
 
@@ -42,18 +45,14 @@ WEIGHT_RULES = ("paper", "classic")
 class QuadratureConfig:
     """Uniform-grid composite Simpson settings.
 
-    points must be odd (Simpson pairs intervals); epsilon is the cutoff
-    below which the integrand phi*ln(phi) is taken as its limit, 0.
+    points must be odd (Simpson pairs intervals).
     """
 
     points: int = 10001
-    epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.points < 3 or self.points % 2 == 0:
             raise InvariantError("quadrature points must be odd and >= 3")
-        if not (0.0 < self.epsilon <= 1e-6):
-            raise InvariantError("epsilon must lie in (0, 1e-6]")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -80,7 +79,7 @@ def continuous_entropy(
         )
 
     integrand = np.zeros_like(phi)
-    live = phi > config.epsilon
+    live = phi > _PHI_FLOOR
     integrand[live] = phi[live] * np.log(phi[live])
 
     step = 1.0 / (config.points - 1)
@@ -104,18 +103,15 @@ def discrete_entropy(column) -> float:
 
     Entries are rescaled into a probability vector p_i = s_i / sum(s),
     then H = -(1/ln n) * sum p_i ln p_i with 0 ln 0 taken as 0, which
-    lands in [0, 1] for any column of length n >= 2.
+    lands in [0, 1] for any column of length n >= 2.  An all-zero column
+    has no distribution and raises DegenerateColumnError.
     """
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1 or col.size < 2:
-        raise InvariantError("discrete entropy needs a 1-D column of length >= 2")
-    if not np.all(np.isfinite(col)):
-        raise InvariantError("discrete entropy needs finite values")
+    col = _sample_array(column, "discrete entropy")
     if np.any(col < 0.0):
         raise InvariantError("discrete entropy needs non-negative values")
     total = float(np.sum(col))
     if total == 0.0:
-        raise ZeroColumnError("all entries are zero")
+        raise DegenerateColumnError("all entries are zero")
     p = col / total
     live = p > 0.0
     value = -float(np.sum(p[live] * np.log(p[live]))) / math.log(col.size)

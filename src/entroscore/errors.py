@@ -16,10 +16,8 @@ __all__ = [
     "DuplicateEntityIdError",
     "DegenerateColumnError",
     "NonFiniteInputError",
-    "AllSamplesEqualError",
     "InvalidBandwidthError",
     "QuadratureOutOfRangeError",
-    "ZeroColumnError",
     "AllZeroEntropyError",
     "DimensionMismatchError",
 ]
@@ -50,15 +48,11 @@ class DuplicateEntityIdError(EntroscoreError):
 
 
 class DegenerateColumnError(EntroscoreError):
-    """An indicator column has no spread (max equals min)."""
+    """A column has no spread: max equals min, or its spread underflows to 0."""
 
 
 class NonFiniteInputError(EntroscoreError):
     """An input value is NaN or infinite where a finite real is required."""
-
-
-class AllSamplesEqualError(EntroscoreError):
-    """Bandwidth selection failed: both the std dev and the IQR are zero."""
 
 
 class InvalidBandwidthError(EntroscoreError):
@@ -67,10 +61,6 @@ class InvalidBandwidthError(EntroscoreError):
 
 class QuadratureOutOfRangeError(EntroscoreError):
     """Entropy quadrature left [0, 1] by more than numerical noise."""
-
-
-class ZeroColumnError(EntroscoreError):
-    """Discrete entropy is undefined for an all-zero column."""
 
 
 class AllZeroEntropyError(EntroscoreError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from enum import Enum
 from typing import BinaryIO
 
 import numpy as np
@@ -18,9 +17,9 @@ import numpy as np
 from .errors import (
     DuplicateEntityIdError,
     EmptyInputError,
+    EntroscoreError,
     HeaderMismatchError,
     InvariantError,
-    NonFiniteInputError,
     TooFewRowsError,
 )
 from .model import RawDataset, Schema
@@ -29,7 +28,6 @@ from .normalize import _column_fault
 __all__ = [
     "ENTITY_COLUMN",
     "MISSING_MARKERS",
-    "FindingKind",
     "ValidationFinding",
     "IngestReport",
     "parse_csv",
@@ -42,21 +40,16 @@ ENTITY_COLUMN = "entity_id"
 MISSING_MARKERS = frozenset({"", "na", "nan"})
 
 
-class FindingKind(str, Enum):
-    DEGENERATE_COLUMN = "DegenerateColumn"
-    NON_FINITE_VALUE = "NonFiniteValue"
-
-
 @dataclass(frozen=True)
 class ValidationFinding:
-    """One dataset problem discovered by validate; data, not a failure."""
+    """One unevaluable column found by validate, with the error the pipeline raises."""
 
-    kind: FindingKind
+    error: type[EntroscoreError]
     indicator: str
     detail: str
 
     def __str__(self) -> str:
-        return f"{self.kind.value}: indicator '{self.indicator}': {self.detail}"
+        return f"{self.error.__name__}: indicator '{self.indicator}': {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -80,14 +73,23 @@ class IngestReport:
 
 
 def _parse_cell(cell: str) -> float | None:
-    """Parse one indicator cell; None means missing or unparseable."""
+    """Parse one indicator cell; None means missing or unparseable.
+
+    A number is what float() reads from ASCII text without '_' digit
+    separators, so '1_000' and non-ASCII digits are unparseable.
+    """
     text = cell.strip()
-    if text.lower() in MISSING_MARKERS:
+    if not text.isascii() or "_" in text:
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return None
+    # Of the missing markers only "nan" parses; testing it after float()
+    # keeps the common numeric cell off the marker lookup.
+    if value != value and text.lower() in MISSING_MARKERS:
+        return None
+    return value
 
 
 def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, IngestReport]:
@@ -190,21 +192,16 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
 def validate(dataset: RawDataset) -> list[ValidationFinding]:
     """Check a dataset for conditions that make it unevaluable.
 
-    Returns one finding per indicator column that cannot be normalized:
-    NonFiniteValue when it holds NaN or infinite entries (naming the
-    entities) or its range overflows float64, DegenerateColumn when it has
-    no spread.  An empty list means the dataset can be normalized and
-    scored.
+    Returns one finding per indicator column that cannot be normalized,
+    carrying the error the pipeline would raise: NonFiniteInputError when
+    the column holds NaN or infinite entries (naming the entities) or its
+    range overflows float64, DegenerateColumnError when it has no spread.
+    An empty list means the dataset can be normalized and scored.
     """
     findings: list[ValidationFinding] = []
     for j, spec in enumerate(dataset.schema):
         fault = _column_fault(dataset.values[:, j], dataset.entity_ids)
         if fault is not None:
             error, detail = fault
-            kind = (
-                FindingKind.NON_FINITE_VALUE
-                if error is NonFiniteInputError
-                else FindingKind.DEGENERATE_COLUMN
-            )
-            findings.append(ValidationFinding(kind, spec.name, detail))
+            findings.append(ValidationFinding(error, spec.name, detail))
     return findings

@@ -57,6 +57,20 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _sample_array(samples, user: str) -> np.ndarray:
+    """samples as float64, checked to be 1-D, at least two long and finite.
+
+    The one home of this check for the stages below normalization; user
+    names the caller in the InvariantError message.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise InvariantError(f"{user} needs a 1-D array of at least two samples")
+    if not np.all(np.isfinite(x)):
+        raise InvariantError(f"{user} needs finite samples")
+    return x
+
+
 @dataclass(frozen=True)
 class IndicatorSpec:
     """Name, category, and direction of one indicator column.

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .density import CdfEstimate, estimate_cdf, select_bandwidth
 from .entropy import (
@@ -115,21 +114,31 @@ def describe(scores) -> DescriptiveStats:
 
     Standard deviation uses the n - 1 denominator; skewness and excess
     kurtosis carry the usual small-sample bias corrections and are NaN
-    whenever n < 4 or the variance is zero.
+    whenever n < 4 or the variance is zero.  Like scipy.stats, the
+    variance counts as zero when the second central moment is at most
+    (eps * mean)**2, where it is rounding noise of the mean.
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise InvariantError("describe needs a non-empty 1-D score list")
     n = arr.size
+    mean = np.mean(arr)
     std_dev = float(np.std(arr, ddof=1)) if n >= 2 else float("nan")
+    skewness = kurtosis = float("nan")
     if n >= 4 and std_dev > 0.0:
-        skewness = float(scipy_stats.skew(arr, bias=False))
-        kurtosis = float(scipy_stats.kurtosis(arr, fisher=True, bias=False))
-    else:
-        skewness = float("nan")
-        kurtosis = float("nan")
+        dev = arr - mean
+        m2 = np.mean(dev**2)
+        if m2 > (np.finfo(np.float64).eps * mean) ** 2:
+            # Same operations in the same order as scipy.stats.skew and
+            # kurtosis with bias=False, so the bits match; this includes
+            # the (g + 3) - 3 of its excess kurtosis.
+            m3 = np.mean(dev**2 * dev)
+            m4 = np.mean((dev**2) ** 2)
+            skewness = float(((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5)
+            g = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
+            kurtosis = float(g + 3.0 - 3.0)
     return DescriptiveStats(
-        mean=float(np.mean(arr)),
+        mean=float(mean),
         median=float(np.median(arr)),
         std_dev=std_dev,
         kurtosis=kurtosis,

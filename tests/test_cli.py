@@ -97,7 +97,7 @@ class TestValidate:
         )
         assert run(["validate", "--input", str(csv_path),
                     "--schema", str(schema_path)]) == 1
-        assert "flat" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("DegenerateColumnError: indicator 'flat'")
 
     def test_never_writes_files(self, small_csv, tmp_path, capsys):
         # validate has no output flags at all; asking for one is refused
@@ -137,7 +137,7 @@ class TestValidate:
             warnings.simplefilter("error")
             assert run(["validate", *args]) == 1
             assert capsys.readouterr().err.startswith(
-                "NonFiniteValue: indicator 'huge': range -1e+308 to 1e+308 overflows"
+                "NonFiniteInputError: indicator 'huge': range -1e+308 to 1e+308 overflows"
             )
             assert run(["evaluate", *args]) == 1
             assert capsys.readouterr().err.startswith(
@@ -217,6 +217,29 @@ class TestEvaluate:
         assert run(["evaluate", "--input", str(csv_path),
                     "--schema", str(schema_path)]) == 0
         assert "dropped" in capsys.readouterr().err
+
+    def test_nearly_constant_scores_leave_stderr_empty(self, tmp_path, capsys):
+        # A positive and an inverse copy of one column weigh the same, so
+        # every score is 50 up to a few ulps.
+        schema_path = tmp_path / "schema.json"
+        es.save_schema(
+            es.Schema((
+                es.IndicatorSpec("a", "operation", "positive"),
+                es.IndicatorSpec("b", "operation", "inverse"),
+            )),
+            schema_path,
+        )
+        csv_path = tmp_path / "mirror.csv"
+        csv_path.write_bytes(csv_bytes(
+            ["entity_id", "a", "b"], [[f"e{i + 1}", str(i), str(i)] for i in range(5)]
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evaluate", "--input", str(csv_path), "--schema",
+                        str(schema_path), "--method", "discrete"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "Skewness  NA" in captured.out
 
     def test_default_schema_used_without_schema_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(45)

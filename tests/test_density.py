@@ -32,8 +32,14 @@ class TestSelectBandwidth:
         )
 
     def test_constant_samples_rejected(self):
-        with pytest.raises(es.AllSamplesEqualError):
+        with pytest.raises(es.DegenerateColumnError):
             es.select_bandwidth([0.4] * 10)
+
+    def test_underflowing_spread_rejected_without_claiming_equal_samples(self):
+        # The values differ, but the std dev underflows to zero in float64.
+        with pytest.raises(es.DegenerateColumnError) as info:
+            es.select_bandwidth([0.0] * 9 + [1e-320])
+        assert "equal" not in str(info.value)
 
     def test_order_invariant_to_the_bit(self):
         rng = np.random.default_rng(13)

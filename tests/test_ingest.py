@@ -6,11 +6,15 @@ unparseable cell, and reports exactly what it dropped.
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
 from helpers import csv_bytes, simple_schema
@@ -82,6 +86,20 @@ class TestMissingPolicy:
         _, report = parse(data)
         assert report.dropped_ids == ("bad",)
 
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11\uff12"])
+    def test_underscored_or_non_ascii_number_drops_the_row(self, cell):
+        # float() reads each of these as a number; the cell syntax does not.
+        data = csv_bytes(HEADER2, [["a", "1", "2"], ["bad", cell, "3"], ["b", "4", "5"]])
+        ds, report = parse(data)
+        assert report.dropped_ids == ("bad",)
+        assert ds.entity_ids == ("a", "b")
+
+    def test_other_float_syntax_still_parses(self):
+        data = csv_bytes(HEADER2, [["a", " +1.5E3 ", ".5"], ["b", "1.", "-0"]])
+        ds, report = parse(data)
+        assert report.rows_dropped == 0
+        np.testing.assert_array_equal(ds.values, [[1500.0, 0.5], [1.0, 0.0]])
+
     def test_short_row_drops_the_row(self):
         data = csv_bytes(HEADER2, [["a", "1", "2"], ["bad", "1"], ["b", "4", "5"]])
         _, report = parse(data)
@@ -107,6 +125,63 @@ class TestMissingPolicy:
         assert report.rows_retained == 105
         assert len(ds.entity_ids) == 105
         assert set(report.dropped_ids) == {"e017", "e054", "e099"}
+
+
+# Entity ids survive parse_csv's strip, so they carry no outer whitespace;
+# inner commas, quotes and line breaks make the CSV writer quote them.
+ENTITY_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\n\r '),
+    min_size=1,
+    max_size=6,
+).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def raw_rows(draw):
+    """(ids, values, schema): distinct ids, finite floats, 1-3 columns."""
+    m = draw(st.integers(1, 3))
+    ids = draw(st.lists(ENTITY_IDS, min_size=2, max_size=10, unique=True))
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+    values = [draw(st.lists(cells, min_size=m, max_size=m)) for _ in ids]
+    return ids, values, simple_schema(m)
+
+
+def rows_csv(ids, cells, schema) -> bytes:
+    # The excel dialect ends rows with "\r\n", so it quotes an id holding
+    # either character; a "\n"-only writer leaves a lone "\r" bare.
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["entity_id", *schema.names])
+    writer.writerows([eid, *row] for eid, row in zip(ids, cells))
+    return buf.getvalue().encode("utf-8")
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(raw_rows())
+    def test_written_dataset_reads_back_bit_for_bit(self, rows):
+        ids, values, schema = rows
+        cells = [[repr(v) for v in row] for row in values]
+        ds, report = es.parse_csv(rows_csv(ids, cells, schema), schema)
+        assert ds.entity_ids == tuple(ids)
+        assert ds.values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        assert report.rows_dropped == 0
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(raw_rows(), st.data())
+    def test_missing_markers_drop_exactly_their_rows(self, rows, data):
+        ids, values, schema = rows
+        holes = data.draw(st.sets(st.integers(0, len(ids) - 1), max_size=len(ids) - 2))
+        cells = [[repr(v) for v in row] for row in values]
+        for i in holes:
+            j = data.draw(st.integers(0, len(schema) - 1))
+            cells[i][j] = data.draw(st.sampled_from(["", "na", "NaN"]))
+        ds, report = es.parse_csv(rows_csv(ids, cells, schema), schema)
+        kept = [i for i in range(len(ids)) if i not in holes]
+        assert report.dropped_ids == tuple(ids[i] for i in sorted(holes))
+        assert ds.entity_ids == tuple(ids[i] for i in kept)
+        expected = np.array([values[i] for i in kept], dtype=np.float64)
+        assert ds.values.tobytes() == expected.tobytes()
 
 
 class TestHeaderErrors:
@@ -179,7 +254,7 @@ class TestValidate:
         ds = es.RawDataset(("a", "b"), np.array([[5.0, 1.0], [5.0, 2.0]]), SCHEMA2)
         findings = es.validate(ds)
         assert len(findings) == 1
-        assert findings[0].kind is es.FindingKind.DEGENERATE_COLUMN
+        assert findings[0].error is es.DegenerateColumnError
         assert findings[0].indicator == "ind_00"
         assert "ind_00" in str(findings[0])
 
@@ -189,9 +264,9 @@ class TestValidate:
         data = csv_bytes(HEADER2, [["a", "1", "2"], ["b", "inf", "4"], ["c", "3", "5"]])
         ds, _ = parse(data)
         findings = es.validate(ds)
-        kinds = {f.kind for f in findings}
-        assert es.FindingKind.NON_FINITE_VALUE in kinds
-        flagged = next(f for f in findings if f.kind is es.FindingKind.NON_FINITE_VALUE)
+        errors = {f.error for f in findings}
+        assert es.NonFiniteInputError in errors
+        flagged = next(f for f in findings if f.error is es.NonFiniteInputError)
         assert "b" in flagged.detail
 
     def test_one_finding_per_bad_column(self):
@@ -201,10 +276,10 @@ class TestValidate:
             simple_schema(3),
         )
         findings = es.validate(ds)
-        assert [(f.kind, f.indicator) for f in findings] == [
-            (es.FindingKind.NON_FINITE_VALUE, "ind_00"),
-            (es.FindingKind.DEGENERATE_COLUMN, "ind_01"),
-            (es.FindingKind.NON_FINITE_VALUE, "ind_02"),
+        assert [(f.error, f.indicator) for f in findings] == [
+            (es.NonFiniteInputError, "ind_00"),
+            (es.DegenerateColumnError, "ind_01"),
+            (es.NonFiniteInputError, "ind_02"),
         ]
         assert findings[0].detail == "non-finite value for entities: a"
         assert findings[2].detail == "non-finite value for entities: c"
@@ -215,13 +290,20 @@ class TestValidate:
             warnings.simplefilter("error")
             findings = es.validate(ds)
         assert len(findings) == 1
-        assert findings[0].kind is es.FindingKind.NON_FINITE_VALUE
+        assert findings[0].error is es.NonFiniteInputError
         assert findings[0].indicator == "ind_00"
         assert "overflows" in findings[0].detail
 
-    def test_finding_kind_values(self):
-        assert es.FindingKind.DEGENERATE_COLUMN.value == "DegenerateColumn"
-        assert es.FindingKind.NON_FINITE_VALUE.value == "NonFiniteValue"
+    def test_label_is_the_class_the_pipeline_raises(self):
+        ds = es.RawDataset(
+            ("a", "b"), np.array([[np.inf, 4.0], [3.0, 4.0]]), SCHEMA2
+        )
+        assert [str(f) for f in es.validate(ds)] == [
+            "NonFiniteInputError: indicator 'ind_00': non-finite value for entities: a",
+            "DegenerateColumnError: indicator 'ind_01': fewer than two distinct finite values",
+        ]
+        with pytest.raises(es.NonFiniteInputError, match="^indicator 'ind_00': non-finite"):
+            es.normalize_matrix(ds)
 
 
 class TestDeterminism:

@@ -112,6 +112,27 @@ class TestDescribe:
         assert math.isnan(d.skewness) and math.isnan(d.kurtosis)
         assert d.mean == d.median == d.smallest == d.largest == 5.0
 
+    def test_moments_match_scipy_to_the_bit(self):
+        # scipy.stats computed these before; report bytes depend on the bits.
+        from scipy import stats
+
+        rng = np.random.default_rng(28)
+        for n in (4, 5, 17, 400):
+            x = rng.lognormal(3.0, 1.0, size=n)
+            d = es.describe(x)
+            assert d.skewness == float(stats.skew(x, bias=False))
+            assert d.kurtosis == float(stats.kurtosis(x, fisher=True, bias=False))
+
+    def test_nearly_constant_scores_warn_nothing(self):
+        # Scores of two equally weighted mirror columns: 50 up to a few ulps.
+        scores = np.array([49.99999999999999, 50.0, 50.0, 50.000000000000014,
+                           50.000000000000014])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = es.describe(scores)
+        assert d.std_dev > 0.0
+        assert math.isnan(d.skewness) and math.isnan(d.kurtosis)
+
     def test_large_normal_sample_moments_near_zero(self):
         rng = np.random.default_rng(27)
         d = es.describe(rng.normal(loc=50.0, scale=10.0, size=5000))
