@@ -115,8 +115,15 @@ def stats_block(stats: DescriptiveStats) -> str:
     return "\n".join(f"{label.ljust(width)}  {value}" for label, value in entries) + "\n"
 
 
-def _writer(stream: IO[str]) -> "csv.writer":
-    return csv.writer(stream, lineterminator="\n")
+def _writer(stream: IO[str], entity_ids: Sequence[str] = ()) -> "csv.writer":
+    """CSV writer ending lines with a bare newline.
+
+    csv quotes a field that holds the line terminator but not one that
+    holds a lone carriage return, which a reader splits the row at.  So
+    when some entity id holds one, every field of the file is quoted.
+    """
+    quoting = csv.QUOTE_ALL if "\r" in "".join(entity_ids) else csv.QUOTE_MINIMAL
+    return csv.writer(stream, lineterminator="\n", quoting=quoting)
 
 
 def write_weights_csv(path: Path, schema: Schema, entropies: EntropyVector, weights: WeightVector) -> None:
@@ -139,7 +146,7 @@ def write_scores_csv(path: Path, entity_ids: Sequence[str], scores: np.ndarray, 
     position = np.empty(len(ranking), dtype=np.intp)
     position[ranking] = np.arange(len(ranking))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
+        out = _writer(fh, entity_ids)
         out.writerow(["entity_id", "score", "rank"])
         for i, entity_id in enumerate(entity_ids):
             out.writerow([entity_id, _full(float(scores[i])), int(position[i]) + 1])
@@ -147,7 +154,7 @@ def write_scores_csv(path: Path, entity_ids: Sequence[str], scores: np.ndarray, 
 
 def write_normalized_csv(path: Path, entity_ids: Sequence[str], normalized: NormalizedMatrix) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
+        out = _writer(fh, entity_ids)
         out.writerow(["entity_id", *normalized.schema.names])
         for i, entity_id in enumerate(entity_ids):
             out.writerow([entity_id, *(_full(float(v)) for v in normalized.values[i])])

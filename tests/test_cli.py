@@ -6,6 +6,7 @@ directly and capsys sees the streams.
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 
@@ -240,6 +241,22 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "Skewness  NA" in captured.out
+
+    def test_carriage_return_ids_round_trip_through_out_dir(self, tmp_path, capsys):
+        schema_path = tmp_path / "schema.json"
+        es.save_schema(
+            es.Schema((es.IndicatorSpec("x", "operation", "positive"),)), schema_path
+        )
+        csv_path = tmp_path / "cr.csv"
+        csv_path.write_bytes(b'entity_id,x\n"x\ry",1\nb,2\n"p\rq",4\n')
+        out_dir = tmp_path / "out"
+        assert run(["evaluate", "--input", str(csv_path), "--schema", str(schema_path),
+                    "--out-dir", str(out_dir), "--dump-normalized"]) == 0
+        for name in ("scores.csv", "normalized.csv"):
+            with open(out_dir / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert [r[0] for r in rows] == ["entity_id", "x\ry", "b", "p\rq"]
+            assert all(len(r) == len(rows[0]) for r in rows)
 
     def test_default_schema_used_without_schema_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(45)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
+from entroscore import density
 
 
 class TestSelectBandwidth:
@@ -182,3 +187,112 @@ class TestFidelity:
         cdf = es.estimate_cdf(x, es.select_bandwidth(x))
         for q in (0.1, 0.25, 0.5, 0.75, 0.9):
             assert abs(cdf(q) - q) < 0.03
+
+
+def _column(shape: str, n: int, rng) -> np.ndarray:
+    """A normalized column of one of the shapes the pipeline meets."""
+    if shape == "uniform":
+        x = rng.uniform(size=n)
+    elif shape == "normal":
+        x = rng.normal(size=n)
+    elif shape == "lognormal":
+        x = rng.lognormal(sigma=1.5, size=n)
+    elif shape == "ties":
+        x = rng.integers(0, 4, size=n).astype(np.float64)
+    else:  # mostly constant, with outliers
+        x = np.r_[np.full(n, 0.3), 0.0, 1.0]
+    x = np.r_[x, x.min() + 1.0]  # never all equal
+    return (x - x.min()) / (x.max() - x.min())
+
+
+class TestGridValues:
+    """grid_values against the exact kernel sum it stands in for."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 300),
+        shape=st.sampled_from(["uniform", "normal", "lognormal", "ties", "spike"]),
+        scale=st.floats(-4.0, 0.5),
+        correct=st.booleans(),
+        points=st.one_of(
+            st.integers(1, 60).map(lambda k: 2 * k + 1), st.sampled_from([1001, 10001])
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_the_stated_bound_of_the_exact_path(self, n, shape, scale, correct, points, seed):
+        # h runs from Silverman's value down past a few grid steps, where
+        # no Taylor order meets the bound and the exact path takes over.
+        x = _column(shape, n, np.random.default_rng(seed))
+        h = es.select_bandwidth(x) * 10.0**scale
+        cdf = es.estimate_cdf(x, h, correct)
+        exact = cdf(np.linspace(0.0, 1.0, points))
+        fast = cdf.grid_values(points)
+        assert fast.shape == exact.shape
+        assert np.max(np.abs(fast - exact)) <= density._GRID_ERROR
+
+    @pytest.mark.parametrize("h,points", [(2e-4, 10001), (5e-3, 301)])
+    def test_below_the_threshold_the_exact_values_come_back(self, h, points):
+        # Bandwidths of 2 and 1.5 grid steps.
+        x = _column("uniform", 50, np.random.default_rng(30))
+        cdf = es.estimate_cdf(x, h)
+        assert np.array_equal(cdf.grid_values(points), cdf(np.linspace(0.0, 1.0, points)))
+
+    def test_tiny_correction_span_falls_back_too(self):
+        # So wide a bandwidth that the correction's division by the span
+        # would carry the transforms' rounding past the bound.
+        cdf = es.estimate_cdf([0.0, 0.4, 1.0], 1e6)
+        grid = np.linspace(0.0, 1.0, 10001)
+        assert np.array_equal(cdf.grid_values(10001), cdf(grid))
+
+    def test_sample_order_never_matters(self):
+        rng = np.random.default_rng(31)
+        x = _column("lognormal", 200, rng)
+        base = es.estimate_cdf(x, es.select_bandwidth(x)).grid_values(10001)
+        for _ in range(3):
+            shuffled = x[rng.permutation(x.size)]
+            cdf = es.estimate_cdf(shuffled, es.select_bandwidth(x))
+            assert np.array_equal(cdf.grid_values(10001), base)
+
+    def test_never_evaluates_the_kernel_on_the_grid(self, monkeypatch):
+        calls = []
+        raw = es.CdfEstimate._raw
+
+        def counted(self, x):
+            calls.append(x.size)
+            return raw(self, x)
+
+        monkeypatch.setattr(es.CdfEstimate, "_raw", counted)
+        x = _column("normal", 500, np.random.default_rng(32))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        cdf.grid_values(10001)
+        # The two endpoints of the boundary correction, then the 17 nodes
+        # the values are checked on.
+        assert calls == [1, 1, 17]
+        es.estimate_cdf(x, 1e-5).grid_values(10001)  # below the threshold
+        assert calls[-1] == 10001
+
+    def test_values_off_on_a_checked_node_fall_back_to_the_exact_sum(self, monkeypatch):
+        place = density._place
+        monkeypatch.setattr(
+            density, "_place", lambda row, half, parity: place(row, half * (1.0 + 1e-9), parity)
+        )
+        x = _column("uniform", 100, np.random.default_rng(34))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        assert np.array_equal(cdf.grid_values(10001), cdf(np.linspace(0.0, 1.0, 10001)))
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_needs_two_points(self, points):
+        with pytest.raises(es.InvariantError):
+            es.estimate_cdf([0.2, 0.8], 0.1).grid_values(points)
+
+    def test_entropy_within_its_bound_of_the_exact_path(self):
+        # continuous_entropy documents the bound e * (27.6 eps + 2.8e-11).
+        bound = math.e * (27.6 * density._GRID_ERROR + 2.8e-11)
+        rng = np.random.default_rng(33)
+        for shape in ("uniform", "normal", "lognormal", "ties", "spike"):
+            for correct in (True, False):
+                x = _column(shape, 150, rng)
+                cdf = es.estimate_cdf(x, es.select_bandwidth(x), correct)
+                fast = es.continuous_entropy(cdf)
+                exact = es.continuous_entropy(lambda g: cdf(g))
+                assert abs(fast - exact) <= bound

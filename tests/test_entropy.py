@@ -9,6 +9,7 @@ closed form e * k / (k + 1)**2, giving exact anchors to test against.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ class TestDiscreteEntropy:
     def test_scale_invariant_to_the_bit(self):
         col = np.array([2.0, 5.0, 3.0, 7.0])
         assert es.discrete_entropy(col) == es.discrete_entropy(4.0 * col)
+
+    def test_overflowing_total_keeps_its_distribution(self):
+        # The sum overflows float64; p_i must still come out uniform.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert es.discrete_entropy([1e308, 1e308]) == 1.0
+            np.testing.assert_allclose(
+                es.discrete_entropy([1e308, 1e308, 1e308, 0.0]),
+                es.discrete_entropy([1.0, 1.0, 1.0, 0.0]),
+                rtol=1e-15,
+            )
 
     def test_rejects_negative_entries(self):
         with pytest.raises(es.InvariantError):
