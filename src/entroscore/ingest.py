@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -92,6 +93,32 @@ def _parse_cell(cell: str) -> float | None:
     return value
 
 
+def _parse_row(cells: tuple[str, ...]) -> list[float] | None:
+    """Parse a row's indicator cells; None drops the row.
+
+    float() on the raw cell agrees with _parse_cell whenever the row's
+    text is ASCII without '_', 'n' or 'N': float() then strips the same
+    whitespace str.strip() does (or raises, on '\\x1c'-'\\x1f'), and every
+    NaN or inf spelling holds an 'n'.  Any other row takes _parse_cell,
+    which stays the definition of a cell.
+    """
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        pass
+    else:
+        text = "".join(cells)
+        if text.isascii() and "_" not in text and "n" not in text and "N" not in text:
+            return values
+    values = []
+    for cell in cells:
+        value = _parse_cell(cell)
+        if value is None:
+            return None
+        values.append(value)
+    return values
+
+
 def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, IngestReport]:
     """Parse UTF-8 CSV bytes into a dataset, dropping incomplete rows.
 
@@ -141,8 +168,10 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
         raise HeaderMismatchError(
             f"columns not in schema: {', '.join(sorted(unknown))}"
         )
-    # Position of each schema indicator within a data row (offset by the id).
-    column_of = {name: indicator_headers.index(name) + 1 for name in schema.names}
+    # Each schema indicator's cell, in schema order, sits after the id; the
+    # id rides along so the getter always returns a tuple.
+    width = len(header)
+    pick = operator.itemgetter(0, *(indicator_headers.index(name) + 1 for name in schema.names))
 
     entity_ids: list[str] = []
     rows: list[list[float]] = []
@@ -155,20 +184,12 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
         entity_id = record[0].strip()
         if not entity_id:
             raise DuplicateEntityIdError(f"line {reader.line_num}: blank entity id")
-        cells: list[float] = []
-        complete = len(record) == len(header)
-        if complete:
-            for name in schema.names:
-                value = _parse_cell(record[column_of[name]])
-                if value is None:
-                    complete = False
-                    break
-                cells.append(value)
-        if complete:
-            entity_ids.append(entity_id)
-            rows.append(cells)
-        else:
+        values = _parse_row(pick(record)[1:]) if len(record) == width else None
+        if values is None:
             dropped.append(entity_id)
+        else:
+            entity_ids.append(entity_id)
+            rows.append(values)
 
     if rows_read == 0:
         raise EmptyInputError("input has a header but no data rows")

@@ -55,20 +55,15 @@ def _fixed(value: float, places: int) -> str:
 
 
 def _aligned(headers: Sequence[str], rows: list[Sequence[str]], numeric: Sequence[bool]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    row_format = "  ".join(
+        f"{{:{'>' if right else '<'}{width}}}" for width, right in zip(widths, numeric)
+    )
     lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
+        "  ".join(h.ljust(width) for h, width in zip(headers, widths)).rstrip(),
+        "  ".join("-" * width for width in widths),
     ]
-    for row in rows:
-        cells = [
-            cell.rjust(widths[i]) if numeric[i] else cell.ljust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
+    lines.extend(row_format.format(*row).rstrip() for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -93,8 +88,10 @@ def weights_table(schema: Schema, entropies: EntropyVector, weights: WeightVecto
 def ranking_table(entity_ids: Sequence[str], scores: np.ndarray, ranking: np.ndarray) -> str:
     """Aligned ranking / entity / score table, best entity first."""
     rows = [
-        (str(position + 1), entity_ids[idx], _fixed(float(scores[idx]), 2))
-        for position, idx in enumerate(ranking)
+        (str(position), entity_ids[idx], _fixed(score, 2))
+        for position, (idx, score) in enumerate(
+            zip(ranking.tolist(), scores[ranking].tolist()), start=1
+        )
     ]
     return _aligned(("Ranking", "Entity", "Score"), rows, (True, False, True))
 
@@ -144,20 +141,21 @@ def write_weights_csv(path: Path, schema: Schema, entropies: EntropyVector, weig
 def write_scores_csv(path: Path, entity_ids: Sequence[str], scores: np.ndarray, ranking: np.ndarray) -> None:
     """Scores in input row order, with each entity's 1-based rank."""
     position = np.empty(len(ranking), dtype=np.intp)
-    position[ranking] = np.arange(len(ranking))
+    position[ranking] = np.arange(1, len(ranking) + 1)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = _writer(fh, entity_ids)
         out.writerow(["entity_id", "score", "rank"])
-        for i, entity_id in enumerate(entity_ids):
-            out.writerow([entity_id, _full(float(scores[i])), int(position[i]) + 1])
+        out.writerows(zip(entity_ids, map(_full, scores.tolist()), position.tolist()))
 
 
 def write_normalized_csv(path: Path, entity_ids: Sequence[str], normalized: NormalizedMatrix) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = _writer(fh, entity_ids)
         out.writerow(["entity_id", *normalized.schema.names])
-        for i, entity_id in enumerate(entity_ids):
-            out.writerow([entity_id, *(_full(float(v)) for v in normalized.values[i])])
+        out.writerows(
+            [entity_id, *map(_full, row)]
+            for entity_id, row in zip(entity_ids, normalized.values.tolist())
+        )
 
 
 def write_cdf_csv(path: Path, cdf: CdfEstimate, points: int = CDF_GRID_POINTS) -> None:

@@ -56,8 +56,9 @@ class EvaluationOptions:
 
     bandwidth None selects Silverman's rule per indicator; a positive
     real fixes one bandwidth for every indicator.  threads bounds the
-    number of indicator columns processed concurrently; results are
-    identical for any thread count.
+    number of continuous indicator columns processed concurrently;
+    discrete columns always run in sequence, as a thread pool costs more
+    than their entropies.  Results are identical for any thread count.
     """
 
     method: str = "continuous"
@@ -171,10 +172,11 @@ def _column_entropy(column: np.ndarray, options: EvaluationOptions):
 def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) -> PipelineRun:
     """Normalize, estimate, weigh, and score a dataset, keeping intermediates.
 
-    Indicator columns are independent, so they are processed on a thread
-    pool when options.threads > 1; results are assembled in column order
-    and are bit-identical to a sequential run.  A column that cannot be
-    normalized raises the error normalize_matrix names it with.
+    Indicator columns are independent, so continuous ones are processed
+    on a thread pool when options.threads > 1; results are assembled in
+    column order and are bit-identical to a sequential run.  A column
+    that cannot be normalized raises the error normalize_matrix names it
+    with.
     """
     options = options or EvaluationOptions()
     normalized = normalize_matrix(dataset)
@@ -187,7 +189,7 @@ def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) 
             raise type(exc)(f"indicator '{names[j]}': {exc}") from None
 
     m = len(names)
-    if options.threads > 1 and m > 1:
+    if options.method == "continuous" and options.threads > 1 and m > 1:
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
             results = list(pool.map(column_job, range(m)))
     else:

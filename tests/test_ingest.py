@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
+from entroscore.ingest import _parse_cell
 from helpers import csv_bytes, simple_schema
 
 
@@ -86,7 +88,7 @@ class TestMissingPolicy:
         _, report = parse(data)
         assert report.dropped_ids == ("bad",)
 
-    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11\uff12"])
+    @pytest.mark.parametrize("cell", ["1_000", "1_0", "\u0661\u0662", "\uff11\uff12"])
     def test_underscored_or_non_ascii_number_drops_the_row(self, cell):
         # float() reads each of these as a number; the cell syntax does not.
         data = csv_bytes(HEADER2, [["a", "1", "2"], ["bad", cell, "3"], ["b", "4", "5"]])
@@ -182,6 +184,73 @@ class TestCsvRoundTrip:
         assert ds.entity_ids == tuple(ids[i] for i in kept)
         expected = np.array([values[i] for i in kept], dtype=np.float64)
         assert ds.values.tobytes() == expected.tobytes()
+
+
+# Cell text that the row fast path and _parse_cell could read apart:
+# float() syntax, the whitespace float() and str.strip() treat
+# differently, digit separators, non-ASCII digits, every NaN and inf
+# spelling, an overflowing exponent and the missing markers.
+ADVERSARIAL = st.one_of(
+    st.text(
+        st.sampled_from(
+            "0123456789+-.e \t\x1c\x1d\x1e\x1f_\u0660\u0661\u0669\uff10\uff11\uff19"
+        ),
+        max_size=6,
+    ),
+    st.sampled_from(
+        ["nan", "NaN", "NAN", "-nan", "+NaN", "inf", "-inf", "Infinity", "1e400", "", "na", "NA"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+def reference_parse(rows, width):
+    """Rows kept and dropped by applying _parse_cell to every cell."""
+    kept, dropped = [], []
+    for row in rows:
+        values = [_parse_cell(cell) for cell in row[1:]]
+        if len(row) == width and None not in values:
+            kept.append((row[0], values))
+        else:
+            dropped.append(row[0])
+    return kept, dropped
+
+
+class TestRowFastPath:
+    """parse_csv reads plain rows with one float() per cell; the result
+    must match _parse_cell applied cell by cell."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 3), st.data())
+    def test_matches_the_cell_parser(self, m, data):
+        schema = simple_schema(m)
+        cells = st.lists(ADVERSARIAL, min_size=m - 1, max_size=m + 1)
+        bodies = data.draw(st.lists(cells, max_size=12))
+        # Two plain rows keep every draw above the two-row minimum.
+        rows = [["g0", *["1"] * m], ["g1", *["2"] * m]]
+        rows += [[f"r{i}", *body] for i, body in enumerate(bodies)]
+        kept, dropped = reference_parse(rows, m + 1)
+        payload = rows_csv([r[0] for r in rows], [r[1:] for r in rows], schema)
+        ds, report = es.parse_csv(payload, schema)
+        assert ds.entity_ids == tuple(eid for eid, _ in kept)
+        assert report.dropped_ids == tuple(dropped)
+        expected = np.array([values for _, values in kept], dtype=np.float64)
+        assert ds.values.tobytes() == expected.tobytes()
+
+    def test_negative_nan_keeps_its_row_for_the_column_check(self):
+        data = csv_bytes(HEADER2, [["a", "1", "2"], ["b", "-nan", "3"], ["c", "4", "5"]])
+        ds, report = parse(data)
+        assert report.rows_dropped == 0
+        assert math.isnan(ds.values[1, 0])
+        with pytest.raises(es.NonFiniteInputError, match="entities: b"):
+            es.normalize_matrix(ds)
+
+    def test_file_separator_whitespace_is_stripped(self):
+        # str.strip() removes \x1c-\x1f but float() refuses them.
+        data = csv_bytes(HEADER2, [["a", "\x1c1", "2"], ["b", "3", "4\x1f"]])
+        ds, report = parse(data)
+        assert report.rows_dropped == 0
+        np.testing.assert_array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestHeaderErrors:

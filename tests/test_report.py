@@ -6,9 +6,13 @@ cases here assert exact strings, newline convention included.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import report as rep
@@ -68,6 +72,100 @@ class TestRankingTable:
             "      2  c       20.25\n"
             "      3  a       10.00\n"
         )
+
+
+def aligned_reference(headers, rows, numeric):
+    """Cell-by-cell ljust/rjust rendering that _aligned must reproduce."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
+        "  ".join("-" * widths[i] for i in range(len(headers))),
+    ]
+    for row in rows:
+        cells = [
+            cell.rjust(widths[i]) if numeric[i] else cell.ljust(widths[i])
+            for i, cell in enumerate(row)
+        ]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+# Entity ids as parse_csv leaves them: non-blank, possibly long, non-ASCII,
+# holding the characters that make csv quote a field, or braces that a
+# format string would read as a field.
+IDS = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\r\n {}'),
+    min_size=1,
+    max_size=40,
+)
+# Few distinct values, so scores tie often.
+SCORES = st.sampled_from([0.0, 12.5, 33.333333333333336, 100.0]) | st.floats(0.0, 100.0)
+
+
+class TestAlignedRendering:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 4), st.data())
+    def test_matches_cell_by_cell_reference(self, k, data):
+        headers = data.draw(st.lists(st.text(min_size=1, max_size=8), min_size=k, max_size=k))
+        numeric = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        rows = data.draw(st.lists(st.lists(IDS | st.just(""), min_size=k, max_size=k), max_size=8))
+        assert rep._aligned(headers, rows, numeric) == aligned_reference(headers, rows, numeric)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(IDS, max_size=12, unique=True), st.data())
+    def test_ranking_table_matches_reference(self, ids, data):
+        scores = np.array(data.draw(st.lists(SCORES, min_size=len(ids), max_size=len(ids))))
+        ranking = es.rank(scores)
+        rows = [
+            (str(position + 1), ids[idx], f"{float(scores[idx]):.2f}")
+            for position, idx in enumerate(ranking)
+        ]
+        assert rep.ranking_table(ids, scores, ranking) == aligned_reference(
+            ("Ranking", "Entity", "Score"), rows, (True, False, True)
+        )
+
+
+def writerow_reference(header, rows, ids) -> bytes:
+    """One writerow per row; every field quoted when an id holds a CR."""
+    quoting = csv.QUOTE_ALL if any("\r" in eid for eid in ids) else csv.QUOTE_MINIMAL
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n", quoting=quoting)
+    out.writerow(header)
+    for row in rows:
+        out.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+class TestCsvWriterBytes:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(IDS, min_size=1, max_size=12, unique=True), st.data())
+    def test_scores_csv_matches_writerow_reference(self, tmp_path_factory, ids, data):
+        scores = np.array(data.draw(st.lists(SCORES, min_size=len(ids), max_size=len(ids))))
+        ranking = es.rank(scores)
+        rank_of = {int(idx): position + 1 for position, idx in enumerate(ranking)}
+        rows = [[eid, repr(float(scores[i])), rank_of[i]] for i, eid in enumerate(ids)]
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        rep.write_scores_csv(path, ids, scores, ranking)
+        assert path.read_bytes() == writerow_reference(["entity_id", "score", "rank"], rows, ids)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(IDS, min_size=2, max_size=12, unique=True), st.integers(1, 3), st.data())
+    def test_normalized_csv_matches_writerow_reference(self, tmp_path_factory, ids, m, data):
+        unit = st.floats(0.0, 1.0)
+        values = np.array(data.draw(st.lists(
+            st.lists(unit, min_size=m, max_size=m), min_size=len(ids), max_size=len(ids)
+        )))
+        values[0], values[1] = 0.0, 1.0  # both endpoints, as a normalized column has
+        schema = es.Schema(tuple(
+            es.IndicatorSpec(f"ind_{j}", "operation", "positive") for j in range(m)
+        ))
+        rows = [[eid, *(repr(float(v)) for v in values[i])] for i, eid in enumerate(ids)]
+        path = tmp_path_factory.mktemp("normalized") / "normalized.csv"
+        rep.write_normalized_csv(path, ids, es.NormalizedMatrix(values, schema))
+        assert path.read_bytes() == writerow_reference(["entity_id", *schema.names], rows, ids)
 
 
 class TestStatsBlock:

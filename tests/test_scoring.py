@@ -7,8 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
+from entroscore import scoring
 from helpers import random_dataset, simple_schema
 
 
@@ -282,6 +285,16 @@ class TestRunPipeline:
         assert run.bandwidths is None
         assert run.cdfs is None
 
+    def test_only_continuous_columns_use_the_thread_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(scoring, "ThreadPoolExecutor", no_pool)
+        ds = random_dataset(np.random.default_rng(37), 20, 3)
+        es.run_pipeline(ds, es.EvaluationOptions(method="discrete", threads=4))
+        with pytest.raises(AssertionError, match="thread pool started"):
+            es.run_pipeline(ds, es.EvaluationOptions(method="continuous", threads=4))
+
     def test_default_indicator_set_end_to_end(self):
         rng = np.random.default_rng(35)
         schema = es.default_schema()
@@ -292,3 +305,103 @@ class TestRunPipeline:
         assert np.all((report.scores >= 0.0) & (report.scores <= 100.0))
         np.testing.assert_allclose(report.weights.weights.sum(), 1.0, atol=1e-12)
         assert 0.0 < report.stats.std_dev < 100.0
+
+
+@st.composite
+def raw_datasets(draw, integers=False):
+    """Small datasets with spread in every column, some indicators inverse.
+
+    Integer cells keep an integer-coefficient rescaling exact in float64.
+    """
+    n = draw(st.integers(3, 20))
+    m = draw(st.integers(1, 4))
+    cell = st.integers(-1000, 1000) if integers else st.floats(-1e3, 1e3)
+    values = np.array(
+        draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    assume(np.all(values.max(axis=0) > values.min(axis=0)))
+    inverse = tuple(j for j in range(m) if draw(st.booleans()))
+    ids = tuple(f"e{i}" for i in range(n))
+    return es.RawDataset(ids, values, simple_schema(m, inverse))
+
+
+METHOD = st.sampled_from(["continuous", "discrete"])
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+def same_result(a, b) -> bool:
+    return (
+        a.scores.tobytes() == b.scores.tobytes()
+        and a.weights.weights.tobytes() == b.weights.weights.tobytes()
+    )
+
+
+class TestInvarianceProperties:
+    """The invariances of the acceptance suite, as properties over
+    generated datasets."""
+
+    @PROPERTY
+    @given(raw_datasets(integers=True), METHOD, st.data())
+    def test_positive_affine_rescaling_changes_nothing(self, ds, method, data):
+        j = data.draw(st.integers(0, ds.n_indicators - 1))
+        a = data.draw(st.integers(1, 20))
+        b = data.draw(st.integers(-100, 100))
+        values = ds.values.copy()
+        values[:, j] = values[:, j] * a + b
+        options = es.EvaluationOptions(method=method)
+        moved = es.evaluate(es.RawDataset(ds.entity_ids, values, ds.schema), options)
+        assert same_result(moved, es.evaluate(ds, options))
+
+    @PROPERTY
+    @given(raw_datasets(), st.permutations(range(20)))
+    def test_row_permutation_permutes_scores_and_ranks(self, ds, order):
+        # Continuous only: the kernel sums run over sorted samples, while
+        # the discrete entropy sums a column in row order.
+        n = len(ds.entity_ids)
+        perm = np.array([i for i in order if i < n])
+        base = es.evaluate(ds)
+        shuffled = es.evaluate(
+            es.RawDataset(tuple(ds.entity_ids[i] for i in perm), ds.values[perm], ds.schema)
+        )
+        assert shuffled.scores.tobytes() == base.scores[perm].tobytes()
+        base_pos = np.argsort(base.ranking)
+        moved_pos = np.argsort(shuffled.ranking)
+        # A tie is ordered by input position, which the permutation moves.
+        untied = [i for i in range(n) if np.sum(shuffled.scores == shuffled.scores[i]) == 1]
+        assert all(moved_pos[i] == base_pos[perm[i]] for i in untied)
+
+    @PROPERTY
+    @given(raw_datasets(), METHOD, st.data())
+    def test_inverse_indicator_mirrors_its_negated_column(self, ds, method, data):
+        j = data.draw(st.integers(0, ds.n_indicators - 1))
+        inverse = {k for k, d in enumerate(ds.schema.directions) if d == "inverse"}
+        values = ds.values.copy()
+        values[:, j] = -values[:, j]
+        mirrored = es.RawDataset(
+            ds.entity_ids, values, simple_schema(ds.n_indicators, tuple(inverse ^ {j}))
+        )
+        options = es.EvaluationOptions(method=method)
+        assert same_result(es.evaluate(mirrored, options), es.evaluate(ds, options))
+
+    @PROPERTY
+    @given(raw_datasets(), METHOD, st.data())
+    def test_dominating_entity_never_ranks_below(self, ds, method, data):
+        n, m = ds.values.shape
+        rows = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        better, worse = data.draw(rows)
+        steps = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
+        inverse = np.array([d == "inverse" for d in ds.schema.directions])
+        values = ds.values.copy()
+        values[better] = values[worse] + np.where(inverse, -steps, steps)
+        assume(np.all(values.max(axis=0) > values.min(axis=0)))
+        report = es.evaluate(
+            es.RawDataset(ds.entity_ids, values, ds.schema), es.EvaluationOptions(method=method)
+        )
+        position = np.argsort(report.ranking)
+        scores = report.scores
+        assert scores[better] >= scores[worse]
+        # Only a tie, broken by input order, puts it after the other.
+        assert position[better] < position[worse] or (
+            scores[better] == scores[worse] and better > worse
+        )
