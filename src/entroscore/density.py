@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError
 from .model import _sample_array
@@ -119,13 +118,18 @@ class CdfEstimate:
 
     def _raw(self, x: np.ndarray) -> np.ndarray:
         """Mean of per-sample Gaussian CDFs, evaluated in memory-bounded blocks."""
+        from scipy.special import ndtr  # only continuous runs pay its import
+
         flat = x.ravel()
         n = self._samples.size
         block = max(1, _BLOCK_ELEMENTS // n)
         out = np.empty(flat.size, dtype=np.float64)
         for start in range(0, flat.size, block):
             chunk = flat[start : start + block]
-            z = (chunk[:, np.newaxis] - self._samples) / self._bandwidth
+            # A tiny bandwidth can overflow z to +-inf; ndtr(+-inf) is
+            # exactly 1 or 0, the kernel CDF's limit there, so that is exact.
+            with np.errstate(over="ignore"):
+                z = (chunk[:, np.newaxis] - self._samples) / self._bandwidth
             out[start : start + len(chunk)] = np.mean(ndtr(z), axis=1)
         return out.reshape(x.shape)
 
@@ -168,25 +172,38 @@ class CdfEstimate:
         P is the least order whose remainder, plus the estimate
         eps*log2(size)*||K_0||_2 of the transforms' rounding (Higham
         2002, section 24.1), is at most 1e-12 of the correction span.
-        If no P <= 10 meets that, the exact self(grid) is returned instead:
-        for h below about three grid steps, and, with boundary correction
-        on, for h above about 2.5, where dividing by the small span
-        magnifies rounding.  As the rounding share is only estimated, the
-        values on every ((points - 1) // 16)-th node (17 nodes at 10001
-        points, every node below 33) are compared with self() there; if
-        one is off by more than 1e-12, self(grid) is returned too.
+        The norm is a numpy reduction, not a BLAS dot: OpenBLAS hands a
+        dot of more than 10000 values to its worker threads, which stalls
+        a column while other threads keep the cores busy, and the dot's
+        bits would depend on the BLAS thread count.  If no P <= 10 meets
+        the budget, the exact self(grid) is returned instead: for h below
+        about three grid steps, and, with boundary correction on, for h
+        above about 2.5, where dividing by the small span magnifies
+        rounding.  Where u/2 >= 1 no P can meet it, so that is decided
+        before any power of u, which overflows for a tiny h, is formed.
+        As the rounding share is only estimated, the values on every
+        ((points - 1) // 16)-th node (17 nodes at 10001 points, every node
+        below 33) are compared with self() there; if one is off by more
+        than 1e-12, self(grid) is returned too.
         """
         if points < 2:
             raise InvariantError("a grid needs at least two points")
-        n = self._samples.size
         u = 1.0 / ((points - 1) * self._bandwidth)
+        if u / 2.0 >= 1.0:
+            # Every remainder bound is then at least the least
+            # max|ndtr^(P)|/P!, 3.2e-5 at P = 10, far over the budget.
+            return self(np.linspace(0.0, 1.0, points))
+        from scipy.special import ndtr  # only continuous runs pay its import
+
+        n = self._samples.size
         size = _fft_size(2 * points - 1)
         # Each K_p is odd or even in j, so it is computed for j >= 0 only;
         # _place mirrors it into the negative j that wrap to a row's end.
         z = np.arange(points) * u
         step_free = -ndtr(-z)
         step_free[0] = 0.0
-        rounding = _EPS * math.log2(size) * math.sqrt(2.0 * np.dot(step_free, step_free))
+        # Not np.dot, which can wait on OpenBLAS threads: see the docstring.
+        rounding = _EPS * math.log2(size) * math.sqrt(2.0 * np.sum(step_free * step_free))
         budget = _GRID_ERROR * (self._span if self._correct else 1.0) - rounding
         for order, top in enumerate(_NDTR_DERIVATIVE_MAX, start=1):
             if (u / 2.0) ** order / math.factorial(order) * top <= budget:

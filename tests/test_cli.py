@@ -1,14 +1,19 @@
 """Command-line behavior: exit codes, output routing, and config precedence.
 
 Everything runs in-process through cli.run so the tests see exit codes
-directly and capsys sees the streams.
+directly and capsys sees the streams, except where a fresh interpreter
+is the point: imports, and the environment OpenBLAS reads at start-up.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +47,18 @@ def small_csv(tmp_path):
 def base_args(small_csv):
     csv_path, schema_path = small_csv
     return ["--input", str(csv_path), "--schema", str(schema_path)]
+
+
+def fresh_python(args, **env):
+    """Run a new interpreter that imports this entroscore, env added."""
+    src = str(Path(es.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        check=False,
+    )
 
 
 class TestExitCodes:
@@ -258,6 +275,32 @@ class TestEvaluate:
             assert [r[0] for r in rows] == ["entity_id", "x\ry", "b", "p\rq"]
             assert all(len(r) == len(rows[0]) for r in rows)
 
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-310"])
+    def test_tiny_bandwidth_evaluates_exactly_and_quietly(self, small_csv, bandwidth, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evaluate", *base_args(small_csv), "--bandwidth", bandwidth]) == 0
+        assert capsys.readouterr().err == ""
+        csv_path, schema_path = small_csv
+        dataset, _ = es.parse_csv(csv_path.read_bytes(), es.load_schema(schema_path))
+        options = es.EvaluationOptions(bandwidth=float(bandwidth))
+        grid = np.linspace(0.0, 1.0, options.quadrature.points)
+        for cdf in es.run_pipeline(dataset, options).cdfs:
+            assert np.array_equal(cdf.grid_values(grid.size), cdf(grid))
+
+    def test_only_continuous_runs_import_scipy(self, small_csv):
+        script = """
+import sys
+from entroscore.cli import run
+data = ["--input", sys.argv[1], "--schema", sys.argv[2]]
+for argv in (["evaluate", *data, "--method", "discrete"],
+             ["weights", *data, "--method", "discrete"], ["validate", *data]):
+    assert run(argv) == 0 and "scipy" not in sys.modules, argv
+assert run(["evaluate", *data]) == 0 and "scipy.special" in sys.modules
+"""
+        proc = fresh_python(["-c", script, *map(str, small_csv)])
+        assert proc.returncode == 0, proc.stderr.decode()
+
     def test_default_schema_used_without_schema_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(45)
         names = list(es.default_schema().names)
@@ -385,6 +428,19 @@ class TestDeterminism:
         assert run(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_blas_thread_count_does_not_change_output(self, small_csv, tmp_path):
+        # The pipeline makes no BLAS call, so OpenBLAS's thread count, read
+        # once at start-up, cannot reach the output.
+        outputs = []
+        for blas_threads in ("1", "2"):
+            out_dir = tmp_path / f"blas{blas_threads}"
+            argv = ["evaluate", *base_args(small_csv), "--threads", "2", "--out-dir", str(out_dir)]
+            proc = fresh_python(["-m", "entroscore.cli", *argv], OPENBLAS_NUM_THREADS=blas_threads)
+            assert proc.returncode == 0 and proc.stderr == b""
+            files = [(out_dir / name).read_bytes() for name in ("weights.csv", "scores.csv")]
+            outputs.append([proc.stdout, *files])
+        assert outputs[0] == outputs[1]
 
     def test_thread_flag_does_not_change_stdout(self, small_csv, capsys):
         assert run(["evaluate", *base_args(small_csv), "--threads", "1"]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,12 +231,18 @@ class TestGridValues:
         assert fast.shape == exact.shape
         assert np.max(np.abs(fast - exact)) <= density._GRID_ERROR
 
-    @pytest.mark.parametrize("h,points", [(2e-4, 10001), (5e-3, 301)])
+    @pytest.mark.parametrize(
+        "h,points",
+        [(2e-4, 10001), (5e-3, 301), (1e-100, 10001), (1e-300, 10001), (1e-310, 3), (5e-324, 10001)],
+    )
     def test_below_the_threshold_the_exact_values_come_back(self, h, points):
-        # Bandwidths of 2 and 1.5 grid steps.
+        # Bandwidths of 2 and 1.5 grid steps, then ones so small that z and
+        # the powers of step/h overflow, which must warn nothing.
         x = _column("uniform", 50, np.random.default_rng(30))
-        cdf = es.estimate_cdf(x, h)
-        assert np.array_equal(cdf.grid_values(points), cdf(np.linspace(0.0, 1.0, points)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = es.estimate_cdf(x, h)
+            assert np.array_equal(cdf.grid_values(points), cdf(np.linspace(0.0, 1.0, points)))
 
     def test_tiny_correction_span_falls_back_too(self):
         # So wide a bandwidth that the correction's division by the span

@@ -295,6 +295,31 @@ class TestRunPipeline:
         with pytest.raises(AssertionError, match="thread pool started"):
             es.run_pipeline(ds, es.EvaluationOptions(method="continuous", threads=4))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_continuous_columns_make_no_blas_call(self, monkeypatch, threads):
+        # OpenBLAS hands a long dot product to its own worker threads, which
+        # stalls a column whenever the pool keeps the cores busy.
+        def no_blas(*args, **kwargs):
+            raise AssertionError("BLAS call")
+
+        for name in ("dot", "vdot", "inner", "matmul"):
+            monkeypatch.setattr(np, name, no_blas)
+        ds = random_dataset(np.random.default_rng(38), 30, 4)
+        run = es.run_pipeline(ds, es.EvaluationOptions(threads=threads))
+        assert np.all(run.report.entropies.entropies > 0.0)
+
+    def test_silverman_bandwidth_far_below_a_grid_step_evaluates_exactly(self):
+        # Silverman's rule gives h of about 2.7e-210 here.
+        column = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.4e-209, 1.0])
+        ds = es.RawDataset(tuple(f"e{i}" for i in range(8)), column[:, None], simple_schema(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = es.run_pipeline(ds)
+            (cdf,) = run.cdfs
+            assert cdf.bandwidth < 1e-200
+            assert np.array_equal(cdf.grid_values(10001), cdf(np.linspace(0.0, 1.0, 10001)))
+        assert run.report.weights.weights.tolist() == [1.0]
+
     def test_default_indicator_set_end_to_end(self):
         rng = np.random.default_rng(35)
         schema = es.default_schema()
@@ -330,11 +355,18 @@ METHOD = st.sampled_from(["continuous", "discrete"])
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
 
-def same_result(a, b) -> bool:
-    return (
-        a.scores.tobytes() == b.scores.tobytes()
-        and a.weights.weights.tobytes() == b.weights.weights.tobytes()
-    )
+def outcome(ds, options):
+    """The score and weight bytes evaluate gives, or the named error it raises.
+
+    A generated dataset may be one the pipeline documents as an error (one
+    discrete column normalized to [1, 0, 0] has no entropy), and an
+    invariance must then give the same error.  Unnamed errors propagate.
+    """
+    try:
+        report = es.evaluate(ds, options)
+    except es.EntroscoreError as exc:
+        return type(exc)
+    return report.scores.tobytes(), report.weights.weights.tobytes()
 
 
 class TestInvarianceProperties:
@@ -350,8 +382,16 @@ class TestInvarianceProperties:
         values = ds.values.copy()
         values[:, j] = values[:, j] * a + b
         options = es.EvaluationOptions(method=method)
-        moved = es.evaluate(es.RawDataset(ds.entity_ids, values, ds.schema), options)
-        assert same_result(moved, es.evaluate(ds, options))
+        moved = es.RawDataset(ds.entity_ids, values, ds.schema)
+        assert outcome(moved, options) == outcome(ds, options)
+
+    def test_a_named_error_must_be_shared(self):
+        # An inverse discrete column [0, 1, 1] normalizes to [1, 0, 0],
+        # which has no entropy, before and after a rescaling.
+        ds = es.RawDataset(("a", "b", "c"), np.array([[0.0], [1.0], [1.0]]), simple_schema(1, (0,)))
+        moved = es.RawDataset(ds.entity_ids, ds.values * 3.0 + 7.0, ds.schema)
+        options = es.EvaluationOptions(method="discrete")
+        assert outcome(moved, options) == outcome(ds, options) == es.AllZeroEntropyError
 
     @PROPERTY
     @given(raw_datasets(), st.permutations(range(20)))
@@ -382,7 +422,7 @@ class TestInvarianceProperties:
             ds.entity_ids, values, simple_schema(ds.n_indicators, tuple(inverse ^ {j}))
         )
         options = es.EvaluationOptions(method=method)
-        assert same_result(es.evaluate(mirrored, options), es.evaluate(ds, options))
+        assert outcome(mirrored, options) == outcome(ds, options)
 
     @PROPERTY
     @given(raw_datasets(), METHOD, st.data())
@@ -395,9 +435,16 @@ class TestInvarianceProperties:
         values = ds.values.copy()
         values[better] = values[worse] + np.where(inverse, -steps, steps)
         assume(np.all(values.max(axis=0) > values.min(axis=0)))
-        report = es.evaluate(
-            es.RawDataset(ds.entity_ids, values, ds.schema), es.EvaluationOptions(method=method)
-        )
+        moved = es.RawDataset(ds.entity_ids, values, ds.schema)
+        try:
+            report = es.evaluate(moved, es.EvaluationOptions(method=method))
+        except es.AllZeroEntropyError:
+            # No ranking exists when no column has discrete entropy, as when
+            # the dominating row alone tops a column tied at its minimum.
+            assert method == "discrete"
+            columns = es.normalize_matrix(moved).values.T
+            assert all(es.discrete_entropy(column) == 0.0 for column in columns)
+            return
         position = np.argsort(report.ranking)
         scores = report.scores
         assert scores[better] >= scores[worse]
