@@ -9,14 +9,15 @@ occupies exactly [0, 1].
 
 Calling a CdfEstimate evaluates every (point, sample) kernel exactly
 with ndtr, which costs O(points * n).  CdfEstimate.grid_values gives the
-same values on a uniform grid in O(points log points), whatever n is:
-samples are binned to their nearest grid node and the kernel CDF is
-Taylor-expanded in the offset from that node (the binned estimator of
-Silverman 1982, Algorithm AS 176, and Wand 1994, with the binning error
-removed by the expansion).  It is used only where its truncation bound
-plus a rounding estimate is at most 1e-12, and only if its values agree
-that closely with the exact ones on a few nodes it checks; otherwise it
-returns the exact values.
+same values on a uniform grid, whatever n is, by FFTs on a grid up to 32
+times coarser: samples and grid nodes are each referred to their nearest
+coarse node, and the kernel CDF is Taylor-expanded in the difference of
+the two offsets, at most one coarse step.  The coarsening is the largest
+of 32, 16, 8, 4, 2 and 1 at which the truncation bound plus a rounding
+estimate is at most 1e-12, and the values are checked against the exact
+ones on a few nodes, half of them between coarse nodes, where every term
+of the expansion shows.  Where no coarsening meets the bound, or a
+checked value is off by more, the exact values are returned.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ _GRID_ERROR = 1e-12
 # ((points - 1) // _CHECK_INTERVALS)-th grid node.
 _CHECK_INTERVALS = 16
 
+# grid_values runs its FFTs on every c-th grid node, for the largest c
+# here that meets its error budget.
+_COARSENING = (32, 16, 8, 4, 2, 1)
+
 # max over z of |d^p/dz^p ndtr(z)| = |He_{p-1}(z) phi(z)| for p = 1..10,
 # found on a 1e-5 grid over [-12, 12], polished, and rounded up.
 _NDTR_DERIVATIVE_MAX = (0.3990, 0.2420, 0.3990, 0.5506, 1.197, 2.308, 5.985, 14.18, 41.89, 115.1)
@@ -62,7 +67,8 @@ def select_bandwidth(samples) -> float:
     # not depend on how the caller happened to order the samples.
     x = np.sort(x)
     std = float(np.std(x, ddof=1))
-    iqr = float(np.percentile(x, 75) - np.percentile(x, 25))
+    q1, q3 = np.percentile(x, (25, 75))
+    iqr = float(q3 - q1)
     spread = min(std, iqr / 1.34)
     if spread == 0.0:
         spread = max(std, iqr / 1.34)
@@ -153,38 +159,58 @@ class CdfEstimate:
         bit-equal to it, nor guaranteed monotone below that level.  It
         does not depend on sample order.
 
-        With grid step d = 1/(points - 1), each sample x sits at its
-        nearest node k with offset f = x/d - k in [-1/2, 1/2].  For the
-        node m, (m*d - x)/h = (m - k - f)*u with u = d/h, and Taylor's
-        theorem in f gives
+        The FFTs run on a coarse grid of step D = c*d, where d = 1/(points
+        - 1) is the grid step and c comes from _COARSENING.  Each sample
+        x sits at its nearest coarse node k with offset f = x/D - k in
+        [-1/2, 1/2], and each grid node m at its nearest coarse node M
+        with offset s = m/c - M in [-1/2, 1/2).  With U = D/h and j = M -
+        k, (m*d - x)/h = (j - (f - s))*U, and Taylor's theorem in f - s
+        gives
 
-            ndtr((j - f)*u) = sum_{p<P} f^p * K_p(j) + R,
-            K_p(j) = (-u)^p/p! * ndtr^(p)(j*u),   j = m - k,
-            |R| <= (u/2)^P/P! * max|ndtr^(P)|,
+            ndtr((j - (f - s))*U) = sum_{p<P} (f - s)^p * K_p(j) + R,
+            K_p(j) = (-U)^p/p! * ndtr^(p)(j*U),
+            |R| <= r^P/P! * max|ndtr^(P)|,
 
-        with ndtr^(p) = (-1)^(p-1) He_{p-1} phi.  Summed over samples,
-        each term is the convolution of the per-node moment sum f^p with
-        K_p, done as one circular FFT product of a length that holds
-        2*points - 1 values without wrap-around.  K_0 = ndtr less its
-        step at 0 (odd, and small where |j*u| is large); the step's
-        share is the exact running count of samples.
+        with ndtr^(p) = (-1)^(p-1) He_{p-1} phi and radius r = U, as |f -
+        s| <= 1 (r = U/2 when c = 1, where s is always 0).  Expanding
+        (f - s)^p = sum_a C(p, a) (-s)^a f^(p-a) and summing over samples
+        gives P coarse rows, row a the convolution sum_{p>=a} C(p, a) *
+        (moment f^(p-a) summed per coarse node) * K_p, each done as
+        circular FFT products of a length that holds 2*nodes - 1 values
+        without wrap-around.  A grid value is the polynomial in -s with
+        these rows at M as coefficients, evaluated by Horner's rule.  At
+        c = 1 only row 0 is left, the plain binned estimator (Silverman
+        1982, Algorithm AS 176; Wand 1994) with its binning error removed
+        by the expansion; for c > 1 it is the one-dimensional grid form of
+        the fast Gauss transform (Greengard and Strain 1991).  K_0 = ndtr
+        less its step at 0 (odd, and small where |j*U| is large); the
+        step's share is the exact running count of samples, added to row
+        0.
 
-        P is the least order whose remainder, plus the estimate
-        eps*log2(size)*||K_0||_2 of the transforms' rounding (Higham
-        2002, section 24.1), is at most 1e-12 of the correction span.
-        The norm is a numpy reduction, not a BLAS dot: OpenBLAS hands a
-        dot of more than 10000 values to its worker threads, which stalls
-        a column while other threads keep the cores busy, and the dot's
-        bits would depend on the BLAS thread count.  If no P <= 10 meets
-        the budget, the exact self(grid) is returned instead: for h below
-        about three grid steps, and, with boundary correction on, for h
-        above about 2.5, where dividing by the small span magnifies
-        rounding.  Where u/2 >= 1 no P can meet it, so that is decided
-        before any power of u, which overflows for a tiny h, is formed.
+        P is the least order whose remainder, plus an estimate of the
+        rounding, is at most 1e-12 of the correction span.  The rounding
+        estimate is eps*log2(size)*||K_0||_2 for the transforms (Higham
+        2002, section 24.1), on the coarse K_0, plus 2*eps per Horner step
+        of at most 10.  The norm is a numpy reduction, not a BLAS dot:
+        OpenBLAS hands a dot of more than 10000 values to its worker
+        threads, which stalls a column while other threads keep the cores
+        busy, and the dot's bits would depend on the BLAS thread count.
+        c is the largest factor in _COARSENING, below points, for which
+        some P <= 10 meets the budget.  If none does, the exact self(grid)
+        is returned instead: for h below about three grid steps, and,
+        with boundary correction on, for h above about 2.5, where dividing
+        by the small span magnifies rounding.  Where u/2 >= 1, for u =
+        d/h, no P can meet it, so that is decided before any power of u,
+        which overflows for a tiny h, is formed.
+
         As the rounding share is only estimated, the values on every
-        ((points - 1) // 16)-th node (17 nodes at 10001 points, every node
-        below 33) are compared with self() there; if one is off by more
-        than 1e-12, self(grid) is returned too.
+        ((points - 1) // 16)-th node (17 nodes at 10001 points) are
+        compared with self() there; if one is off by more than 1e-12,
+        self(grid) is returned too.  On a node with s = 0 every row but
+        row 0 drops out, so every other checked node is moved to a
+        midpoint between coarse nodes (s = -1/2): otherwise, when c
+        divides the check stride (points = 4097 and c = 16 or 32), no
+        checked node would see rows 1 and up.
         """
         if points < 2:
             raise InvariantError("a grid needs at least two points")
@@ -195,48 +221,71 @@ class CdfEstimate:
             return self(np.linspace(0.0, 1.0, points))
         from scipy.special import ndtr  # only continuous runs pay its import
 
-        n = self._samples.size
-        size = _fft_size(2 * points - 1)
-        # Each K_p is odd or even in j, so it is computed for j >= 0 only;
-        # _place mirrors it into the negative j that wrap to a row's end.
-        z = np.arange(points) * u
-        step_free = -ndtr(-z)
-        step_free[0] = 0.0
-        # Not np.dot, which can wait on OpenBLAS threads: see the docstring.
-        rounding = _EPS * math.log2(size) * math.sqrt(2.0 * np.sum(step_free * step_free))
-        budget = _GRID_ERROR * (self._span if self._correct else 1.0) - rounding
-        for order, top in enumerate(_NDTR_DERIVATIVE_MAX, start=1):
-            if (u / 2.0) ** order / math.factorial(order) * top <= budget:
+        allowed = _GRID_ERROR * (self._span if self._correct else 1.0)
+        for c in _COARSENING:
+            radius = c * u if c > 1 else u / 2.0
+            if c >= points or not _least_order(radius, allowed):
+                continue
+            nodes = (points - 1 + c // 2) // c + 1
+            size = _fft_size(2 * nodes - 1)
+            # Each K_p is odd or even in j, so it is computed for j >= 0
+            # only; _place mirrors it into the negative j that wrap to a
+            # row's end.
+            z = np.arange(nodes) * (c * u)
+            step_free = -ndtr(-z)
+            step_free[0] = 0.0
+            # Not np.dot, which can wait on OpenBLAS threads: see the docstring.
+            norm = math.sqrt(2.0 * np.sum(step_free * step_free))
+            rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
+            order = _least_order(radius, allowed - rounding)
+            if order:
                 break
         else:
             return self(np.linspace(0.0, 1.0, points))
 
-        t = self._samples * (points - 1)
+        n = self._samples.size
+        t = self._samples * ((points - 1) / c)
         node = np.rint(t).astype(np.intp)  # k
         offset = t - node  # f
         kernels = np.zeros((order, size))
-        moments = np.zeros((order, points))
+        moments = np.zeros((order, nodes))
         _place(kernels[0], step_free, -1.0)
-        counts = np.bincount(node, minlength=points).astype(np.float64)
+        counts = np.bincount(node, minlength=nodes).astype(np.float64)
         moments[0] = counts
         density = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+        # The factorials of C(p, a) = p!/(a! (p-a)!) are folded in: f^q/q!
+        # into the moments, p! into the kernels, 1/a! into the rows.
         power = np.ones(n)
-        coef = 1.0
+        scale = 1.0
         he_prev, he = 0.0, 1.0  # He_{p-2}, He_{p-1}
         for p in range(1, order):
-            power = power * offset
-            moments[p] = np.bincount(node, weights=power, minlength=points)
-            coef *= u / p
-            _place(kernels[p], -coef * he * density, (-1.0) ** (p + 1))
+            power = power * offset / p
+            moments[p] = np.bincount(node, weights=power, minlength=nodes)
+            scale *= c * u
+            _place(kernels[p], -scale * he * density, (-1.0) ** (p + 1))
             he_prev, he = he, z * he - (p - 1) * he_prev
-        spectrum = np.sum(
-            np.fft.rfft(moments, size, axis=1) * np.fft.rfft(kernels, axis=1), axis=0
+        spectra = _spectra(
+            np.fft.rfft(moments, size, axis=1), np.fft.rfft(kernels, axis=1), order if c > 1 else 1
         )
-        smooth = np.fft.irfft(spectrum, size)[:points]
-        raw = (np.cumsum(counts) - 0.5 * counts + smooth) / n
+        rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes]
+        rows[0] += np.cumsum(counts) - 0.5 * counts
+        # Column M of fine holds the grid nodes m = c*M - c//2 + q, q < c,
+        # whose offset is s = (q - c//2)/c; Horner's rule sums
+        # (-s)^a/a! * rows[a] there.
+        fine = np.empty((c, nodes))
+        fine[:] = rows[-1]
+        neg_s = ((c // 2 - np.arange(c)) / c)[:, np.newaxis]
+        for a in range(len(rows) - 1, 0, -1):
+            fine *= neg_s / a
+            fine += rows[a - 1]
+        raw = fine.T.ravel()[c // 2 : c // 2 + points] / n
         values = self._finish(raw)
         grid = np.linspace(0.0, 1.0, points)
         check = np.arange(0, points, max(1, (points - 1) // _CHECK_INTERVALS))
+        # Every other checked node moves to a midpoint between coarse
+        # nodes, where s = -1/2 (nowhere when c = 1): see the docstring.
+        mid = check[1::2] - check[1::2] % c + c // 2
+        check[1::2] = np.where(mid < points, mid, mid - c)
         if np.max(np.abs(values[check] - self(grid[check]))) > _GRID_ERROR:
             return self(grid)
         return values
@@ -246,6 +295,23 @@ class CdfEstimate:
             f"CdfEstimate(n={self._samples.size}, bandwidth={self._bandwidth:.6g}, "
             f"boundary_correction={self._correct})"
         )
+
+
+def _least_order(radius: float, budget: float) -> int:
+    """Least Taylor order P <= 10 with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
+    for order, top in enumerate(_NDTR_DERIVATIVE_MAX, start=1):
+        if radius**order / math.factorial(order) * top <= budget:
+            return order
+    return 0
+
+
+def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
+    """Row a < rows is sum_{p>=a} moments[p - a] * kernels[p]."""
+    out = np.zeros((rows, kernels.shape[1]), dtype=kernels.dtype)
+    for p in range(len(kernels)):
+        top = min(p + 1, rows)
+        out[:top] += moments[p + 1 - top : p + 1][::-1] * kernels[p]
+    return out
 
 
 def _place(row: np.ndarray, half: np.ndarray, parity: float) -> None:

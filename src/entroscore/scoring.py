@@ -49,6 +49,10 @@ __all__ = [
 
 METHODS = ("continuous", "discrete")
 
+# Above this max|score|, describe takes the moments on scores / max|score|:
+# squares of such scores overflow float64.
+_HUGE_SCORE = 1e150
+
 
 @dataclass(frozen=True)
 class EvaluationOptions:
@@ -117,17 +121,24 @@ def describe(scores) -> DescriptiveStats:
     kurtosis carry the usual small-sample bias corrections and are NaN
     whenever n < 4 or the variance is zero.  Like scipy.stats, the
     variance counts as zero when the second central moment is at most
-    (eps * mean)**2, where it is rounding noise of the mean.
+    (eps * mean)**2, where it is rounding noise of the mean.  When
+    max|score| is above 1e150, where squares and sums can overflow, the
+    moments are taken on scores / max|score| and the mean and standard
+    deviation scaled back.
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise InvariantError("describe needs a non-empty 1-D score list")
     n = arr.size
-    mean = np.mean(arr)
-    std_dev = float(np.std(arr, ddof=1)) if n >= 2 else float("nan")
+    unit = arr
+    magnitude = float(np.max(np.abs(arr)))
+    if _HUGE_SCORE < magnitude < math.inf:
+        unit = arr / magnitude
+    mean = np.mean(unit)
+    std_dev = float(np.std(unit, ddof=1)) if n >= 2 else float("nan")
     skewness = kurtosis = float("nan")
     if n >= 4 and std_dev > 0.0:
-        dev = arr - mean
+        dev = unit - mean
         m2 = np.mean(dev**2)
         if m2 > (np.finfo(np.float64).eps * mean) ** 2:
             # Same operations in the same order as scipy.stats.skew and
@@ -138,6 +149,9 @@ def describe(scores) -> DescriptiveStats:
             skewness = float(((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5)
             g = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
             kurtosis = float(g + 3.0 - 3.0)
+    if unit is not arr:
+        mean *= magnitude
+        std_dev *= magnitude
     return DescriptiveStats(
         mean=float(mean),
         median=float(np.median(arr)),

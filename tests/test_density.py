@@ -216,7 +216,8 @@ class TestGridValues:
         scale=st.floats(-4.0, 0.5),
         correct=st.booleans(),
         points=st.one_of(
-            st.integers(1, 60).map(lambda k: 2 * k + 1), st.sampled_from([1001, 10001])
+            st.integers(1, 60).map(lambda k: 2 * k + 1),
+            st.sampled_from([1001, 2001, 4097, 10001, 20001]),
         ),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -286,6 +287,69 @@ class TestGridValues:
         x = _column("uniform", 100, np.random.default_rng(34))
         cdf = es.estimate_cdf(x, es.select_bandwidth(x))
         assert np.array_equal(cdf.grid_values(10001), cdf(np.linspace(0.0, 1.0, 10001)))
+
+    @pytest.mark.parametrize("points", [10001, 4097])
+    def test_values_off_between_coarse_nodes_fall_back_to_the_exact_sum(self, monkeypatch, points):
+        # Rows a >= 1 vanish on grid nodes that sit on a coarse node; at
+        # 4097 points every 256th node does, so only the checked midpoints
+        # between coarse nodes can see these rows go wrong.
+        spectra = density._spectra
+
+        def skewed(moments, kernels, rows):
+            out = spectra(moments, kernels, rows)
+            out[1:] *= 1.0 + 1e-9
+            return out
+
+        x = _column("normal", 100, np.random.default_rng(35))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        grid = np.linspace(0.0, 1.0, points)
+        assert not np.array_equal(cdf.grid_values(points), cdf(grid))
+        monkeypatch.setattr(density, "_spectra", skewed)
+        assert np.array_equal(cdf.grid_values(points), cdf(grid))
+
+    @staticmethod
+    def _ffts(monkeypatch):
+        """Record (rows, spectrum length) of every _spectra call."""
+        calls = []
+        spectra = density._spectra
+
+        def recorded(moments, kernels, rows):
+            calls.append((rows, kernels.shape[1]))
+            return spectra(moments, kernels, rows)
+
+        monkeypatch.setattr(density, "_spectra", recorded)
+        return calls
+
+    @staticmethod
+    def _length(points, c):
+        """Spectrum length of the FFTs on every c-th grid node."""
+        nodes = (points - 1 + c // 2) // c + 1
+        return density._fft_size(2 * nodes - 1) // 2 + 1
+
+    def test_a_silverman_bandwidth_runs_the_ffts_on_a_coarse_grid(self, monkeypatch):
+        calls = self._ffts(monkeypatch)
+        x = _column("normal", 40, np.random.default_rng(36))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        fast = cdf.grid_values(10001)
+        assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
+        [(rows, length)] = calls
+        assert rows > 1 and length == self._length(10001, density._COARSENING[0])
+
+    @pytest.mark.parametrize("steps,c", [(12, 2), (4, 1), (2, None)])
+    def test_a_bandwidth_of_a_few_grid_steps_steps_down_the_ladder(self, monkeypatch, steps, c):
+        # At 12 grid steps only c = 2 meets the budget, at 4 only c = 1,
+        # and at 2 no order does, so the exact sum comes back.
+        calls = self._ffts(monkeypatch)
+        x = _column("uniform", 60, np.random.default_rng(37))
+        cdf = es.estimate_cdf(x, steps / 10000.0)
+        fast = cdf.grid_values(10001)
+        exact = cdf(np.linspace(0.0, 1.0, 10001))
+        if c is None:
+            assert calls == [] and np.array_equal(fast, exact)
+        else:
+            [(rows, length)] = calls
+            assert length == self._length(10001, c) and (rows == 1) == (c == 1)
+            assert np.max(np.abs(fast - exact)) <= density._GRID_ERROR
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_needs_two_points(self, points):

@@ -144,6 +144,23 @@ class TestDescribe:
         np.testing.assert_allclose(d.mean, 50.0, atol=0.5)
         np.testing.assert_allclose(d.std_dev, 10.0, atol=0.3)
 
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    def test_huge_scale_gives_the_scaled_stats_quietly(self, scale):
+        # Squared deviations overflow past 1e154, and a sum of scores near
+        # the largest float overflows too.
+        ds = random_dataset(np.random.default_rng(38), 40, 5)
+        base = es.evaluate(ds, es.EvaluationOptions(method="discrete")).stats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = es.evaluate(ds, es.EvaluationOptions(method="discrete", scale=scale)).stats
+        factor = scale / 100.0
+        for name in ("mean", "median", "std_dev", "smallest", "largest"):
+            assert math.isfinite(getattr(big, name))
+            assert getattr(big, name) == pytest.approx(getattr(base, name) * factor, rel=1e-12)
+        assert big.skewness == pytest.approx(base.skewness, rel=1e-12)
+        assert big.kurtosis == pytest.approx(base.kurtosis, rel=1e-12)
+        assert big.obs == base.obs
+
 
 class TestEvaluationOptions:
     def test_defaults(self):
