@@ -67,8 +67,7 @@ def select_bandwidth(samples) -> float:
     # not depend on how the caller happened to order the samples.
     x = np.sort(x)
     std = float(np.std(x, ddof=1))
-    q1, q3 = np.percentile(x, (25, 75))
-    iqr = float(q3 - q1)
+    iqr = _sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)
     spread = min(std, iqr / 1.34)
     if spread == 0.0:
         spread = max(std, iqr / 1.34)
@@ -77,6 +76,21 @@ def select_bandwidth(samples) -> float:
             "sample standard deviation and IQR are both zero; no bandwidth exists"
         )
     return 0.9 * spread * x.size ** (-0.2)
+
+
+def _sorted_quantile(x: np.ndarray, q: float) -> float:
+    """np.percentile(x, 100*q) of a sorted x, to the bit, for 0 <= q < 1.
+
+    This is numpy's default linear method, with its arithmetic: the
+    virtual index q*(n - 1), and a + d*g, or b - d*(1 - g) when g >= 1/2,
+    between the order statistics a and b either side of it.
+    """
+    virtual = q * (x.size - 1)
+    below = math.floor(virtual)
+    g = virtual - below
+    a, b = x[below : below + 2].tolist()
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
 class CdfEstimate:
@@ -100,8 +114,7 @@ class CdfEstimate:
         self._bandwidth = bandwidth
         self._correct = bool(boundary_correction)
         if self._correct:
-            lo = self._raw(np.array([0.0]))[0]
-            hi = self._raw(np.array([1.0]))[0]
+            lo, hi = self._raw(np.array([0.0, 1.0]))
             span = hi - lo
             if span <= 0.0:
                 raise InvalidBandwidthError(
@@ -178,7 +191,11 @@ class CdfEstimate:
         (moment f^(p-a) summed per coarse node) * K_p, each done as
         circular FFT products of a length that holds 2*nodes - 1 values
         without wrap-around.  A grid value is the polynomial in -s with
-        these rows at M as coefficients, evaluated by Horner's rule.  At
+        these rows at M as coefficients, evaluated by Horner's rule.  The
+        coarse rows are finished before it: row a carries 1/(n * a!) and
+        the correction's 1/span, and row 0 its offset -raw(0)/span, so
+        each Horner step is one multiply by a contiguous block of -s and
+        one add, and the grid values need only the final clip.  At
         c = 1 only row 0 is left, the plain binned estimator (Silverman
         1982, Algorithm AS 176; Wand 1994) with its binning error removed
         by the expansion; for c > 1 it is the one-dimensional grid form of
@@ -221,7 +238,8 @@ class CdfEstimate:
             return self(np.linspace(0.0, 1.0, points))
         from scipy.special import ndtr  # only continuous runs pay its import
 
-        allowed = _GRID_ERROR * (self._span if self._correct else 1.0)
+        span = self._span if self._correct else 1.0
+        allowed = _GRID_ERROR * span
         for c in _COARSENING:
             radius = c * u if c > 1 else u / 2.0
             if c >= points or not _least_order(radius, allowed):
@@ -269,25 +287,30 @@ class CdfEstimate:
         )
         rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes]
         rows[0] += np.cumsum(counts) - 0.5 * counts
+        # Finish the rows, not the grid: row a carries 1/(n * a! * span),
+        # and row 0, Horner's constant term, the correction's offset.
+        rows /= np.array([n * span * math.factorial(a) for a in range(len(rows))])[:, np.newaxis]
+        if self._correct:
+            rows[0] -= self._raw_lo / span
         # Column M of fine holds the grid nodes m = c*M - c//2 + q, q < c,
         # whose offset is s = (q - c//2)/c; Horner's rule sums
-        # (-s)^a/a! * rows[a] there.
+        # (-s)^a * rows[a] there, on a contiguous block of -s.
         fine = np.empty((c, nodes))
         fine[:] = rows[-1]
-        neg_s = ((c // 2 - np.arange(c)) / c)[:, np.newaxis]
+        neg_s = np.empty((c, nodes))
+        neg_s[:] = ((c // 2 - np.arange(c)) / c)[:, np.newaxis]
         for a in range(len(rows) - 1, 0, -1):
-            fine *= neg_s / a
+            fine *= neg_s
             fine += rows[a - 1]
-        raw = fine.T.ravel()[c // 2 : c // 2 + points] / n
-        values = self._finish(raw)
-        grid = np.linspace(0.0, 1.0, points)
+        values = fine.T.ravel()[c // 2 : c // 2 + points]
+        np.clip(values, 0.0, 1.0, out=values)
         check = np.arange(0, points, max(1, (points - 1) // _CHECK_INTERVALS))
         # Every other checked node moves to a midpoint between coarse
         # nodes, where s = -1/2 (nowhere when c = 1): see the docstring.
         mid = check[1::2] - check[1::2] % c + c // 2
         check[1::2] = np.where(mid < points, mid, mid - c)
-        if np.max(np.abs(values[check] - self(grid[check]))) > _GRID_ERROR:
-            return self(grid)
+        if np.max(np.abs(values[check] - self(_grid_nodes(check, points)))) > _GRID_ERROR:
+            return self(np.linspace(0.0, 1.0, points))
         return values
 
     def __repr__(self) -> str:
@@ -295,6 +318,13 @@ class CdfEstimate:
             f"CdfEstimate(n={self._samples.size}, bandwidth={self._bandwidth:.6g}, "
             f"boundary_correction={self._correct})"
         )
+
+
+def _grid_nodes(index: np.ndarray, points: int) -> np.ndarray:
+    """np.linspace(0, 1, points)[index], to the bit, without the grid."""
+    nodes = index * (1.0 / (points - 1))
+    nodes[index == points - 1] = 1.0
+    return nodes
 
 
 def _least_order(radius: float, budget: float) -> int:

@@ -85,21 +85,18 @@ def continuous_entropy(
     it.  The rounding of the two quadrature sums, below 1e-15, fits in
     the slack that rounding -ln F - 1 and -F ln F up leaves.
     """
-    grid = np.linspace(0.0, 1.0, config.points)
     if isinstance(cdf, CdfEstimate):
         phi = cdf.grid_values(config.points)
     else:
-        phi = np.asarray(cdf(grid), dtype=np.float64)
-    if phi.shape != grid.shape:
+        phi = np.asarray(cdf(np.linspace(0.0, 1.0, config.points)), dtype=np.float64)
+    if phi.shape != (config.points,):
         raise InvariantError("cdf must return one value per grid point")
     if not np.all(np.isfinite(phi)):
         raise QuadratureOutOfRangeError(
             "cdf produced NaN or infinite values on the quadrature grid"
         )
 
-    integrand = np.zeros_like(phi)
-    live = phi > _PHI_FLOOR
-    integrand[live] = phi[live] * np.log(phi[live])
+    integrand = _phi_log_phi(phi)
 
     step = 1.0 / (config.points - 1)
     simpson = (step / 3.0) * (
@@ -115,6 +112,18 @@ def continuous_entropy(
             "is not a CDF on [0, 1]"
         )
     return min(max(value, 0.0), 1.0) + 0.0  # normalize -0.0
+
+
+def _phi_log_phi(phi: np.ndarray) -> np.ndarray:
+    """phi ln phi per finite value, and 0, its limit, at or below _PHI_FLOOR.
+
+    Those values are replaced by 1.0, whose 1.0 * ln(1.0) is exactly 0,
+    so every value takes the same three passes and no gather or scatter.
+    """
+    safe = np.where(phi > _PHI_FLOOR, phi, 1.0)
+    out = np.log(safe)
+    out *= safe
+    return out
 
 
 def discrete_entropy(column) -> float:

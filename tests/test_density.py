@@ -64,6 +64,19 @@ class TestSelectBandwidth:
         with pytest.raises(es.InvariantError):
             es.select_bandwidth(bad)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        pool=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        picks=st.lists(st.integers(0, 39), min_size=2, max_size=200),
+    )
+    def test_quartiles_are_np_percentile_to_the_bit(self, pool, picks):
+        # Picks from a small pool make ties.  Adding 0.0 turns -0.0 into
+        # 0.0, as in a normalized column: which of two equal zeros of
+        # either sign np.percentile takes depends on its partition.
+        x = np.sort(np.array([pool[i % len(pool)] for i in picks]) + 0.0)
+        got = np.array([density._sorted_quantile(x, q) for q in (0.25, 0.75)])
+        assert np.array_equal(got.view(np.int64), np.percentile(x, (25, 75)).view(np.int64))
+
 
 class TestCdfEstimate:
     def test_monotone_and_bounded(self):
@@ -149,6 +162,15 @@ class TestCdfErrors:
     def test_bad_bandwidth(self, h):
         with pytest.raises(es.InvalidBandwidthError):
             es.estimate_cdf([0.2, 0.8], h)
+
+    @pytest.mark.parametrize("shape,n", [("uniform", 2), ("lognormal", 40), ("spike", 300)])
+    def test_one_exact_sum_gives_both_endpoints(self, shape, n):
+        x = _column(shape, n, np.random.default_rng(35))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        lo = cdf._raw(np.array([0.0]))[0]
+        hi = cdf._raw(np.array([1.0]))[0]
+        assert cdf._raw_lo == lo
+        assert cdf._span == hi - lo
 
     def test_bandwidth_flattening_the_estimate(self):
         # So wide that the kernel CDF cannot tell 0 from 1 in float64.
@@ -252,6 +274,12 @@ class TestGridValues:
         grid = np.linspace(0.0, 1.0, 10001)
         assert np.array_equal(cdf.grid_values(10001), cdf(grid))
 
+    @pytest.mark.parametrize("points", [3, 5, 17, 1001, 2001, 4097, 10001, 20001])
+    def test_checked_nodes_are_the_linspace_nodes_to_the_bit(self, points):
+        index = np.arange(points)
+        nodes = density._grid_nodes(index, points)
+        assert np.array_equal(nodes.view(np.int64), np.linspace(0.0, 1.0, points).view(np.int64))
+
     def test_sample_order_never_matters(self):
         rng = np.random.default_rng(31)
         x = _column("lognormal", 200, rng)
@@ -275,7 +303,7 @@ class TestGridValues:
         cdf.grid_values(10001)
         # The two endpoints of the boundary correction, then the 17 nodes
         # the values are checked on.
-        assert calls == [1, 1, 17]
+        assert calls == [2, 17]
         es.estimate_cdf(x, 1e-5).grid_values(10001)  # below the threshold
         assert calls[-1] == 10001
 

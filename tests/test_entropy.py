@@ -13,8 +13,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
+from entroscore import entropy
 
 
 def power_cdf(k):
@@ -100,6 +103,42 @@ class TestContinuousEntropy:
 
     def test_returns_plain_float(self):
         assert type(es.continuous_entropy(power_cdf(1), es.QuadratureConfig())) is float
+
+
+_FLOOR_EDGES = (
+    0.0,
+    -0.0,
+    1e-12,
+    float(np.nextafter(1e-12, 1.0)),
+    float(np.nextafter(1e-12, 0.0)),
+    5e-324,
+    2.5e-310,
+    float(np.nextafter(2.2250738585072014e-308, 0.0)),
+    1.0,
+    float(np.nextafter(1.0, 0.0)),
+    -1e-300,
+    -0.5,
+)
+
+
+class TestIntegrand:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(_FLOOR_EDGES), st.floats(-1.0, 1.0), st.floats(0.0, 1e-11)),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_equals_the_gather_form_to_the_bit(self, values):
+        # Negative values come only from plain callables; a CdfEstimate
+        # clips into [0, 1].
+        phi = np.array(values)
+        gathered = np.zeros_like(phi)
+        live = phi > entropy._PHI_FLOOR
+        gathered[live] = phi[live] * np.log(phi[live])
+        got = entropy._phi_log_phi(phi)
+        assert np.array_equal(got.view(np.int64), gathered.view(np.int64))
 
 
 class TestContinuousEntropyErrors:
