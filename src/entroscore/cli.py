@@ -184,6 +184,13 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     return payload
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_config(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[RunPaths, EvaluationOptions]:
@@ -219,7 +226,7 @@ def resolve_config(
             boundary_correction=boundary_correction,
             quadrature=QuadratureConfig(points=pick("quadrature_points", 10001)),
             scale=float(pick("scale", 100.0)),
-            threads=pick("threads", os.cpu_count() or 1),
+            threads=pick("threads", _usable_cpus()),
         )
     except (InvariantError, OverflowError) as exc:
         parser.error(str(exc))

@@ -214,11 +214,10 @@ class CdfEstimate:
         busy, and the dot's bits would depend on the BLAS thread count.
         c is the largest factor in _COARSENING, below points, for which
         some P <= 10 meets the budget.  If none does, the exact self(grid)
-        is returned instead: for h below about three grid steps, and,
+        is returned instead: for h below about three grid steps, which
+        _below_fast_path decides before any coarse row is formed, and,
         with boundary correction on, for h above about 2.5, where dividing
-        by the small span magnifies rounding.  Where u/2 >= 1, for u =
-        d/h, no P can meet it, so that is decided before any power of u,
-        which overflows for a tiny h, is formed.
+        by the small span magnifies rounding.
 
         As the rounding share is only estimated, the values on every
         ((points - 1) // 16)-th node (17 nodes at 10001 points) are
@@ -231,11 +230,9 @@ class CdfEstimate:
         """
         if points < 2:
             raise InvariantError("a grid needs at least two points")
-        u = 1.0 / ((points - 1) * self._bandwidth)
-        if u / 2.0 >= 1.0:
-            # Every remainder bound is then at least the least
-            # max|ndtr^(P)|/P!, 3.2e-5 at P = 10, far over the budget.
+        if _below_fast_path(self._bandwidth, points):
             return self(np.linspace(0.0, 1.0, points))
+        u = 1.0 / ((points - 1) * self._bandwidth)
         from scipy.special import ndtr  # only continuous runs pay its import
 
         span = self._span if self._correct else 1.0
@@ -325,6 +322,21 @@ def _grid_nodes(index: np.ndarray, points: int) -> np.ndarray:
     nodes = index * (1.0 / (points - 1))
     nodes[index == points - 1] = 1.0
     return nodes
+
+
+def _below_fast_path(bandwidth: float, points: int) -> bool:
+    """Whether grid_values(points) sums exactly whatever the samples are.
+
+    It does where even c = 1, whose radius u/2 (u = d/h) is the least,
+    misses the error budget at the widest span, 1: for h below about
+    three grid steps.  The exact sum costs O(points * n) in ndtr, which
+    runs without the interpreter lock.  Where u/2 >= 1 every remainder
+    bound is at least the least max|ndtr^(P)|/P!, 3.2e-5 at P = 10, so
+    that is decided before any power of u, which overflows for a tiny h,
+    is formed.
+    """
+    half_u = 0.5 / ((points - 1) * bandwidth)
+    return half_u >= 1.0 or not _least_order(half_u, _GRID_ERROR)
 
 
 def _least_order(radius: float, budget: float) -> int:

@@ -22,7 +22,7 @@ from .errors import (
     InvariantError,
     QuadratureOutOfRangeError,
 )
-from .model import EntropyVector, WeightVector, _sample_array
+from .model import EntropyVector, WeightVector, _check_count, _sample_array
 
 __all__ = [
     "QuadratureConfig",
@@ -46,12 +46,13 @@ WEIGHT_RULES = ("paper", "classic")
 class QuadratureConfig:
     """Uniform-grid composite Simpson settings.
 
-    points must be odd (Simpson pairs intervals).
+    points must be an odd int (Simpson pairs intervals).
     """
 
     points: int = 10001
 
     def __post_init__(self) -> None:
+        _check_count(self.points, "quadrature points")
         if self.points < 3 or self.points % 2 == 0:
             raise InvariantError("quadrature points must be odd and >= 3")
 

@@ -57,6 +57,12 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _check_count(value, name: str) -> None:
+    """Raise InvariantError unless value is an int; a bool, float or string is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvariantError(f"{name} must be an integer, got {value!r}")
+
+
 def _sample_array(samples, user: str) -> np.ndarray:
     """samples as float64, checked to be 1-D, at least two long and finite.
 

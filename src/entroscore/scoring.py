@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import CdfEstimate, estimate_cdf, select_bandwidth
+from .density import CdfEstimate, _below_fast_path, estimate_cdf, select_bandwidth
 from .entropy import (
     WEIGHT_RULES,
     QuadratureConfig,
@@ -34,6 +34,7 @@ from .model import (
     NormalizedMatrix,
     RawDataset,
     WeightVector,
+    _check_count,
 )
 from .normalize import normalize_matrix
 
@@ -49,6 +50,13 @@ __all__ = [
 
 METHODS = ("continuous", "discrete")
 
+# _pool_pays starts the continuous-column pool where rows + points /
+# _POOL_POINTS_PER_ROW reaches _POOL_ROWS: from 550 rows at 10001 points,
+# 730 at 1001, and at any length from 37501 points.  Fitted to the
+# break-even points of the README's 2-core table.
+_POOL_POINTS_PER_ROW = 50
+_POOL_ROWS = 750
+
 # Above this max|score|, describe takes the moments on scores / max|score|:
 # squares of such scores overflow float64.
 _HUGE_SCORE = 1e150
@@ -59,10 +67,12 @@ class EvaluationOptions:
     """Knobs for one evaluation run.
 
     bandwidth None selects Silverman's rule per indicator; a positive
-    real fixes one bandwidth for every indicator.  threads bounds the
-    number of continuous indicator columns processed concurrently;
-    discrete columns always run in sequence, as a thread pool costs more
-    than their entropies.  Results are identical for any thread count.
+    real fixes one bandwidth for every indicator.  threads, an int, caps
+    the number of continuous indicator columns processed concurrently.
+    run_pipeline starts a pool of that size only where it pays: for long
+    columns, fine quadrature grids or bandwidths on the exact kernel-CDF
+    path, and otherwise runs the columns one after another, as it always
+    does discrete ones.  Results are identical for any thread count.
     """
 
     method: str = "continuous"
@@ -86,6 +96,7 @@ class EvaluationOptions:
             raise InvariantError("bandwidth must be a positive finite real or None")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise InvariantError("scale must be a positive finite real")
+        _check_count(self.threads, "threads")
         if self.threads < 1:
             raise InvariantError("threads must be >= 1")
 
@@ -174,49 +185,73 @@ class PipelineRun:
     cdfs: tuple[CdfEstimate, ...] | None
 
 
-def _column_entropy(column: np.ndarray, options: EvaluationOptions):
-    """Entropy of one normalized column; returns (entropy, bandwidth, cdf)."""
-    if options.method == "discrete":
-        return discrete_entropy(column), None, None
-    h = options.bandwidth if options.bandwidth is not None else select_bandwidth(column)
+def _continuous_column(column: np.ndarray, h: float, options: EvaluationOptions):
+    """Entropy and CDF estimate of one normalized column at bandwidth h."""
     cdf = estimate_cdf(column, h, options.boundary_correction)
-    return continuous_entropy(cdf, options.quadrature), h, cdf
+    return continuous_entropy(cdf, options.quadrature), cdf
+
+
+def _pool_pays(rows: int, points: int, bandwidths: tuple[float, ...]) -> bool:
+    """Whether continuous columns of this shape finish sooner on a thread pool.
+
+    A column's work is numpy calls, which release the interpreter lock
+    only inside their loops, so two columns overlap only where those
+    loops are long: for long columns, fine grids, or a bandwidth below
+    the fast kernel CDF's reach, whose exact sum runs O(points * rows)
+    in ndtr.  Where the calls are short, workers contend for the lock
+    and one worker is faster.  The constants are fitted to the 2-core
+    measurement table in the README.
+    """
+    if rows + points / _POOL_POINTS_PER_ROW >= _POOL_ROWS:
+        return True
+    return any(_below_fast_path(h, points) for h in bandwidths)
 
 
 def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) -> PipelineRun:
     """Normalize, estimate, weigh, and score a dataset, keeping intermediates.
 
-    Indicator columns are independent, so continuous ones are processed
-    on a thread pool when options.threads > 1; results are assembled in
-    column order and are bit-identical to a sequential run.  A column
-    that cannot be normalized raises the error normalize_matrix names it
-    with.
+    Indicator columns are independent.  Every bandwidth is picked first,
+    in column order, on the calling thread.  Continuous columns then run
+    on a pool of at most options.threads workers, but only where
+    _pool_pays finds that a pool beats one worker for their length, grid
+    and bandwidths.  Results are assembled in column order and are
+    bit-identical to a sequential run.  A column that cannot be
+    normalized raises the error normalize_matrix names it with; any
+    later fault names its indicator too.
     """
     options = options or EvaluationOptions()
     normalized = normalize_matrix(dataset)
     names = dataset.schema.names
+    m = len(names)
 
-    def column_job(j: int):
+    def named(j: int, job, *args):
+        """job(column j, *args), with any fault naming indicator j."""
         try:
-            return _column_entropy(normalized.values[:, j], options)
+            return job(normalized.values[:, j], *args)
         except EntroscoreError as exc:
             raise type(exc)(f"indicator '{names[j]}': {exc}") from None
 
-    m = len(names)
-    if options.method == "continuous" and options.threads > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            results = list(pool.map(column_job, range(m)))
+    if options.method == "discrete":
+        values = [named(j, discrete_entropy) for j in range(m)]
+        bandwidths = cdfs = None
     else:
-        results = [column_job(j) for j in range(m)]
+        if options.bandwidth is None:
+            bandwidths = tuple(named(j, select_bandwidth) for j in range(m))
+        else:
+            bandwidths = (options.bandwidth,) * m
 
-    entropies = EntropyVector(np.array([r[0] for r in results], dtype=np.float64))
-    if options.method == "continuous":
-        bandwidths = tuple(r[1] for r in results)
-        cdfs = tuple(r[2] for r in results)
-    else:
-        bandwidths = None
-        cdfs = None
+        def column_job(j: int):
+            return named(j, _continuous_column, bandwidths[j], options)
 
+        rows = normalized.values.shape[0]
+        if options.threads > 1 and m > 1 and _pool_pays(rows, options.quadrature.points, bandwidths):
+            with ThreadPoolExecutor(max_workers=options.threads) as pool:
+                results = list(pool.map(column_job, range(m)))
+        else:
+            results = [column_job(j) for j in range(m)]
+        values, cdfs = zip(*results)
+
+    entropies = EntropyVector(np.array(values, dtype=np.float64))
     weights = compute_weights(entropies, options.weight_rule)
     scores = composite_scores(normalized, weights, options.scale)
     report = EvaluationReport(

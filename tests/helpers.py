@@ -8,6 +8,7 @@ import io
 import numpy as np
 
 import entroscore as es
+from entroscore import scoring
 
 
 def simple_schema(m: int, inverse: tuple[int, ...] = ()) -> es.Schema:
@@ -28,6 +29,19 @@ def random_dataset(rng, n: int, m: int, inverse: tuple[int, ...] = (),
     values = rng.uniform(low, high, size=(n, m))
     ids = tuple(f"row{i:04d}" for i in range(n))
     return es.RawDataset(ids, values, simple_schema(m, inverse))
+
+
+def record_pool_starts(monkeypatch) -> list:
+    """Make scoring's thread pools log their max_workers into the returned list."""
+    started = []
+
+    class Recording(scoring.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(scoring, "ThreadPoolExecutor", Recording)
+    return started
 
 
 def csv_bytes(header, rows) -> bytes:

@@ -1,8 +1,9 @@
 """Acceptance gate for the scoring pipeline.
 
-Eight checks, each printing one PASS/FAIL line with its measured numbers
-so a full run reads as a checklist.  Tolerances and runtime budgets are
-part of the contract and are asserted, not just reported.
+Eight criteria in nine checks (C8 runs once on one worker and once on
+the column pool), each printing one PASS/FAIL line with its measured
+numbers so a full run reads as a checklist.  Tolerances and runtime
+budgets are part of the contract and are asserted, not just reported.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 import entroscore as es
 from entroscore.cli import run as cli_run
-from helpers import csv_bytes, random_dataset, simple_schema
+from helpers import csv_bytes, random_dataset, record_pool_starts, simple_schema
 
 # Reference six-decimal entropy/weight table for the bundled financial
 # indicator set, in default schema order.  The weights are what the
@@ -306,4 +307,40 @@ def test_c8_thread_count_byte_determinism(capsys, tmp_path):
         ok,
         f"{len(outputs['1'])} report files byte-identical across --threads 1/8, "
         f"stdout identical: {same_stdout}",
+    )
+
+
+def test_c8_thread_count_byte_determinism_on_the_pool(capsys, tmp_path, monkeypatch):
+    # C8's 60 rows run on one worker whatever --threads says; 1000 rows
+    # start the column pool, so this is where scheduling could show.
+    started = record_pool_starts(monkeypatch)
+    rng = np.random.default_rng(801)
+    names = list(es.default_schema().names)
+    rows = [
+        [f"c{i:04d}"] + [f"{rng.lognormal(1.0, 0.8):.6f}" for _ in names]
+        for i in range(1000)
+    ]
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_bytes(csv_bytes(["entity_id"] + names, rows))
+
+    outputs = {}
+    for threads in ("1", "2", "8"):
+        out_dir = tmp_path / f"t{threads}"
+        code = cli_run([
+            "evaluate", "--input", str(csv_path),
+            "--out-dir", str(out_dir), "--dump-normalized",
+            "--threads", threads,
+        ])
+        assert code == 0
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        outputs[threads] = (capsys.readouterr().out, files)
+
+    same = outputs["1"] == outputs["2"] == outputs["8"]
+    ok = same and len(outputs["1"][1]) == 3 and started == [2, 8]
+    check(
+        capsys,
+        "thread-count byte determinism on the column pool",
+        ok,
+        f"stdout and {len(outputs['1'][1])} report files identical across --threads 1/2/8: "
+        f"{same}; pool sizes started {started}",
     )

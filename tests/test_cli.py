@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import entroscore as es
+from entroscore import cli
 from entroscore.cli import run
 from helpers import csv_bytes
 
@@ -418,6 +419,32 @@ class TestConfigPrecedence:
                     "--threads", "2", "--scale", "50", "--bandwidth", "0.25",
                     "--quadrature-points", "101"]) == 0
         assert capsys.readouterr().out == from_config
+
+
+class TestDefaultThreads:
+    @staticmethod
+    def default_threads(small_csv):
+        parser = cli.build_parser()
+        args = parser.parse_args(["weights", *base_args(small_csv)])
+        return cli.resolve_config(args, parser)[1].threads
+
+    def test_default_threads_count_the_cpus_this_process_may_use(self, small_csv, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert self.default_threads(small_csv) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert self.default_threads(small_csv) == 1
+
+    def test_default_threads_fall_back_to_the_cpu_count(self, small_csv, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert self.default_threads(small_csv) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert self.default_threads(small_csv) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this OS")
+    def test_default_threads_match_the_real_affinity(self, small_csv):
+        assert self.default_threads(small_csv) == len(os.sched_getaffinity(0))
 
 
 class TestDeterminism:

@@ -35,6 +35,15 @@ class TestQuadratureConfig:
         with pytest.raises(es.InvariantError):
             es.QuadratureConfig(points=points)
 
+    @pytest.mark.parametrize(
+        "points",
+        [10001.0, 3.0, True, "101", None, np.int64(101)],
+        ids=["whole-float", "small-float", "bool", "str", "none", "numpy-int"],
+    )
+    def test_points_must_be_an_int(self, points):
+        with pytest.raises(es.InvariantError, match="quadrature points must be an integer"):
+            es.QuadratureConfig(points=points)
+
 
 class TestContinuousEntropy:
     def test_identity_cdf_anchor(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import scoring
-from helpers import random_dataset, simple_schema
+from helpers import random_dataset, record_pool_starts, simple_schema
 
 
 class TestCompositeScores:
@@ -187,6 +187,15 @@ class TestEvaluationOptions:
         with pytest.raises(es.InvariantError):
             es.EvaluationOptions(**kwargs)
 
+    @pytest.mark.parametrize(
+        "threads",
+        [2.5, 2.0, True, "2", None, np.int64(2)],
+        ids=["float", "whole-float", "bool", "str", "none", "numpy-int"],
+    )
+    def test_threads_must_be_an_int(self, threads):
+        with pytest.raises(es.InvariantError, match="threads must be an integer"):
+            es.EvaluationOptions(threads=threads)
+
 
 class TestEvaluate:
     def test_two_rows_single_indicator(self):
@@ -303,14 +312,86 @@ class TestRunPipeline:
         assert run.cdfs is None
 
     def test_only_continuous_columns_use_the_thread_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
+        # The pool starts only where it beats one worker: discrete columns
+        # and short continuous ones on the default grid never start it;
+        # long columns, a fine grid and an exact-path bandwidth do.
+        started = record_pool_starts(monkeypatch)
+        rng = np.random.default_rng(37)
+        short = random_dataset(rng, 20, 3)
+        paper_shape = random_dataset(rng, 105, 17)
+        long = random_dataset(rng, 3000, 2)
+        fine = es.QuadratureConfig(points=100001)
+        for ds, options in [
+            (long, es.EvaluationOptions(method="discrete", threads=4)),
+            (short, es.EvaluationOptions(threads=4)),
+            (paper_shape, es.EvaluationOptions(threads=4)),
+        ]:
+            es.run_pipeline(ds, options)
+            assert started == []
+        for ds, options in [
+            (long, es.EvaluationOptions(threads=4)),
+            (short, es.EvaluationOptions(threads=4, quadrature=fine)),
+            (short, es.EvaluationOptions(threads=4, bandwidth=1e-5)),
+        ]:
+            es.run_pipeline(ds, options)
+            assert started == [4]
+            started.clear()
+        es.run_pipeline(long, es.EvaluationOptions(threads=1))
+        assert started == []
 
-        monkeypatch.setattr(scoring, "ThreadPoolExecutor", no_pool)
-        ds = random_dataset(np.random.default_rng(37), 20, 3)
-        es.run_pipeline(ds, es.EvaluationOptions(method="discrete", threads=4))
-        with pytest.raises(AssertionError, match="thread pool started"):
-            es.run_pipeline(ds, es.EvaluationOptions(method="continuous", threads=4))
+    def test_an_exact_path_bandwidth_starts_the_pool(self, monkeypatch):
+        # Silverman's rule gives the first column a bandwidth below three
+        # grid steps, so grid_values sums it exactly, without the lock.
+        started = record_pool_starts(monkeypatch)
+        rng = np.random.default_rng(39)
+        values = rng.uniform(0.0, 10.0, size=(40, 3))
+        values[:, 0] = np.where(np.arange(40) < 35, 5.0 + rng.uniform(0, 1e-4, 40), values[:, 0])
+        ds = es.RawDataset(tuple(f"e{i}" for i in range(40)), values, simple_schema(3))
+        run = es.run_pipeline(ds, es.EvaluationOptions(threads=2))
+        assert run.bandwidths[0] * 10000 < 3.0 < run.bandwidths[1] * 10000
+        assert started == [2]
+
+    @pytest.mark.parametrize(
+        "shape,options",
+        [
+            ((3000, 3), {}),
+            ((30, 4), {"quadrature": es.QuadratureConfig(points=100001)}),
+            ((30, 4), {"bandwidth": 1e-5}),
+        ],
+        ids=["long-columns", "fine-grid", "exact-path"],
+    )
+    def test_thread_count_never_changes_results_on_the_pool(self, monkeypatch, shape, options):
+        started = record_pool_starts(monkeypatch)
+        ds = random_dataset(np.random.default_rng(40), *shape)
+        base = es.run_pipeline(ds, es.EvaluationOptions(threads=1, **options))
+        for threads in (2, 8):
+            again = es.run_pipeline(ds, es.EvaluationOptions(threads=threads, **options))
+            assert again.report.scores.tobytes() == base.report.scores.tobytes()
+            assert again.report.entropies.entropies.tobytes() == base.report.entropies.entropies.tobytes()
+            assert again.report.weights.weights.tobytes() == base.report.weights.weights.tobytes()
+            assert again.bandwidths == base.bandwidths
+        assert started == [2, 8]
+
+    def test_bandwidth_fault_is_named_before_any_column_runs(self, monkeypatch):
+        # Every bandwidth is picked before any column's CDF, so a fault in
+        # the third column's bandwidth stops the run before a pool starts,
+        # under that indicator's name.
+        started = record_pool_starts(monkeypatch)
+        picked, built = [], []
+
+        def select_bandwidth(column):
+            picked.append(column)
+            if len(picked) == 3:
+                raise es.DegenerateColumnError("no bandwidth exists")
+            return es.select_bandwidth(column)
+
+        monkeypatch.setattr(scoring, "select_bandwidth", select_bandwidth)
+        monkeypatch.setattr(scoring, "estimate_cdf", lambda *args: built.append(args))
+        ds = random_dataset(np.random.default_rng(41), 3000, 4)
+        with pytest.raises(es.DegenerateColumnError) as info:
+            es.run_pipeline(ds, es.EvaluationOptions(threads=2))
+        assert str(info.value) == "indicator 'ind_02': no bandwidth exists"
+        assert len(picked) == 3 and built == [] and started == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_continuous_columns_make_no_blas_call(self, monkeypatch, threads):
