@@ -24,6 +24,7 @@ from .errors import (
     HeaderMismatchError,
     InvalidBandwidthError,
     InvariantError,
+    MalformedCsvError,
     NonFiniteInputError,
     QuadratureOutOfRangeError,
     TooFewRowsError,
@@ -102,6 +103,7 @@ __all__ = [
     "EntroscoreError",
     "InvariantError",
     "HeaderMismatchError",
+    "MalformedCsvError",
     "EmptyInputError",
     "TooFewRowsError",
     "DuplicateEntityIdError",

@@ -11,6 +11,7 @@ __all__ = [
     "EntroscoreError",
     "InvariantError",
     "HeaderMismatchError",
+    "MalformedCsvError",
     "EmptyInputError",
     "TooFewRowsError",
     "DuplicateEntityIdError",
@@ -33,6 +34,10 @@ class InvariantError(EntroscoreError, ValueError):
 
 class HeaderMismatchError(EntroscoreError):
     """CSV header does not line up with the indicator schema."""
+
+
+class MalformedCsvError(EntroscoreError):
+    """A CSV line cannot be read, such as one whose field exceeds the csv field size limit."""
 
 
 class EmptyInputError(EntroscoreError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -21,6 +22,7 @@ from .errors import (
     EntroscoreError,
     HeaderMismatchError,
     InvariantError,
+    MalformedCsvError,
     TooFewRowsError,
 )
 from .model import RawDataset, Schema
@@ -93,30 +95,33 @@ def _parse_cell(cell: str) -> float | None:
     return value
 
 
-def _parse_row(cells: tuple[str, ...]) -> list[float] | None:
-    """Parse a row's indicator cells; None drops the row.
+def _parse_row(cells: tuple[str, ...], out: array) -> bool:
+    """Append a row's indicator values to out; False drops the row.
 
     float() on the raw cell agrees with _parse_cell whenever the row's
     text is ASCII without '_', 'n' or 'N': float() then strips the same
     whitespace str.strip() does (or raises, on '\\x1c'-'\\x1f'), and every
     NaN or inf spelling holds an 'n'.  Any other row takes _parse_cell,
-    which stays the definition of a cell.
+    which stays the definition of a cell.  Whatever a row appended before
+    it failed is cut off again, so a dropped row leaves out as it was.
     """
+    mark = len(out)
     try:
-        values = list(map(float, cells))
+        out.extend(map(float, cells))
     except ValueError:
         pass
     else:
         text = "".join(cells)
         if text.isascii() and "_" not in text and "n" not in text and "N" not in text:
-            return values
-    values = []
+            return True
+    del out[mark:]
     for cell in cells:
         value = _parse_cell(cell)
         if value is None:
-            return None
-        values.append(value)
-    return values
+            del out[mark:]
+            return False
+        out.append(value)
+    return True
 
 
 def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, IngestReport]:
@@ -128,14 +133,19 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
     fewer or more cells than the header is dropped like a row with a
     missing cell.  A caller's binary handle is left open.
 
-    Raises HeaderMismatchError, EmptyInputError, TooFewRowsError, or
-    DuplicateEntityIdError (also for a blank entity id).
+    Raises HeaderMismatchError, EmptyInputError, TooFewRowsError,
+    DuplicateEntityIdError (also for a blank entity id), or
+    MalformedCsvError where the csv module cannot read a line, as when a
+    field is longer than its field_size_limit.
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    reader = csv.reader(text)
     try:
-        return _parse_records(csv.reader(text), schema)
+        return _parse_records(reader, schema)
+    except csv.Error as exc:
+        raise MalformedCsvError(f"line {reader.line_num}: {exc}") from None
     finally:
         # Unhook the wrapper so collecting it neither closes the caller's
         # handle nor warns about it.
@@ -174,7 +184,8 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
     pick = operator.itemgetter(0, *(indicator_headers.index(name) + 1 for name in schema.names))
 
     entity_ids: list[str] = []
-    rows: list[list[float]] = []
+    # Kept rows' values, packed row after row as C doubles.
+    values = array("d")
     dropped: list[str] = []
     rows_read = 0
     for record in reader:
@@ -184,18 +195,16 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
         entity_id = record[0].strip()
         if not entity_id:
             raise DuplicateEntityIdError(f"line {reader.line_num}: blank entity id")
-        values = _parse_row(pick(record)[1:]) if len(record) == width else None
-        if values is None:
-            dropped.append(entity_id)
-        else:
+        if len(record) == width and _parse_row(pick(record)[1:], values):
             entity_ids.append(entity_id)
-            rows.append(values)
+        else:
+            dropped.append(entity_id)
 
     if rows_read == 0:
         raise EmptyInputError("input has a header but no data rows")
-    if len(rows) < 2:
+    if len(entity_ids) < 2:
         raise TooFewRowsError(
-            f"only {len(rows)} usable row(s) remain after dropping "
+            f"only {len(entity_ids)} usable row(s) remain after dropping "
             f"{len(dropped)} incomplete row(s); need at least 2"
         )
     counts: dict[str, int] = {}
@@ -205,7 +214,8 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
     if dupes:
         raise DuplicateEntityIdError(f"duplicate entity ids: {', '.join(dupes)}")
 
-    dataset = RawDataset(tuple(entity_ids), np.array(rows, dtype=np.float64), schema)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(entity_ids), len(schema))
+    dataset = RawDataset(tuple(entity_ids), matrix, schema)
     report = IngestReport(rows_read, len(dropped), tuple(dropped))
     return dataset, report
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -61,6 +62,12 @@ def _check_count(value, name: str) -> None:
     """Raise InvariantError unless value is an int; a bool, float or string is not."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvariantError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(value, name: str) -> None:
+    """Raise InvariantError unless value is a real number; a bool or string is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvariantError(f"{name} must be a real number, got {value!r}")
 
 
 def _sample_array(samples, user: str) -> np.ndarray:

@@ -54,8 +54,16 @@ def _fixed(value: float, places: int) -> str:
     return f"{value:.{places}f}"
 
 
-def _aligned(headers: Sequence[str], rows: list[Sequence[str]], numeric: Sequence[bool]) -> str:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+def _aligned_columns(headers: Sequence[str], columns: Sequence[Sequence], numeric: Sequence[bool]) -> str:
+    """Header, dashes, and one line per row of the equal-length columns.
+
+    A cell prints as str() does, padded to its column's width: right
+    aligned where numeric, else left; each line loses its trailing blanks.
+    """
+    widths = [
+        max(len(header), max(map(len, map(str, column)), default=0))
+        for header, column in zip(headers, columns)
+    ]
     row_format = "  ".join(
         f"{{:{'>' if right else '<'}{width}}}" for width, right in zip(widths, numeric)
     )
@@ -63,8 +71,14 @@ def _aligned(headers: Sequence[str], rows: list[Sequence[str]], numeric: Sequenc
         "  ".join(h.ljust(width) for h, width in zip(headers, widths)).rstrip(),
         "  ".join("-" * width for width in widths),
     ]
-    lines.extend(row_format.format(*row).rstrip() for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.extend(map(str.rstrip, map(row_format.format, *columns)))
+    lines.append("")  # the closing newline, with no copy of the joined text
+    return "\n".join(lines)
+
+
+def _aligned(headers: Sequence[str], rows: list[Sequence[str]], numeric: Sequence[bool]) -> str:
+    columns = [column[1:] for column in zip(headers, *rows)]
+    return _aligned_columns(headers, columns, numeric)
 
 
 def weights_table(schema: Schema, entropies: EntropyVector, weights: WeightVector) -> str:
@@ -87,13 +101,15 @@ def weights_table(schema: Schema, entropies: EntropyVector, weights: WeightVecto
 
 def ranking_table(entity_ids: Sequence[str], scores: np.ndarray, ranking: np.ndarray) -> str:
     """Aligned ranking / entity / score table, best entity first."""
-    rows = [
-        (str(position), entity_ids[idx], _fixed(score, 2))
-        for position, (idx, score) in enumerate(
-            zip(ranking.tolist(), scores[ranking].tolist()), start=1
-        )
-    ]
-    return _aligned(("Ranking", "Entity", "Score"), rows, (True, False, True))
+    return _aligned_columns(
+        ("Ranking", "Entity", "Score"),
+        (
+            range(1, len(ranking) + 1),
+            [entity_ids[idx] for idx in ranking.tolist()],
+            [_fixed(score, 2) for score in scores[ranking].tolist()],
+        ),
+        (True, False, True),
+    )
 
 
 def stats_block(stats: DescriptiveStats) -> str:

@@ -35,6 +35,7 @@ from .model import (
     RawDataset,
     WeightVector,
     _check_count,
+    _check_real,
 )
 from .normalize import normalize_matrix
 
@@ -90,10 +91,11 @@ class EvaluationOptions:
             raise InvariantError(
                 f"unknown weight rule {self.weight_rule!r}; expected one of {WEIGHT_RULES}"
             )
-        if self.bandwidth is not None and not (
-            math.isfinite(self.bandwidth) and self.bandwidth > 0
-        ):
-            raise InvariantError("bandwidth must be a positive finite real or None")
+        if self.bandwidth is not None:
+            _check_real(self.bandwidth, "bandwidth")
+            if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+                raise InvariantError("bandwidth must be a positive finite real or None")
+        _check_real(self.scale, "scale")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise InvariantError("scale must be a positive finite real")
         _check_count(self.threads, "threads")

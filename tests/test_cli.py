@@ -80,6 +80,56 @@ class TestExitCodes:
         assert run(["evaluate", "--input", str(tmp_path / "nope.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("method", ["discrete", "continuous"])
+    def test_overlong_field_is_a_data_error(self, small_csv, method, capsys):
+        csv_path, _ = small_csv
+        limit = csv.field_size_limit()
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        lines[3] = b"e02," + b"9" * (limit + 69_000) + b",1\n"
+        csv_path.write_bytes(b"".join(lines))
+        assert run(["evaluate", *base_args(small_csv), "--method", method]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 4: field larger than field limit ({limit})\n"
+        )
+        assert csv.field_size_limit() == limit
+
+
+class TestParserReuse:
+    """run() keeps one parser across calls; build_parser() stays fresh."""
+
+    ARGVS = [
+        ["--help"],
+        ["evaluate", "--help"],
+        ["--version"],
+        [],
+        ["evaluate"],
+        ["evaluate", "--threads", "two"],
+        ["frobnicate"],
+    ]
+
+    def outputs(self, capsys):
+        result = []
+        for argv in self.ARGVS:
+            code = run(list(argv))
+            captured = capsys.readouterr()
+            result.append((code, captured.out, captured.err))
+        return result
+
+    def test_repeated_runs_match_a_fresh_parser(self, small_csv, monkeypatch, capsys):
+        cached = self.outputs(capsys)
+        assert self.outputs(capsys) == cached
+        assert [code for code, _, _ in cached] == [0, 0, 0, 2, 2, 2, 2]
+        # A good run between them leaves the cached parser as it was.
+        assert run(["evaluate", *base_args(small_csv)]) == 0
+        capsys.readouterr()
+        assert self.outputs(capsys) == cached
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert self.outputs(capsys) == cached
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
     @pytest.mark.parametrize(
         "flag,value",
         [

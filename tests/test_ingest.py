@@ -10,6 +10,7 @@ import csv
 import gc
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,6 +252,87 @@ class TestRowFastPath:
         ds, report = parse(data)
         assert report.rows_dropped == 0
         np.testing.assert_array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 5), st.data())
+    def test_a_failing_cell_anywhere_leaves_the_other_rows_intact(self, m, data):
+        # Rows of plain numbers, some with one adversarial cell at a drawn
+        # position, so a row can fail after its leading cells parsed.
+        schema = simple_schema(m)
+        plain = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        rows = [["g0", *["1"] * m], ["g1", *["2"] * m]]
+        for i in range(data.draw(st.integers(1, 10))):
+            cells = data.draw(st.lists(plain, min_size=m, max_size=m))
+            if data.draw(st.booleans()):
+                cells[data.draw(st.integers(0, m - 1))] = data.draw(ADVERSARIAL)
+            rows.insert(data.draw(st.integers(0, len(rows))), [f"r{i}", *cells])
+        kept, dropped = reference_parse(rows, m + 1)
+        ds, report = es.parse_csv(rows_csv([r[0] for r in rows], [r[1:] for r in rows], schema), schema)
+        assert ds.entity_ids == tuple(eid for eid, _ in kept)
+        assert report.dropped_ids == tuple(dropped)
+        expected = np.array([values for _, values in kept], dtype=np.float64)
+        assert ds.values.tobytes() == expected.tobytes()
+
+
+class TestPackedBuffer:
+    """A row that fails after its leading cells parsed leaves no values behind."""
+
+    @pytest.mark.parametrize("late", ["abc", "1_0", "nan", None], ids=["word", "underscore", "nan", "short"])
+    def test_later_rows_keep_their_values(self, late):
+        schema = simple_schema(4)
+        bad = ["bad", "1.5", "2.5", "3.5"] + ([late] if late is not None else [])
+        rows = [
+            ["a", "0.25", "1e3", "-7", "8"],
+            bad,
+            # Parsed whole by float(), then again cell by cell for its 'n'.
+            ["b", "1", "2", "3", "Infinity"],
+            ["c", "9", "8", "7", "6.5"],
+            bad,
+            ["d", "-0", "0.1", "2E-3", "+4"],
+        ]
+        kept, dropped = reference_parse(rows, 5)
+        ds, report = es.parse_csv(rows_csv([r[0] for r in rows], [r[1:] for r in rows], schema), schema)
+        assert report.dropped_ids == ("bad", "bad") == tuple(dropped)
+        assert ds.entity_ids == ("a", "b", "c", "d")
+        expected = np.array([values for _, values in kept], dtype=np.float64)
+        assert ds.values.tobytes() == expected.tobytes()
+
+    def test_parse_peak_tracks_the_matrix_size(self):
+        # The parse holds the values once as packed doubles and once in
+        # the dataset's copy, plus the ids: about 2.9 n*m*8 bytes here.
+        # One Python float per value, as a list of rows, would be over 7.
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing; its peak is not this test's")
+        n, m = 4000, 17
+        schema = simple_schema(m)
+        rng = np.random.default_rng(7)
+        payload = rows_csv(
+            [f"E{i:06d}" for i in range(n)],
+            [[repr(v) for v in row] for row in rng.uniform(0.0, 1e3, (n, m)).tolist()],
+            schema,
+        )
+        tracemalloc.start()
+        try:
+            ds, _ = es.parse_csv(payload, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.values.shape == (n, m)
+        assert peak < 3.5 * n * m * 8
+
+
+class TestUnreadableCsv:
+    def test_overlong_field_names_its_line(self):
+        limit = csv.field_size_limit()
+        data = csv_bytes(HEADER2, [["a", "1", "2"], ["b", "7" * (limit + 1), "3"], ["c", "4", "5"]])
+        with pytest.raises(es.MalformedCsvError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
+            parse(data)
+        assert csv.field_size_limit() == limit
+
+    def test_overlong_header_field_names_line_one(self):
+        data = b"entity_id," + b"x" * (csv.field_size_limit() + 1) + b"\na,1\n"
+        with pytest.raises(es.MalformedCsvError, match="^line 1: "):
+            parse(data)
 
 
 class TestHeaderErrors:

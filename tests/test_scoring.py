@@ -196,6 +196,21 @@ class TestEvaluationOptions:
         with pytest.raises(es.InvariantError, match="threads must be an integer"):
             es.EvaluationOptions(threads=threads)
 
+    @pytest.mark.parametrize("name", ["bandwidth", "scale"])
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.bool_(True), "0.5", b"1", [0.5], 1j],
+        ids=["true", "false", "numpy-bool", "str", "bytes", "list", "complex"],
+    )
+    def test_bandwidth_and_scale_must_be_real_numbers(self, name, value):
+        with pytest.raises(es.InvariantError, match=f"{name} must be a real number"):
+            es.EvaluationOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", [2, 0.5, np.float32(0.25), np.float64(3.0), np.int64(4)])
+    def test_bandwidth_and_scale_take_any_positive_real(self, value):
+        opts = es.EvaluationOptions(bandwidth=value, scale=value)
+        assert opts.bandwidth == opts.scale == value
+
 
 class TestEvaluate:
     def test_two_rows_single_indicator(self):
