@@ -93,6 +93,23 @@ class TestExitCodes:
         )
         assert csv.field_size_limit() == limit
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--quadrature-points", "10"),
+            ("--quadrature-points", "-5"),
+            ("--threads", "0"),
+            ("--bandwidth", "junk"),
+            ("--method", "magic"),
+            ("--weight-rule", "softmax"),
+            ("--scale", "0"),
+            ("--bandwidth", "-1"),
+            ("--bandwidth", "inf"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, small_csv, flag, value, capsys):
+        assert run(["evaluate", *base_args(small_csv), flag, value]) == 2
+
 
 class TestParserReuse:
     """run() keeps one parser across calls; build_parser() stays fresh."""
@@ -129,23 +146,6 @@ class TestParserReuse:
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
         assert cli._parser() is cli._parser()
-
-    @pytest.mark.parametrize(
-        "flag,value",
-        [
-            ("--quadrature-points", "10"),
-            ("--quadrature-points", "-5"),
-            ("--threads", "0"),
-            ("--bandwidth", "junk"),
-            ("--method", "magic"),
-            ("--weight-rule", "softmax"),
-            ("--scale", "0"),
-            ("--bandwidth", "-1"),
-            ("--bandwidth", "inf"),
-        ],
-    )
-    def test_bad_flag_values_are_usage_errors(self, small_csv, flag, value, capsys):
-        assert run(["evaluate", *base_args(small_csv), flag, value]) == 2
 
 
 class TestValidate:
