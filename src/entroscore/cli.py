@@ -11,7 +11,6 @@ Configuration precedence: command-line flags override values from a
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -161,15 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the input for degenerate or non-finite indicator columns",
     )
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser run() uses, built on the first call.
-
-    parse_args leaves a parser as it found it, so one serves every call.
-    """
-    return build_parser()
 
 
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -352,7 +342,7 @@ _COMMANDS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute the requested subcommand, return the exit code."""
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         paths, options = resolve_config(args, parser)

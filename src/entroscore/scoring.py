@@ -63,6 +63,18 @@ _POOL_ROWS = 750
 _HUGE_SCORE = 1e150
 
 
+def _positive_finite(value) -> bool:
+    """Whether a real number is above zero and finite as a double.
+
+    An int too large for a double is not: math.isfinite raises
+    OverflowError on it.
+    """
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class EvaluationOptions:
     """Knobs for one evaluation run.
@@ -93,10 +105,10 @@ class EvaluationOptions:
             )
         if self.bandwidth is not None:
             _check_real(self.bandwidth, "bandwidth")
-            if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            if not _positive_finite(self.bandwidth):
                 raise InvariantError("bandwidth must be a positive finite real or None")
         _check_real(self.scale, "scale")
-        if not (math.isfinite(self.scale) and self.scale > 0):
+        if not _positive_finite(self.scale):
             raise InvariantError("scale must be a positive finite real")
         _check_count(self.threads, "threads")
         if self.threads < 1:

@@ -111,43 +111,6 @@ class TestExitCodes:
         assert run(["evaluate", *base_args(small_csv), flag, value]) == 2
 
 
-class TestParserReuse:
-    """run() keeps one parser across calls; build_parser() stays fresh."""
-
-    ARGVS = [
-        ["--help"],
-        ["evaluate", "--help"],
-        ["--version"],
-        [],
-        ["evaluate"],
-        ["evaluate", "--threads", "two"],
-        ["frobnicate"],
-    ]
-
-    def outputs(self, capsys):
-        result = []
-        for argv in self.ARGVS:
-            code = run(list(argv))
-            captured = capsys.readouterr()
-            result.append((code, captured.out, captured.err))
-        return result
-
-    def test_repeated_runs_match_a_fresh_parser(self, small_csv, monkeypatch, capsys):
-        cached = self.outputs(capsys)
-        assert self.outputs(capsys) == cached
-        assert [code for code, _, _ in cached] == [0, 0, 0, 2, 2, 2, 2]
-        # A good run between them leaves the cached parser as it was.
-        assert run(["evaluate", *base_args(small_csv)]) == 0
-        capsys.readouterr()
-        assert self.outputs(capsys) == cached
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        assert self.outputs(capsys) == cached
-
-    def test_build_parser_returns_a_new_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
-        assert cli._parser() is cli._parser()
-
-
 class TestValidate:
     def test_clean_file(self, small_csv, capsys):
         assert run(["validate", *base_args(small_csv)]) == 0

@@ -275,26 +275,34 @@ class TestRowFastPath:
 
 
 class TestPackedBuffer:
-    """A row that fails after its leading cells parsed leaves no values behind."""
+    """A row that fails float() after its leading cells parsed leaves no
+    values behind, whether it is then dropped or kept cell by cell."""
 
-    @pytest.mark.parametrize("late", ["abc", "1_0", "nan", None], ids=["word", "underscore", "nan", "short"])
-    def test_later_rows_keep_their_values(self, late):
+    @pytest.mark.parametrize(
+        "late,kept",
+        [("abc", False), ("1_0", False), ("nan", False), ("2\x1c", True)],
+        ids=["word", "underscore", "nan", "separator-kept"],
+    )
+    def test_later_rows_keep_their_values(self, late, kept):
+        # float() refuses '2\x1c', but str.strip() removes the '\x1c', so
+        # _parse_cell keeps that row after its first three cells went in.
         schema = simple_schema(4)
-        bad = ["bad", "1.5", "2.5", "3.5"] + ([late] if late is not None else [])
         rows = [
             ["a", "0.25", "1e3", "-7", "8"],
-            bad,
+            ["late1", "1.5", "2.5", "3.5", late],
             # Parsed whole by float(), then again cell by cell for its 'n'.
             ["b", "1", "2", "3", "Infinity"],
             ["c", "9", "8", "7", "6.5"],
-            bad,
+            ["late2", "1.5", "2.5", "3.5", late],
             ["d", "-0", "0.1", "2E-3", "+4"],
         ]
-        kept, dropped = reference_parse(rows, 5)
+        reference, dropped = reference_parse(rows, 5)
         ds, report = es.parse_csv(rows_csv([r[0] for r in rows], [r[1:] for r in rows], schema), schema)
-        assert report.dropped_ids == ("bad", "bad") == tuple(dropped)
-        assert ds.entity_ids == ("a", "b", "c", "d")
-        expected = np.array([values for _, values in kept], dtype=np.float64)
+        late_ids = ("late1", "late2")
+        assert report.dropped_ids == tuple(dropped) == (() if kept else late_ids)
+        assert ds.entity_ids == tuple(eid for eid, _ in reference)
+        assert set(late_ids) <= set(ds.entity_ids) if kept else len(ds.entity_ids) == 4
+        expected = np.array([values for _, values in reference], dtype=np.float64)
         assert ds.values.tobytes() == expected.tobytes()
 
     def test_parse_peak_tracks_the_matrix_size(self):

@@ -181,6 +181,10 @@ class TestEvaluationOptions:
             {"bandwidth": -0.1},
             {"scale": 0.0},
             {"threads": 0},
+            # Ints too large for a double: math.isfinite raises OverflowError.
+            {"bandwidth": 10**400},
+            {"scale": 10**400},
+            {"scale": -(10**400)},
         ],
     )
     def test_rejects_bad_options(self, kwargs):
