@@ -11,7 +11,6 @@ Configuration precedence: command-line flags override values from a
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import __version__
 from .entropy import WEIGHT_RULES, QuadratureConfig
 from .errors import EntroscoreError, InvariantError
 from .ingest import parse_csv, validate
-from .model import SCHEMA_FORMAT_VERSION, Schema, default_schema, load_schema
+from .model import SCHEMA_FORMAT_VERSION, Schema, _read_json, default_schema, load_schema
 from .report import (
     ranking_table,
     stats_block,
@@ -164,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = _read_json(path, "config")
     except OSError as exc:
         parser.error(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"config {path} is not valid JSON: {exc}")
+    except InvariantError as exc:
+        parser.error(str(exc))
     if not isinstance(payload, dict):
         parser.error(f"config {path} must hold a JSON object")
     unknown = sorted(set(payload) - set(_CONFIG_TYPES))
@@ -213,22 +212,23 @@ def resolve_config(
     if input_path is None:
         parser.error("--input is required")
 
-    bandwidth = pick("bandwidth", "silverman")
+    defaults = EvaluationOptions()
+    bandwidth = pick("bandwidth", defaults.bandwidth)
     if getattr(args, "no_boundary_correction", None):
         boundary_correction = False
     else:
-        boundary_correction = pick("boundary_correction", True)
+        boundary_correction = pick("boundary_correction", defaults.boundary_correction)
     try:
         options = EvaluationOptions(
-            method=pick("method", "continuous"),
-            weight_rule=pick("weight_rule", "paper"),
-            bandwidth=None if bandwidth == "silverman" else float(bandwidth),
+            method=pick("method", defaults.method),
+            weight_rule=pick("weight_rule", defaults.weight_rule),
+            bandwidth=None if bandwidth == "silverman" else bandwidth,
             boundary_correction=boundary_correction,
-            quadrature=QuadratureConfig(points=pick("quadrature_points", 10001)),
-            scale=float(pick("scale", 100.0)),
+            quadrature=QuadratureConfig(points=pick("quadrature_points", defaults.quadrature.points)),
+            scale=pick("scale", defaults.scale),
             threads=pick("threads", _usable_cpus()),
         )
-    except (InvariantError, OverflowError) as exc:
+    except InvariantError as exc:
         parser.error(str(exc))
 
     out_dir = pick("out_dir", None)
@@ -353,7 +353,7 @@ def run(argv: list[str] | None = None) -> int:
     except EntroscoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # never leak a stack trace to the terminal

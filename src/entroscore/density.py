@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError
-from .model import _sample_array
+from .model import _check_flag, _check_positive_real, _sample_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
@@ -100,19 +100,21 @@ class CdfEstimate:
     evaluate from multiple threads.  Samples are stored sorted so the
     kernel summation order, and therefore the value, never depends on the
     order the samples arrived in.
+
+    bandwidth must be a real number, not a bool, above 0 and finite as a
+    double, else InvalidBandwidthError, and is kept as that double;
+    boundary_correction a bool or numpy bool, else InvariantError.  These
+    are model's checks, which EvaluationOptions shares.
     """
 
     def __init__(self, samples, bandwidth: float, boundary_correction: bool = True):
         x = np.sort(_sample_array(samples, "a CDF estimate"))
         if x[0] < 0.0 or x[-1] > 1.0:
             raise InvariantError("samples must lie in [0, 1]")
-        bandwidth = float(bandwidth)
-        if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-            raise InvalidBandwidthError(f"bandwidth must be positive and finite, got {bandwidth!r}")
         x.flags.writeable = False
         self._samples = x
-        self._bandwidth = bandwidth
-        self._correct = bool(boundary_correction)
+        self._bandwidth = _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError)
+        self._correct = _check_flag(boundary_correction, "boundary_correction")
         if self._correct:
             lo, hi = self._raw(np.array([0.0, 1.0]))
             span = hi - lo

@@ -60,6 +60,12 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+def _check_quadrature(config) -> None:
+    """Raise InvariantError unless config is a QuadratureConfig."""
+    if not isinstance(config, QuadratureConfig):
+        raise InvariantError(f"quadrature must be a QuadratureConfig, got {config!r}")
+
+
 def continuous_entropy(
     cdf: Callable[[np.ndarray], np.ndarray],
     config: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -85,7 +91,10 @@ def continuous_entropy(
     by at most the per-value bound, and the final clamp cannot add to
     it.  The rounding of the two quadrature sums, below 1e-15, fits in
     the slack that rounding -ln F - 1 and -F ln F up leaves.
+
+    config must be a QuadratureConfig, else InvariantError.
     """
+    _check_quadrature(config)
     if isinstance(cdf, CdfEstimate):
         phi = cdf.grid_values(config.points)
     else:

@@ -124,6 +124,45 @@ def _parse_row(cells: tuple[str, ...], out: array) -> bool:
     return True
 
 
+class _ChunkReader(io.BufferedIOBase):
+    """The caller's bytes as parse_csv's text layer reads them, chunk by chunk.
+
+    cr_pending says whether the chunk before the latest one ended in CR.
+    The text layer holds such a CR back until it sees whether an LF
+    follows, so if the next chunk fails to decode, the CR's line has not
+    reached the csv reader.  Closing this reader leaves the caller's open.
+    """
+
+    def __init__(self, source: BinaryIO):
+        super().__init__()
+        self._read = getattr(source, "read1", source.read)
+        self._last = b""
+        self.cr_pending = False
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int = -1) -> bytes:
+        chunk = self._read(size)
+        self.cr_pending = self._last == b"\r"
+        self._last = chunk[-1:]
+        return chunk
+
+
+def _undecodable_line(lines_read: int, exc: UnicodeDecodeError, cr_pending: bool) -> int:
+    """The line of the bad byte exc names, once the csv reader has read lines_read.
+
+    exc.object holds the bytes from the end of the last decoded chunk on.
+    Every line that ended before them has reached the csv reader, but for
+    one ended by a held-back CR.  A line ends at CRLF, LF or CR.
+    """
+    before = exc.object[: exc.start]
+    breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+    if cr_pending and not before.startswith(b"\n"):
+        breaks += 1
+    return lines_read + 1 + breaks
+
+
 def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, IngestReport]:
     """Parse UTF-8 CSV bytes into a dataset, dropping incomplete rows.
 
@@ -136,20 +175,22 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
     Raises HeaderMismatchError, EmptyInputError, TooFewRowsError,
     DuplicateEntityIdError (also for a blank entity id), or
     MalformedCsvError where the csv module cannot read a line, as when a
-    field is longer than its field_size_limit.
+    field is longer than its field_size_limit, or where a byte is not
+    UTF-8, naming the line that holds the first such byte.
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    chunks = _ChunkReader(source)
+    text = io.TextIOWrapper(chunks, encoding="utf-8-sig", newline="")
     reader = csv.reader(text)
     try:
         return _parse_records(reader, schema)
     except csv.Error as exc:
         raise MalformedCsvError(f"line {reader.line_num}: {exc}") from None
-    finally:
-        # Unhook the wrapper so collecting it neither closes the caller's
-        # handle nor warns about it.
-        text.detach()
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(reader.line_num, exc, chunks.cr_pending)
+        byte = exc.object[exc.start]
+        raise MalformedCsvError(f"line {line}: not UTF-8: byte 0x{byte:02x}: {exc.reason}") from None
 
 
 def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import EntroscoreError, InvariantError
 
 __all__ = [
     "Direction",
@@ -64,10 +64,29 @@ def _check_count(value, name: str) -> None:
         raise InvariantError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_real(value, name: str) -> None:
-    """Raise InvariantError unless value is a real number; a bool or string is not."""
+def _check_positive_real(value, name: str, error: type[EntroscoreError] = InvariantError) -> float:
+    """value as a double, checked to be a real number above 0 and finite as a double.
+
+    The one check of every bandwidth and scale; error is the caller's.  A
+    bool, numpy bool or string is not a real number, and an int too large
+    for a double is not finite as one: float() raises OverflowError on it.
+    """
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise InvariantError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        double = float(value)
+    except OverflowError:
+        double = math.inf if value > 0 else -math.inf
+    if not 0.0 < double < math.inf:
+        raise error(f"{name} must be positive and finite as a double, got {double!r}")
+    return double
+
+
+def _check_flag(value, name: str) -> bool:
+    """value as a bool, checked to be a bool or numpy bool; 0, "no" and None are not."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvariantError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
 
 
 def _sample_array(samples, user: str) -> np.ndarray:
@@ -168,12 +187,21 @@ def save_schema(schema: Schema, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _read_json(path: str | Path, what: str):
+    """The JSON value in the file at path, which must be UTF-8.
+
+    A file that is not UTF-8 JSON raises InvariantError naming what and
+    path; one that cannot be read raises its OSError.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvariantError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_schema(path: str | Path) -> Schema:
     """Read a schema from the JSON config format written by save_schema."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvariantError(f"schema file {path} is not valid JSON: {exc}") from exc
+    payload = _read_json(path, "schema file")
     if not isinstance(payload, dict) or "indicators" not in payload:
         raise InvariantError(f"schema file {path} lacks an 'indicators' list")
     version = payload.get("version")
@@ -368,11 +396,10 @@ class EvaluationReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scores", _frozen_array(self.scores))
         object.__setattr__(self, "ranking", _frozen_array(self.ranking, dtype=np.intp))
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise InvariantError("scale must be a positive finite real")
+        scale = _check_positive_real(self.scale, "scale")
         if self.scores.ndim != 1:
             raise InvariantError("scores must be 1-D")
-        if np.any(self.scores < 0.0) or np.any(self.scores > self.scale):
+        if np.any(self.scores < 0.0) or np.any(self.scores > scale):
             raise InvariantError(f"scores must lie in [0, {self.scale}]")
         n = self.scores.size
         if sorted(self.ranking.tolist()) != list(range(n)):

@@ -18,6 +18,7 @@ from .density import CdfEstimate, _below_fast_path, estimate_cdf, select_bandwid
 from .entropy import (
     WEIGHT_RULES,
     QuadratureConfig,
+    _check_quadrature,
     compute_weights,
     continuous_entropy,
     discrete_entropy,
@@ -35,7 +36,8 @@ from .model import (
     RawDataset,
     WeightVector,
     _check_count,
-    _check_real,
+    _check_flag,
+    _check_positive_real,
 )
 from .normalize import normalize_matrix
 
@@ -63,25 +65,17 @@ _POOL_ROWS = 750
 _HUGE_SCORE = 1e150
 
 
-def _positive_finite(value) -> bool:
-    """Whether a real number is above zero and finite as a double.
-
-    An int too large for a double is not: math.isfinite raises
-    OverflowError on it.
-    """
-    try:
-        return math.isfinite(value) and value > 0
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class EvaluationOptions:
     """Knobs for one evaluation run.
 
     bandwidth None selects Silverman's rule per indicator; a positive
-    real fixes one bandwidth for every indicator.  threads, an int, caps
-    the number of continuous indicator columns processed concurrently.
+    real fixes one bandwidth for every indicator.  bandwidth and scale
+    must be real numbers, not bools, above 0 and finite as a double, and
+    boundary_correction a bool or numpy bool: model's checks, which every
+    taker of these arguments shares, raise InvariantError otherwise, as
+    does a quadrature that is not a QuadratureConfig.  threads, an int,
+    caps the number of continuous indicator columns processed concurrently.
     run_pipeline starts a pool of that size only where it pays: for long
     columns, fine quadrature grids or bandwidths on the exact kernel-CDF
     path, and otherwise runs the columns one after another, as it always
@@ -104,12 +98,10 @@ class EvaluationOptions:
                 f"unknown weight rule {self.weight_rule!r}; expected one of {WEIGHT_RULES}"
             )
         if self.bandwidth is not None:
-            _check_real(self.bandwidth, "bandwidth")
-            if not _positive_finite(self.bandwidth):
-                raise InvariantError("bandwidth must be a positive finite real or None")
-        _check_real(self.scale, "scale")
-        if not _positive_finite(self.scale):
-            raise InvariantError("scale must be a positive finite real")
+            _check_positive_real(self.bandwidth, "bandwidth")
+        _check_flag(self.boundary_correction, "boundary_correction")
+        _check_quadrature(self.quadrature)
+        _check_positive_real(self.scale, "scale")
         _check_count(self.threads, "threads")
         if self.threads < 1:
             raise InvariantError("threads must be >= 1")
@@ -119,9 +111,11 @@ def composite_scores(matrix, weights, scale: float = 100.0) -> np.ndarray:
     """Integrated scores F_i = scale * sum_j w_j * s_ij.
 
     matrix may be a NormalizedMatrix or a bare 2-D array; weights a
-    WeightVector or a bare vector.  Scores are clipped into [0, scale]
-    to absorb last-ulp rounding of the weight sum.
+    WeightVector or a bare vector; scale a real number, not a bool, above
+    0 and finite as a double, else InvariantError.  Scores are clipped
+    into [0, scale] to absorb last-ulp rounding of the weight sum.
     """
+    scale = _check_positive_real(scale, "scale")
     values = matrix.values if isinstance(matrix, NormalizedMatrix) else np.asarray(matrix, dtype=np.float64)
     w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
     if values.ndim != 2 or w.ndim != 1 or values.shape[1] != w.size:

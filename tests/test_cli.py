@@ -110,6 +110,32 @@ class TestExitCodes:
     def test_bad_flag_values_are_usage_errors(self, small_csv, flag, value, capsys):
         assert run(["evaluate", *base_args(small_csv), flag, value]) == 2
 
+    @pytest.mark.parametrize("method", ["discrete", "continuous"])
+    def test_non_utf8_input_names_its_line(self, small_csv, method, capsys):
+        csv_path, _ = small_csv
+        rows = [[f"e{i:04d}", f"{1 + i % 7}.5", f"{1 + i % 5}.25"] for i in range(800)]
+        data = csv_bytes(["entity_id", "speed", "cost"], rows)
+        at = data.index(b"e0700,")  # on line 702
+        assert at > 8192
+        csv_path.write_bytes(data[:at] + b"\xe9" + data[at:])
+        assert run(["evaluate", *base_args(small_csv), "--method", method]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 702: not UTF-8: byte 0xe9: invalid continuation byte\n"
+        )
+
+    def test_non_utf8_schema_is_a_data_error(self, small_csv, capsys):
+        _, schema_path = small_csv
+        schema_path.write_bytes(schema_path.read_bytes().replace(b"speed", b"sp\xe9ed"))
+        assert run(["validate", *base_args(small_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: schema file {schema_path} is not valid JSON: ")
+
+    def test_non_utf8_config_is_a_usage_error(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"method": "discr\xe9te"}')
+        assert run(["validate", *base_args(small_csv), "--config", str(cfg)]) == 2
+        assert f"error: config {cfg} is not valid JSON: " in capsys.readouterr().err
+
 
 class TestValidate:
     def test_clean_file(self, small_csv, capsys):
@@ -419,6 +445,29 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         assert run(["validate", *base_args(small_csv), "--config", str(cfg)]) == 2
+
+    def test_config_scale_too_large_for_a_double(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"scale": 1' + "0" * 399 + "}")
+        assert run(["evaluate", *base_args(small_csv), "--config", str(cfg)]) == 2
+        assert "error: scale must be positive and finite as a double, got inf\n" in (
+            capsys.readouterr().err
+        )
+
+    def test_json_int_values_run_like_float_flags(self, small_csv, tmp_path, capsys):
+        # The config's ints reach EvaluationOptions as ints, unconverted.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scale": 100, "bandwidth": 1}))
+        outputs = []
+        for i, extra in enumerate((["--config", str(cfg)], ["--scale", "100.0", "--bandwidth", "1.0"])):
+            out_dir = tmp_path / f"out{i}"
+            argv = ["evaluate", *base_args(small_csv), *extra,
+                    "--out-dir", str(out_dir), "--dump-normalized", "--dump-cdf"]
+            assert run(argv) == 0
+            files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+            outputs.append((capsys.readouterr(), files))
+        assert len(outputs[0][1]) == 5
+        assert outputs[0] == outputs[1]
 
     def test_config_values_of_the_right_types_are_used(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -158,7 +158,11 @@ class TestCdfEstimate:
 
 
 class TestCdfErrors:
-    @pytest.mark.parametrize("h", [0.0, -0.5, np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "h",
+        [0.0, -0.5, np.inf, np.nan, pytest.param(True, id="bool"), pytest.param("0.1", id="str"),
+         pytest.param(10**400, id="huge-int")],
+    )
     def test_bad_bandwidth(self, h):
         with pytest.raises(es.InvalidBandwidthError):
             es.estimate_cdf([0.2, 0.8], h)

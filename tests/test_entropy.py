@@ -169,6 +169,11 @@ class TestContinuousEntropyErrors:
         with pytest.raises(es.InvariantError):
             es.continuous_entropy(lambda x: np.array([0.5]), es.QuadratureConfig())
 
+    def test_config_must_be_a_quadrature_config(self):
+        cdf = es.estimate_cdf([0.0, 0.5, 1.0], 0.2)
+        with pytest.raises(es.InvariantError, match="quadrature must be a QuadratureConfig"):
+            es.continuous_entropy(cdf, 5)
+
 
 class TestDiscreteEntropy:
     def test_uniform_column_is_exactly_one(self):

@@ -343,6 +343,94 @@ class TestUnreadableCsv:
             parse(data)
 
 
+def _line_breaks(data: bytes) -> int:
+    """Line ends in data: CRLF, LF or CR, CRLF counting once."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 names its line, wherever the text layer's 8 KiB chunks fall."""
+
+    ROWS = [[f"e{i:04d}", f"{i}.5", f"{2 * i}"] for i in range(1200)]  # about 19 KiB
+
+    def test_bad_byte_past_the_first_chunk_names_its_line(self):
+        data = csv_bytes(HEADER2, self.ROWS)
+        at = data.index(b"e1000,")  # on line 1002
+        assert at > 8192
+        data = data[:at] + b"e1000\xe9" + data[at + 5 :]
+        with pytest.raises(es.MalformedCsvError,
+                           match=r"^line 1002: not UTF-8: byte 0xe9: invalid continuation byte$"):
+            parse(data)
+
+    @pytest.mark.parametrize("where,line", [("header", 1), ("id", 700), ("cell", 900)])
+    def test_header_id_or_cell(self, where, line):
+        header = list(HEADER2)
+        rows = [list(row) for row in self.ROWS]
+        if where == "header":
+            header[2] = "BAD"
+        else:
+            rows[line - 2][0 if where == "id" else 2] = "BAD"
+        data = csv_bytes(header, rows).replace(b"BAD", b"x\xff")
+        with pytest.raises(es.MalformedCsvError,
+                           match=rf"^line {line}: not UTF-8: byte 0xff: invalid start byte$"):
+            parse(data)
+
+    def test_cr_ending_a_chunk_still_counts(self):
+        # The text layer holds the CR that ends its first 8192-byte chunk
+        # back, to see whether an LF follows, so the decode error in the
+        # next chunk comes before that CR's line is handed on.
+        body = b"entity_id,ind_00,ind_01\r"
+        while len(body) < 8150:
+            body += b"r%d,1,2\r" % len(body)
+        body += b"x" * (8192 - len(body) - 5) + b",1,2\r"
+        assert len(body) == 8192 and body.endswith(b"\r")
+        data = body + b"y\xff,1,2\r" + b"z,3,4\r"
+        with pytest.raises(es.MalformedCsvError, match=rf"^line {_line_breaks(body) + 1}: "):
+            parse(data)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1, max_size=3),
+        st.integers(1, 1500),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+        st.sampled_from([b"\xe9", b"\xff", b"\x80", b"\xc3", b"\xe9\x80", b"\xf0\x9f"]),
+    )
+    def test_named_line_holds_the_first_bad_byte(self, endings, rows, bom, where, bad):
+        # Rows cycle through the drawn line ends; every 97th has a quoted
+        # CRLF inside its id, so one record spans two lines.
+        lines = [b"entity_id,ind_00,ind_01"] + [
+            b'"q%d\r\nx",1,2' % i if i % 97 == 5 else b"r%d,%d.25,%d" % (i, i, 7 * i)
+            for i in range(rows)
+        ]
+        data = b"".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+        at = int(where * len(data))
+        data = data[:at] + bad + data[at:]
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = _line_breaks(data[: exc.start]) + 1
+        else:
+            return  # the insertion completed a valid sequence
+        if bom:
+            data = b"\xef\xbb\xbf" + data
+        with pytest.raises(es.MalformedCsvError, match=rf"^line {line}: not UTF-8: "):
+            parse(data)
+
+    def test_unbuffered_handle(self, tmp_path):
+        # A raw file has no read1; its chunks come from read.
+        data = csv_bytes(HEADER2, self.ROWS)
+        path = tmp_path / "data.csv"
+        path.write_bytes(data[:9000] + b"\xff" + data[9000:])
+        with open(path, "rb", buffering=0) as fh, pytest.raises(
+            es.MalformedCsvError, match=rf"^line {_line_breaks(data[:9000]) + 1}: "
+        ):
+            parse(fh)
+        path.write_bytes(data)
+        with open(path, "rb", buffering=0) as fh:
+            assert parse(fh)[0].entity_ids == tuple(row[0] for row in self.ROWS)
+
+
 class TestHeaderErrors:
     def test_first_column_must_be_entity_id(self):
         data = csv_bytes(["id", "ind_00", "ind_01"], [["a", "1", "2"]])

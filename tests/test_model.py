@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
 from helpers import simple_schema
@@ -228,3 +230,134 @@ class TestDescriptiveStats:
             skewness=math.nan, smallest=1.0, largest=1.0, obs=2,
         )
         assert math.isnan(stats.kurtosis)
+
+
+# The least int that float() rounds past the largest double.
+_INT_OVERFLOW = 2**1024 - 2**970
+
+_SAMPLES = np.array([0.0, 0.3, 0.5, 1.0])
+_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_WEIGHTS = np.array([0.5, 0.5])
+
+
+def _report(scale):
+    stats = es.DescriptiveStats(mean=0.0, median=0.0, std_dev=0.0, kurtosis=math.nan,
+                                skewness=math.nan, smallest=0.0, largest=0.0, obs=2)
+    return es.EvaluationReport(es.EntropyVector([0.5, 0.5]), es.WeightVector(_WEIGHTS),
+                               np.zeros(2), np.arange(2), stats, scale=scale)
+
+
+# Each taker of a positive real: its call, and the error it raises.
+POSITIVE_REAL_TAKERS = {
+    "options-bandwidth": (lambda v: es.EvaluationOptions(bandwidth=v), es.InvariantError),
+    "options-scale": (lambda v: es.EvaluationOptions(scale=v), es.InvariantError),
+    "cdf-bandwidth": (lambda v: es.estimate_cdf(_SAMPLES, v, False), es.InvalidBandwidthError),
+    "report-scale": (_report, es.InvariantError),
+    "composite-scale": (lambda v: es.composite_scores(_MATRIX, _WEIGHTS, v), es.InvariantError),
+}
+
+FLAG_TAKERS = {
+    "options": lambda v: es.EvaluationOptions(boundary_correction=v),
+    "cdf": lambda v: es.estimate_cdf(_SAMPLES, 0.2, v),
+}
+
+ANY_VALUE = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.none(),
+    st.complex_numbers(),
+    st.lists(st.floats(), max_size=2),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([_INT_OVERFLOW - 1, _INT_OVERFLOW, -_INT_OVERFLOW, 10**400, -(10**400)]),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+def _positive_finite_double(value) -> bool:
+    """Whether value is a real number, not a bool, with 0 < value < inf as a double."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, (int, np.integer)):
+        return 0 < value < _INT_OVERFLOW
+    if isinstance(value, (float, np.floating)):
+        return 0.0 < value < math.inf
+    return False
+
+
+class TestArgumentChecks:
+    """Every bandwidth, scale and boundary-correction flag is checked by model's helpers."""
+
+    def test_int_overflow_is_where_float_gives_up(self):
+        assert math.isfinite(float(_INT_OVERFLOW - 1))
+        with pytest.raises(OverflowError):
+            float(_INT_OVERFLOW)
+
+    @pytest.mark.parametrize("taker", POSITIVE_REAL_TAKERS)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(value=ANY_VALUE)
+    def test_positive_real_takers_agree(self, taker, value):
+        call, error = POSITIVE_REAL_TAKERS[taker]
+        if value is None and taker == "options-bandwidth":
+            return  # None selects Silverman's rule
+        if _positive_finite_double(value):
+            result = call(value)
+            if taker == "cdf-bandwidth":
+                assert type(result.bandwidth) is float and result.bandwidth == float(value)
+            elif taker == "composite-scale":
+                assert np.array_equal(result, float(value) * np.array([0.5, 0.5]))
+            elif taker.startswith("options-"):
+                assert getattr(result, taker[len("options-"):]) is value
+        else:
+            with pytest.raises(error):
+                call(value)
+
+    @pytest.mark.parametrize("taker", FLAG_TAKERS)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(value=ANY_VALUE)
+    def test_flag_takers_agree(self, taker, value):
+        if isinstance(value, (bool, np.bool_)):
+            result = FLAG_TAKERS[taker](value)
+            if taker == "cdf":
+                assert result.boundary_correction is bool(value)
+        else:
+            with pytest.raises(es.InvariantError, match="boundary_correction must be True or False"):
+                FLAG_TAKERS[taker](value)
+
+    @pytest.mark.parametrize("taker", POSITIVE_REAL_TAKERS)
+    @pytest.mark.parametrize("value", [2, 0.5, np.float32(0.25), np.int64(4)])
+    def test_positive_reals_still_accepted(self, taker, value):
+        POSITIVE_REAL_TAKERS[taker][0](value)
+
+    @pytest.mark.parametrize("taker", FLAG_TAKERS)
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_flags_still_accepted(self, taker, value):
+        FLAG_TAKERS[taker](value)
+
+    def test_accepted_values_give_the_same_bits(self):
+        grid = np.linspace(0.0, 1.0, 1001)
+        exact = es.estimate_cdf(_SAMPLES, 1.0)
+        for same in (1, np.int64(1), np.float32(1.0)):
+            cdf = es.estimate_cdf(_SAMPLES, same)
+            assert np.array_equal(cdf.grid_values(1001), exact.grid_values(1001))
+            assert np.array_equal(cdf(grid), exact(grid))
+        plain = es.estimate_cdf(_SAMPLES, 0.2, True)
+        assert np.array_equal(es.estimate_cdf(_SAMPLES, 0.2, np.True_)(grid), plain(grid))
+        assert np.array_equal(es.composite_scores(_MATRIX, _WEIGHTS, 100),
+                              es.composite_scores(_MATRIX, _WEIGHTS, 100.0))
+
+    def test_cdf_flag_probe(self):
+        with pytest.raises(es.InvariantError, match="boundary_correction"):
+            es.estimate_cdf(_SAMPLES, 0.2, "no")
+
+    @pytest.mark.parametrize("scale", [10**400, "x"], ids=["huge-int", "str"])
+    def test_report_scale_probes(self, scale):
+        with pytest.raises(es.InvariantError, match="scale must be"):
+            _report(scale)
+
+    def test_composite_scale_probe(self):
+        with pytest.raises(es.InvariantError, match="scale must be positive"):
+            es.composite_scores(_MATRIX, _WEIGHTS, -1.0)

@@ -181,10 +181,13 @@ class TestEvaluationOptions:
             {"bandwidth": -0.1},
             {"scale": 0.0},
             {"threads": 0},
-            # Ints too large for a double: math.isfinite raises OverflowError.
+            # Ints too large for a double, where float() raises OverflowError.
             {"bandwidth": 10**400},
             {"scale": 10**400},
             {"scale": -(10**400)},
+            {"boundary_correction": "no"},
+            {"boundary_correction": None},
+            {"quadrature": 5},
         ],
     )
     def test_rejects_bad_options(self, kwargs):
