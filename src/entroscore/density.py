@@ -31,8 +31,13 @@ from .model import _check_flag, _check_positive_real, _sample_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
-# Cap on elements of the (grid x samples) kernel matrix per evaluation block.
-_BLOCK_ELEMENTS = 4_000_000
+# Cap on elements of the (grid x samples) kernel block that the exact sum
+# fills and reuses: 65536 doubles, 512 KiB of scratch per call (per pool
+# worker), which stays in a core's L2 cache.  Each grid value's mean is
+# taken within one row, so the cap never changes a bit.  The old cap of
+# 4_000_000 held 64 MB once n >= 400 and was no faster on any shape
+# measured (2-core VM, 2 MiB L2 per core).
+_BLOCK_ELEMENTS = 65_536
 
 # grid_values keeps |grid_values(points) - self(grid)| within this on
 # every grid value; where its estimate cannot, it returns self(grid).
@@ -145,13 +150,16 @@ class CdfEstimate:
         n = self._samples.size
         block = max(1, _BLOCK_ELEMENTS // n)
         out = np.empty(flat.size, dtype=np.float64)
+        # z and then its ndtr fill one reused block.
+        scratch = np.empty((min(block, flat.size), n))
         for start in range(0, flat.size, block):
             chunk = flat[start : start + block]
+            z = np.subtract.outer(chunk, self._samples, out=scratch[: chunk.size])
             # A tiny bandwidth can overflow z to +-inf; ndtr(+-inf) is
             # exactly 1 or 0, the kernel CDF's limit there, so that is exact.
             with np.errstate(over="ignore"):
-                z = (chunk[:, np.newaxis] - self._samples) / self._bandwidth
-            out[start : start + len(chunk)] = np.mean(ndtr(z), axis=1)
+                z /= self._bandwidth
+            out[start : start + chunk.size] = np.mean(ndtr(z, out=z), axis=1)
         return out.reshape(x.shape)
 
     def _finish(self, raw: np.ndarray) -> np.ndarray:
@@ -221,6 +229,11 @@ class CdfEstimate:
         with boundary correction on, for h above about 2.5, where dividing
         by the small span magnifies rounding.
 
+        The scratch is the larger of three (P, size/2 + 1) complex
+        blocks, while the transforms are formed and multiplied, and two
+        (c, nodes) blocks of doubles with the coarse rows, while Horner's
+        rule runs and its values are copied out in grid order.
+
         As the rounding share is only estimated, the values on every
         ((points - 1) // 16)-th node (17 nodes at 10001 points) are
         compared with self() there; if one is off by more than 1e-12,
@@ -264,44 +277,27 @@ class CdfEstimate:
         t = self._samples * ((points - 1) / c)
         node = np.rint(t).astype(np.intp)  # k
         offset = t - node  # f
-        kernels = np.zeros((order, size))
-        moments = np.zeros((order, nodes))
-        _place(kernels[0], step_free, -1.0)
         counts = np.bincount(node, minlength=nodes).astype(np.float64)
-        moments[0] = counts
-        density = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
         # The factorials of C(p, a) = p!/(a! (p-a)!) are folded in: f^q/q!
-        # into the moments, p! into the kernels, 1/a! into the rows.
-        power = np.ones(n)
-        scale = 1.0
-        he_prev, he = 0.0, 1.0  # He_{p-2}, He_{p-1}
-        for p in range(1, order):
-            power = power * offset / p
-            moments[p] = np.bincount(node, weights=power, minlength=nodes)
-            scale *= c * u
-            _place(kernels[p], -scale * he * density, (-1.0) ** (p + 1))
-            he_prev, he = he, z * he - (p - 1) * he_prev
+        # into the moments, p! into the kernels, 1/a! into the rows.  Each
+        # coarse block is dropped once used, and the kernels' transform is
+        # taken before the moments' real rows exist, so at most three
+        # (P, size/2 + 1) complex blocks are held at once; _spectra writes
+        # its rows over the kernels' transform.
+        spectra = _kernel_spectra(z, step_free, c * u, order, size)
         spectra = _spectra(
-            np.fft.rfft(moments, size, axis=1), np.fft.rfft(kernels, axis=1), order if c > 1 else 1
+            _moment_spectra(node, offset, counts, order, size), spectra, order if c > 1 else 1
         )
-        rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes]
+        rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
+        del spectra
         rows[0] += np.cumsum(counts) - 0.5 * counts
         # Finish the rows, not the grid: row a carries 1/(n * a! * span),
         # and row 0, Horner's constant term, the correction's offset.
         rows /= np.array([n * span * math.factorial(a) for a in range(len(rows))])[:, np.newaxis]
         if self._correct:
             rows[0] -= self._raw_lo / span
-        # Column M of fine holds the grid nodes m = c*M - c//2 + q, q < c,
-        # whose offset is s = (q - c//2)/c; Horner's rule sums
-        # (-s)^a * rows[a] there, on a contiguous block of -s.
-        fine = np.empty((c, nodes))
-        fine[:] = rows[-1]
-        neg_s = np.empty((c, nodes))
-        neg_s[:] = ((c // 2 - np.arange(c)) / c)[:, np.newaxis]
-        for a in range(len(rows) - 1, 0, -1):
-            fine *= neg_s
-            fine += rows[a - 1]
-        values = fine.T.ravel()[c // 2 : c // 2 + points]
+        values = _horner(rows, c, points)
+        del rows
         np.clip(values, 0.0, 1.0, out=values)
         check = np.arange(0, points, max(1, (points - 1) // _CHECK_INTERVALS))
         # Every other checked node moves to a midpoint between coarse
@@ -349,13 +345,65 @@ def _least_order(radius: float, budget: float) -> int:
     return 0
 
 
+def _moment_spectra(node, offset, counts, order, size) -> np.ndarray:
+    """rfft, at length size, of the moment rows: row q sums f^q/q! per coarse node."""
+    moments = np.empty((order, counts.size))
+    moments[0] = counts
+    power = np.ones(offset.size)
+    for p in range(1, order):
+        power = power * offset / p
+        moments[p] = np.bincount(node, weights=power, minlength=counts.size)
+    return np.fft.rfft(moments, size, axis=1)
+
+
+def _kernel_spectra(z, step_free, step, order, size) -> np.ndarray:
+    """rfft of the kernel rows K_p * p! at z = j*U, laid into circular rows of length size."""
+    kernels = np.zeros((order, size))
+    _place(kernels[0], step_free, -1.0)
+    density = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+    scale = 1.0
+    he_prev, he = 0.0, 1.0  # He_{p-2}, He_{p-1}
+    for p in range(1, order):
+        scale *= step
+        _place(kernels[p], -scale * he * density, (-1.0) ** (p + 1))
+        he_prev, he = he, z * he - (p - 1) * he_prev
+    return np.fft.rfft(kernels, axis=1)
+
+
+def _horner(rows: np.ndarray, c: int, points: int) -> np.ndarray:
+    """The grid values sum_a (-s)^a * rows[a] from grid_values' finished coarse rows.
+
+    Column M of fine holds the grid nodes m = c*M - c//2 + q, q < c,
+    whose offset is s = (q - c//2)/c, so each Horner step is one
+    multiply by a contiguous block of -s and one add.  A (c, 1) column
+    of -s gives the same bits and holds one block less during the loop,
+    but splits each multiply into c short loops, about 25 us a column
+    slower at c = 32; the block is dropped before the transposed copy.
+    """
+    fine = np.empty((c, rows.shape[1]))
+    fine[:] = rows[-1]
+    neg_s = np.empty_like(fine)
+    neg_s[:] = ((c // 2 - np.arange(c)) / c)[:, np.newaxis]
+    for a in range(len(rows) - 1, 0, -1):
+        fine *= neg_s
+        fine += rows[a - 1]
+    del neg_s
+    return fine.T.ravel()[c // 2 : c // 2 + points]
+
+
 def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
-    """Row a < rows is sum_{p>=a} moments[p - a] * kernels[p]."""
-    out = np.zeros((rows, kernels.shape[1]), dtype=kernels.dtype)
-    for p in range(len(kernels)):
-        top = min(p + 1, rows)
-        out[:top] += moments[p + 1 - top : p + 1][::-1] * kernels[p]
-    return out
+    """Row a < rows is sum_{p>=a} moments[p - a] * kernels[p].
+
+    Row a is written over kernels[a], which no later row reads, and
+    kernels[:rows] is returned, so no output block is allocated.
+    """
+    order = len(kernels)
+    for a in range(rows):
+        # Same-shape operands, so the product is the only temporary (a
+        # broadcast one allocates buffers too), and the sum down axis 0
+        # adds its terms in p order.
+        np.add.reduce(moments[: order - a] * kernels[a:], axis=0, out=kernels[a])
+    return kernels[:rows]
 
 
 def _place(row: np.ndarray, half: np.ndarray, parity: float) -> None:

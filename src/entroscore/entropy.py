@@ -39,6 +39,16 @@ _NOISE_BUDGET = 1e-9
 # CDF values at or below this are taken to give phi*ln(phi) its limit, 0.
 _PHI_FLOOR = 1e-12
 
+# The largest grid QuadratureConfig takes.  A column's scratch grows with
+# the grid: about 24 bytes a point at a Silverman bandwidth, 32 on the
+# exact path, and up to about 600 where the bandwidth is a few grid steps
+# and the FFTs run on the full grid with ten orders; a pool multiplies it
+# by its workers.  At this cap that is at most about 0.6 GB a worker.
+# Simpson's error on H, an h^2 term of up to 2e-8 at 10001 points, is
+# about 2e-12 here, below the 1.5e-10 that the kernel CDF's own error
+# may move H by, so a finer grid would not make H more accurate.
+_MAX_POINTS = 1_000_001
+
 WEIGHT_RULES = ("paper", "classic")
 
 
@@ -46,7 +56,8 @@ WEIGHT_RULES = ("paper", "classic")
 class QuadratureConfig:
     """Uniform-grid composite Simpson settings.
 
-    points must be an odd int (Simpson pairs intervals).
+    points must be an odd int (Simpson pairs intervals) from 3 to
+    1000001; each grid point costs a column 24 to 600 bytes of scratch.
     """
 
     points: int = 10001
@@ -55,6 +66,8 @@ class QuadratureConfig:
         _check_count(self.points, "quadrature points")
         if self.points < 3 or self.points % 2 == 0:
             raise InvariantError("quadrature points must be odd and >= 3")
+        if self.points > _MAX_POINTS:
+            raise InvariantError(f"quadrature points must be at most {_MAX_POINTS}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

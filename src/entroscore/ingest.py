@@ -124,43 +124,27 @@ def _parse_row(cells: tuple[str, ...], out: array) -> bool:
     return True
 
 
-class _ChunkReader(io.BufferedIOBase):
-    """The caller's bytes as parse_csv's text layer reads them, chunk by chunk.
+def _check_decodable(cells: list[str], line_num: int) -> None:
+    """Raise MalformedCsvError if the record ending on line line_num held a non-UTF-8 byte.
 
-    cr_pending says whether the chunk before the latest one ended in CR.
-    The text layer holds such a CR back until it sees whether an LF
-    follows, so if the next chunk fails to decode, the CR's line has not
-    reached the csv reader.  Closing this reader leaves the caller's open.
+    parse_csv decodes such a byte to a lone surrogate, U+DC80 to U+DCFF,
+    which no valid UTF-8 decodes to.  A quoted field keeps its line ends,
+    so the byte's line is line_num less the line ends after it (CRLF, LF
+    or CR).  The reason is the strict decoder's: the byte cannot start a
+    sequence, or it does and the sequence breaks off (at the end of the
+    input the strict decoder says "unexpected end of data" instead).
     """
-
-    def __init__(self, source: BinaryIO):
-        super().__init__()
-        self._read = getattr(source, "read1", source.read)
-        self._last = b""
-        self.cr_pending = False
-
-    def readable(self) -> bool:
-        return True
-
-    def read1(self, size: int = -1) -> bytes:
-        chunk = self._read(size)
-        self.cr_pending = self._last == b"\r"
-        self._last = chunk[-1:]
-        return chunk
-
-
-def _undecodable_line(lines_read: int, exc: UnicodeDecodeError, cr_pending: bool) -> int:
-    """The line of the bad byte exc names, once the csv reader has read lines_read.
-
-    exc.object holds the bytes from the end of the last decoded chunk on.
-    Every line that ended before them has reached the csv reader, but for
-    one ended by a held-back CR.  A line ends at CRLF, LF or CR.
-    """
-    before = exc.object[: exc.start]
-    breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-    if cr_pending and not before.startswith(b"\n"):
-        breaks += 1
-    return lines_read + 1 + breaks
+    text = ",".join(cells)
+    if text.isascii():
+        return
+    at = next((i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff"), None)
+    if at is None:
+        return
+    rest = text[at:]
+    line = line_num - (rest.count("\n") + rest.count("\r") - rest.count("\r\n"))
+    byte = ord(rest[0]) - 0xDC00
+    reason = "invalid continuation byte" if 0xC2 <= byte <= 0xF4 else "invalid start byte"
+    raise MalformedCsvError(f"line {line}: not UTF-8: byte 0x{byte:02x}: {reason}")
 
 
 def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, IngestReport]:
@@ -176,21 +160,22 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
     DuplicateEntityIdError (also for a blank entity id), or
     MalformedCsvError where the csv module cannot read a line, as when a
     field is longer than its field_size_limit, or where a byte is not
-    UTF-8, naming the line that holds the first such byte.
+    UTF-8, naming the line that holds the first such byte.  Faults on a
+    line, the header's included, are raised in file order.
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    chunks = _ChunkReader(source)
-    text = io.TextIOWrapper(chunks, encoding="utf-8-sig", newline="")
+    # A byte that is not UTF-8 decodes to a lone surrogate, so the lines
+    # before it are read and checked first, and the first fault in file
+    # order is the one raised.
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape", newline="")
     reader = csv.reader(text)
     try:
         return _parse_records(reader, schema)
     except csv.Error as exc:
         raise MalformedCsvError(f"line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        line = _undecodable_line(reader.line_num, exc, chunks.cr_pending)
-        byte = exc.object[exc.start]
-        raise MalformedCsvError(f"line {line}: not UTF-8: byte 0x{byte:02x}: {exc.reason}") from None
+    finally:
+        text.detach()  # so the caller's handle stays open
 
 
 def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
@@ -199,6 +184,7 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
     except StopIteration:
         raise EmptyInputError("input has no header row") from None
 
+    _check_decodable(header, reader.line_num)
     header = [cell.strip() for cell in header]
     if not header or header[0] != ENTITY_COLUMN:
         found = header[0] if header else "nothing"
@@ -236,9 +222,15 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
         entity_id = record[0].strip()
         if not entity_id:
             raise DuplicateEntityIdError(f"line {reader.line_num}: blank entity id")
+        # A kept row's other cells are ASCII (_parse_row keeps no row with a
+        # non-ASCII cell, and a row of the header's width has no cell it
+        # does not pick), so only its id can hold an undecodable byte.
+        if not entity_id.isascii():
+            _check_decodable(record, reader.line_num)
         if len(record) == width and _parse_row(pick(record)[1:], values):
             entity_ids.append(entity_id)
         else:
+            _check_decodable(record, reader.line_num)
             dropped.append(entity_id)
 
     if rows_read == 0:

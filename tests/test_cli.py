@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -122,6 +123,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: line 702: not UTF-8: byte 0xe9: invalid continuation byte\n"
         )
+
+    @pytest.mark.parametrize(
+        "head,message",
+        [
+            (b"id,speed,cost\n", "error: first column must be 'entity_id', got 'id'\n"),
+            (b"entity_id,speed,cost\n,1,2\n", "error: line 2: blank entity id\n"),
+        ],
+        ids=["header", "blank-id"],
+    )
+    def test_an_earlier_fault_than_a_bad_byte_is_named(self, small_csv, head, message, capsys):
+        csv_path, _ = small_csv
+        rows = b"".join(b"e%d,%d.5,1.25\n" % (i, i) for i in range(20))
+        csv_path.write_bytes(head + rows + b"x\xff,1,2\n")
+        assert run(["evaluate", *base_args(small_csv)]) == 1
+        assert capsys.readouterr().err == message
+
+    def test_a_grid_past_the_cap_is_a_usage_error(self, small_csv, capsys):
+        # Refused before any grid exists: a billion points would take tens
+        # of GB a column.
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing; its peak is not this test's")
+        tracemalloc.start()
+        try:
+            code = run(["evaluate", *base_args(small_csv), "--quadrature-points", "1000000001"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 4e6
+        assert "quadrature points must be at most 1000001" in capsys.readouterr().err
 
     def test_non_utf8_schema_is_a_data_error(self, small_csv, capsys):
         _, schema_path = small_csv

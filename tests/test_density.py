@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -399,3 +401,86 @@ class TestGridValues:
                 fast = es.continuous_entropy(cdf)
                 exact = es.continuous_entropy(lambda g: cdf(g))
                 assert abs(fast - exact) <= bound
+
+
+def _spectra_reference(moments, kernels, rows):
+    """_spectra's rows by broadcast products, added one order p at a time."""
+    out = np.zeros((rows, kernels.shape[1]), dtype=kernels.dtype)
+    for p in range(len(kernels)):
+        top = min(p + 1, rows)
+        out[:top] += moments[p + 1 - top : p + 1][::-1] * kernels[p]
+    return out
+
+
+class TestSameBits:
+    """The memory-lean forms against the plain formulas they replace."""
+
+    @pytest.mark.parametrize("rows", range(1, 11))
+    def test_spectra_matches_the_broadcast_formula(self, rows):
+        rng = np.random.default_rng(rows)
+        shape = (10, 97)
+        moments, kernels = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        expected = _spectra_reference(moments, kernels, rows)
+        assert density._spectra(moments, kernels.copy(), rows).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 200),
+        points=st.integers(1, 300),
+        log_h=st.floats(-12.0, 0.5),
+        correct=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_exact_sum_does_not_depend_on_its_block_size(self, n, points, log_h, correct, seed):
+        rng = np.random.default_rng(seed)
+        cdf = es.estimate_cdf(rng.uniform(size=n), 10.0**log_h, correct)
+        grid = np.r_[rng.uniform(size=points), 0.0, 1.0]
+        expected = cdf(grid).tobytes()
+        for elements in (1, 17):
+            with mock.patch.object(density, "_BLOCK_ELEMENTS", elements):
+                assert cdf(grid).tobytes() == expected
+
+
+class TestScratchMemory:
+    """Peak scratch of one column's grid values, bounded from its array sizes."""
+
+    @staticmethod
+    def _peak(call) -> int:
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing; its peak is not this test's")
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("shape,seed,c", [("lognormal", 1, 16), ("normal", 0, 32)])
+    def test_the_fast_path_holds_few_coarse_blocks(self, monkeypatch, shape, seed, c):
+        calls = TestGridValues._ffts(monkeypatch)
+        x = _column(shape, 69, np.random.default_rng(seed))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        peak = self._peak(lambda: cdf.grid_values(10001))
+        [(rows, length)] = calls
+        assert x.size == 70 and length == TestGridValues._length(10001, c)
+        nodes = (10000 + c // 2) // c + 1
+        # The transforms: two (P, length) complex blocks (P is rows when
+        # c > 1) and _spectra's product, plus the zero-padded copy that
+        # numpy 1.x's rfft makes.
+        transforms = 4 * rows * length * 16
+        # Horner's rule: the (c, nodes) values and block of -s, or the
+        # values and their transposed copy, the coarse rows, and one ufunc
+        # buffer (numpy's default 8192 elements) for the broadcast add.
+        horner = (2 * c * nodes + rows * nodes + 8192) * 8
+        assert peak <= max(transforms, horner) + 64 * 1024
+
+    def test_the_exact_sum_holds_one_small_block(self):
+        # h = 1e-5 is below the fast path at 10001 points.
+        points = 10001
+        x = np.random.default_rng(39).uniform(size=1000)
+        cdf = es.estimate_cdf(x, 1e-5)
+        peak = self._peak(lambda: cdf.grid_values(points))
+        # The kernel block, plus the grid, the means, the correction's
+        # two passes and the clip, each a points-long array.
+        assert peak <= 8 * density._BLOCK_ELEMENTS + 5 * 8 * points + 64 * 1024
+        assert 8 * density._BLOCK_ELEMENTS <= 1 << 20

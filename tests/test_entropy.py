@@ -35,6 +35,12 @@ class TestQuadratureConfig:
         with pytest.raises(es.InvariantError):
             es.QuadratureConfig(points=points)
 
+    def test_points_up_to_the_cap(self):
+        assert es.QuadratureConfig(points=1000001).points == 1000001
+        for points in (1000003, 1000000001):
+            with pytest.raises(es.InvariantError, match="^quadrature points must be at most 1000001$"):
+                es.QuadratureConfig(points=points)
+
     @pytest.mark.parametrize(
         "points",
         [10001.0, 3.0, True, "101", None, np.int64(101)],

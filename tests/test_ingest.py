@@ -25,6 +25,7 @@ from helpers import csv_bytes, simple_schema
 
 SCHEMA2 = simple_schema(2)
 HEADER2 = ["entity_id", "ind_00", "ind_01"]
+HEADER2_LINE = b"entity_id,ind_00,ind_01\n"
 
 
 def parse(payload: bytes, schema=SCHEMA2):
@@ -374,6 +375,43 @@ class TestNonUtf8Input:
         with pytest.raises(es.MalformedCsvError,
                            match=rf"^line {line}: not UTF-8: byte 0xff: invalid start byte$"):
             parse(data)
+
+    @pytest.mark.parametrize(
+        "head,error,message",
+        [
+            (b"id,ind_00,ind_01\n", es.HeaderMismatchError, "^first column must be 'entity_id', got 'id'$"),
+            (HEADER2_LINE + b",1,2\n", es.DuplicateEntityIdError, "^line 2: blank entity id$"),
+        ],
+        ids=["header", "blank-id"],
+    )
+    def test_an_earlier_fault_in_the_same_chunk_comes_first(self, head, error, message):
+        # The bad byte on line 22 shares the first 8 KiB chunk with the
+        # fault above it, which is the first in file order.
+        rows = b"".join(b"r%d,%d,1\n" % (i, i) for i in range(20))
+        data = head + rows + b"x\xff,1,2\n"
+        assert len(data) < 8192
+        with pytest.raises(error, match=message):
+            parse(data)
+
+    @pytest.mark.parametrize(
+        "record,line,byte",
+        [
+            (b'"q\r\nx\xe9",1,2\n', 3, "e9"),  # in a quoted field, after its line end
+            (b'"q\xe9\r\nx",1,2\n', 2, "e9"),  # before it
+            (b'"x\xc3"\xa9,1,2\n', 2, "c3"),  # a sequence that the quote splits
+            (b"x,1,2,\xf0\x9f\n", 2, "f0"),  # in a cell past the header's width
+        ],
+    )
+    def test_bad_byte_in_any_cell_names_its_line(self, record, line, byte):
+        data = HEADER2_LINE + record + b"y,3,4\n"
+        with pytest.raises(es.MalformedCsvError, match=rf"^line {line}: not UTF-8: byte 0x{byte}: "):
+            parse(data)
+
+    def test_bad_byte_ending_the_input_after_a_cr(self):
+        # The text layer holds a CR back to see whether an LF follows;
+        # the byte after it is on the next line even at the end of input.
+        with pytest.raises(es.MalformedCsvError, match="^line 3: not UTF-8: byte 0xe9: "):
+            parse(b"entity_id,ind_00,ind_01\rr0,0.25,0\r\xe9")
 
     def test_cr_ending_a_chunk_still_counts(self):
         # The text layer holds the CR that ends its first 8192-byte chunk
