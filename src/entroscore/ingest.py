@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -95,11 +96,12 @@ def _parse_cell(cell: str) -> float | None:
     return value
 
 
-def _parse_row(cells: tuple[str, ...], out: array) -> bool:
+def _parse_row(cells: tuple[str, ...], text: str, out: array) -> bool:
     """Append a row's indicator values to out; False drops the row.
 
-    float() on the raw cell agrees with _parse_cell whenever the row's
-    text is ASCII without '_', 'n' or 'N': float() then strips the same
+    text holds every cell, with nothing between them but commas.
+    float() on the raw cell agrees with _parse_cell whenever that text
+    is ASCII without '_', 'n' or 'N': float() then strips the same
     whitespace str.strip() does (or raises, on '\\x1c'-'\\x1f'), and every
     NaN or inf spelling holds an 'n'.  Any other row takes _parse_cell,
     which stays the definition of a cell.  Whatever a row appended before
@@ -111,7 +113,6 @@ def _parse_row(cells: tuple[str, ...], out: array) -> bool:
     except ValueError:
         pass
     else:
-        text = "".join(cells)
         if text.isascii() and "_" not in text and "n" not in text and "N" not in text:
             return True
     del out[mark:]
@@ -124,17 +125,16 @@ def _parse_row(cells: tuple[str, ...], out: array) -> bool:
     return True
 
 
-def _check_decodable(cells: list[str], line_num: int) -> None:
+def _check_decodable(text: str, line_num: int) -> None:
     """Raise MalformedCsvError if the record ending on line line_num held a non-UTF-8 byte.
 
-    parse_csv decodes such a byte to a lone surrogate, U+DC80 to U+DCFF,
-    which no valid UTF-8 decodes to.  A quoted field keeps its line ends,
-    so the byte's line is line_num less the line ends after it (CRLF, LF
-    or CR).  The reason is the strict decoder's: the byte cannot start a
+    text is the record's cells joined by commas.  parse_csv decodes such
+    a byte to a lone surrogate, U+DC80 to U+DCFF, which no valid UTF-8
+    decodes to.  A quoted field keeps its line ends, so the byte's line
+    is line_num less the line ends after it (CRLF, LF or CR).  The reason is the strict decoder's: the byte cannot start a
     sequence, or it does and the sequence breaks off (at the end of the
     input the strict decoder says "unexpected end of data" instead).
     """
-    text = ",".join(cells)
     if text.isascii():
         return
     at = next((i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff"), None)
@@ -169,22 +169,51 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
     # before it are read and checked first, and the first fault in file
     # order is the one raised.
     text = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape", newline="")
-    reader = csv.reader(text)
     try:
-        return _parse_records(reader, schema)
-    except csv.Error as exc:
-        raise MalformedCsvError(f"line {reader.line_num}: {exc}") from None
+        return _parse_records(_records(text), schema)
     finally:
         text.detach()  # so the caller's handle stays open
 
 
-def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str], str]]:
+    """Yield csv.reader's records with the number of each one's last line.
+
+    Each record comes with its cells joined by commas.  lines must end
+    where csv's lines do, at "\\n", "\\r" and "\\r\\n", as a text stream
+    opened with newline="" does.  A line with no '"', no NUL and no more
+    characters than csv.field_size_limit() is a record that csv reads as
+    the line split at commas, so str.split reads it.  Any other line goes
+    with the lines after it to a csv.reader, which reads its record and
+    leaves the rest, so quoted line breaks, line numbers and csv's errors
+    stay the csv module's.  NUL is one of them because csv before Python
+    3.11 refuses a line that holds it.  A csv.Error is raised as
+    MalformedCsvError, naming the line csv stopped on.
+    """
+    lines = iter(lines)
+    limit = csv.field_size_limit()
+    line_num = 0
+    for line in lines:
+        if '"' in line or "\0" in line or len(line) > limit:
+            reader = csv.reader(itertools.chain((line,), lines))
+            try:
+                record = next(reader)  # csv reads a record from any line
+            except csv.Error as exc:
+                raise MalformedCsvError(f"line {line_num + reader.line_num}: {exc}") from None
+            line_num += reader.line_num
+            yield line_num, record, ",".join(record)
+        else:
+            line_num += 1
+            line = line.rstrip("\r\n")
+            yield line_num, line.split(",") if line else [], line
+
+
+def _parse_records(records, schema: Schema) -> tuple[RawDataset, IngestReport]:
     try:
-        header = next(reader)
+        line_num, header, text = next(records)
     except StopIteration:
         raise EmptyInputError("input has no header row") from None
 
-    _check_decodable(header, reader.line_num)
+    _check_decodable(text, line_num)
     header = [cell.strip() for cell in header]
     if not header or header[0] != ENTITY_COLUMN:
         found = header[0] if header else "nothing"
@@ -215,22 +244,24 @@ def _parse_records(reader, schema: Schema) -> tuple[RawDataset, IngestReport]:
     values = array("d")
     dropped: list[str] = []
     rows_read = 0
-    for record in reader:
+    for line_num, record, text in records:
         if not record:
             continue  # blank line, not a data row
         rows_read += 1
         entity_id = record[0].strip()
         if not entity_id:
-            raise DuplicateEntityIdError(f"line {reader.line_num}: blank entity id")
+            raise DuplicateEntityIdError(f"line {line_num}: blank entity id")
         # A kept row's other cells are ASCII (_parse_row keeps no row with a
         # non-ASCII cell, and a row of the header's width has no cell it
         # does not pick), so only its id can hold an undecodable byte.
         if not entity_id.isascii():
-            _check_decodable(record, reader.line_num)
-        if len(record) == width and _parse_row(pick(record)[1:], values):
+            _check_decodable(text, line_num)
+        # The picked cells are the row's cells after the id, so the text
+        # after the id's comma holds them all.
+        if len(record) == width and _parse_row(pick(record)[1:], text[len(record[0]) + 1 :], values):
             entity_ids.append(entity_id)
         else:
-            _check_decodable(record, reader.line_num)
+            _check_decodable(text, line_num)
             dropped.append(entity_id)
 
     if rows_read == 0:

@@ -399,7 +399,8 @@ class EvaluationReport:
         scale = _check_positive_real(self.scale, "scale")
         if self.scores.ndim != 1:
             raise InvariantError("scores must be 1-D")
-        if np.any(self.scores < 0.0) or np.any(self.scores > scale):
+        # A NaN fails both comparisons, so it is refused with the rest.
+        if not np.all((self.scores >= 0.0) & (self.scores <= scale)):
             raise InvariantError(f"scores must lie in [0, {self.scale}]")
         n = self.scores.size
         if sorted(self.ranking.tolist()) != list(range(n)):

@@ -65,13 +65,13 @@ def _aligned_columns(headers: Sequence[str], columns: Sequence[Sequence], numeri
         for header, column in zip(headers, columns)
     ]
     row_format = "  ".join(
-        f"{{:{'>' if right else '<'}{width}}}" for width, right in zip(widths, numeric)
+        f"%{'' if right else '-'}{width}s" for width, right in zip(widths, numeric)
     )
     lines = [
         "  ".join(h.ljust(width) for h, width in zip(headers, widths)).rstrip(),
         "  ".join("-" * width for width in widths),
     ]
-    lines.extend(map(str.rstrip, map(row_format.format, *columns)))
+    lines.extend(map(str.rstrip, map(row_format.__mod__, zip(*columns))))
     lines.append("")  # the closing newline, with no copy of the joined text
     return "\n".join(lines)
 
@@ -106,7 +106,7 @@ def ranking_table(entity_ids: Sequence[str], scores: np.ndarray, ranking: np.nda
         (
             range(1, len(ranking) + 1),
             [entity_ids[idx] for idx in ranking.tolist()],
-            [_fixed(score, 2) for score in scores[ranking].tolist()],
+            ["NA" if score != score else f"{score:.2f}" for score in scores[ranking].tolist()],
         ),
         (True, False, True),
     )
@@ -155,10 +155,22 @@ def write_weights_csv(path: Path, schema: Schema, entropies: EntropyVector, weig
 
 
 def write_scores_csv(path: Path, entity_ids: Sequence[str], scores: np.ndarray, ranking: np.ndarray) -> None:
-    """Scores in input row order, with each entity's 1-based rank."""
+    """Scores in input row order, with each entity's 1-based rank.
+
+    Where no id needs quoting or holds a NUL (which csv.writer handles
+    differently before Python 3.11) and no score is NaN, each row is
+    written with one format call; csv.writer writes any other file.
+    """
     position = np.empty(len(ranking), dtype=np.intp)
     position[ranking] = np.arange(1, len(ranking) + 1)
+    scores = np.asarray(scores, dtype=np.float64)
+    ids = "".join(entity_ids)
+    plain = not any(ch in ids for ch in ',"\r\n\0') and not np.isnan(scores).any()
     with open(path, "w", encoding="utf-8", newline="") as fh:
+        if plain:
+            fh.write("entity_id,score,rank\n")
+            fh.writelines(map("%s,%r,%d\n".__mod__, zip(entity_ids, scores.tolist(), position.tolist())))
+            return
         out = _writer(fh, entity_ids)
         out.writerow(["entity_id", "score", "rank"])
         out.writerows(zip(entity_ids, map(_full, scores.tolist()), position.tolist()))

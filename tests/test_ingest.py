@@ -9,9 +9,12 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import itertools
 import math
 import tracemalloc
+import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
+from entroscore import ingest
 from entroscore.ingest import _parse_cell
 from helpers import csv_bytes, simple_schema
 
@@ -342,6 +346,73 @@ class TestUnreadableCsv:
         data = b"entity_id," + b"x" * (csv.field_size_limit() + 1) + b"\na,1\n"
         with pytest.raises(es.MalformedCsvError, match="^line 1: "):
             parse(data)
+
+
+# Characters the record reader must read as csv.reader does: the comma,
+# the quote, each line end csv knows, NUL, and line ends that csv does not
+# know but str.splitlines does.
+RECORD_TEXT = st.lists(
+    st.sampled_from(["a", "1", ",", '"', "\r", "\n", "\r\n", "\0", " ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00e9"]),
+    max_size=40,
+).map("".join)
+
+
+def _text_stream(text: str) -> io.TextIOWrapper:
+    """text as parse_csv's stream: UTF-8 bytes read with newline=""."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
+
+
+def csv_reader_records(text: str):
+    """csv.reader's (line_num, record) pairs from text, and its error as parse_csv words it."""
+    records = []
+    with _text_stream(text) as stream:
+        reader = csv.reader(stream)
+        try:
+            for record in reader:
+                records.append((reader.line_num, record))
+        except csv.Error as exc:
+            return records, f"line {reader.line_num}: {exc}"
+    return records, None
+
+
+class TestRecordReader:
+    """ingest._records against csv.reader, the oracle, with a lowered field limit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(RECORD_TEXT, st.integers(3, 12))
+    def test_reads_what_csv_reader_reads(self, text, limit):
+        handed = []  # the first line of each record handed to csv.reader
+
+        def reader(lines):
+            lines = iter(lines)
+            first = next(lines)
+            handed.append(first)
+            return csv.reader(itertools.chain((first,), lines))
+
+        saved = csv.field_size_limit(limit)
+        try:
+            want, want_error = csv_reader_records(text)
+            got, got_error = [], None
+            with _text_stream(text) as stream, mock.patch.object(
+                ingest, "csv", types.SimpleNamespace(**{**vars(csv), "reader": reader})
+            ):
+                try:
+                    for line_num, record, joined in ingest._records(stream):
+                        assert joined == ",".join(record)
+                        got.append((line_num, record))
+                except es.MalformedCsvError as exc:
+                    got_error = str(exc)
+        finally:
+            csv.field_size_limit(saved)
+        assert (got, got_error) == (want, want_error)
+        # Every record that starts on a line holding a quote or a NUL, or
+        # on one longer than the field limit, is csv's to read, and no other.
+        with _text_stream(text) as stream:
+            lines = list(stream)
+        starts = [0, *(line_num for line_num, _ in want)][: len(want) + (want_error is not None)]
+        assert handed == [
+            lines[i] for i in starts if '"' in lines[i] or "\0" in lines[i] or len(lines[i]) > limit
+        ]
 
 
 def _line_breaks(data: bytes) -> int:

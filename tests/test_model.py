@@ -240,11 +240,18 @@ _MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _WEIGHTS = np.array([0.5, 0.5])
 
 
-def _report(scale):
+def _report(scale, scores=(0.0, 0.0)):
     stats = es.DescriptiveStats(mean=0.0, median=0.0, std_dev=0.0, kurtosis=math.nan,
                                 skewness=math.nan, smallest=0.0, largest=0.0, obs=2)
     return es.EvaluationReport(es.EntropyVector([0.5, 0.5]), es.WeightVector(_WEIGHTS),
-                               np.zeros(2), np.arange(2), stats, scale=scale)
+                               np.array(scores), np.arange(2), stats, scale=scale)
+
+
+class TestEvaluationReport:
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_rejects_a_score_that_is_not_finite(self, bad):
+        with pytest.raises(es.InvariantError, match=r"^scores must lie in \[0, 100.0\]$"):
+            _report(100.0, scores=(bad, 50.0))
 
 
 # Each taker of a positive real: its call, and the error it raises.

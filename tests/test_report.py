@@ -11,6 +11,7 @@ import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,20 @@ class TestRankingTable:
             "      1  b       30.50\n"
             "      2  c       20.25\n"
             "      3  a       10.00\n"
+        )
+
+    def test_nan_score_prints_as_na(self):
+        # The library takes raw arrays, so a NaN can reach the table; it
+        # prints as NA, never as nan, whatever its sign bit.
+        out = rep.ranking_table(
+            ("a", "b", "c"), np.array([math.nan, 7.5, -math.nan]), np.array([1, 0, 2])
+        )
+        assert out == (
+            "Ranking  Entity  Score\n"
+            "-------  ------  -----\n"
+            "      1  b        7.50\n"
+            "      2  a          NA\n"
+            "      3  c          NA\n"
         )
 
 
@@ -217,6 +232,15 @@ class TestCsvWriters:
             b"b,30.5,1\n"
             b"c,20.25,2\n"
         )
+
+    @pytest.mark.parametrize("middle, field", [("b", b"b"), ("b,", b'"b,"')], ids=["plain", "quoted"])
+    def test_scores_csv_prints_nan_as_na_and_every_score_as_a_double(self, tmp_path, middle, field):
+        path = tmp_path / "scores.csv"
+        ids = ("a", middle, "c")
+        rep.write_scores_csv(path, ids, np.array([math.nan, 7.5, -math.nan]), np.array([1, 0, 2]))
+        assert path.read_bytes() == b"entity_id,score,rank\na,NA,2\n" + field + b",7.5,1\nc,NA,3\n"
+        rep.write_scores_csv(path, ids, np.array([50, 20, 35]), np.array([0, 2, 1]))
+        assert path.read_bytes() == b"entity_id,score,rank\na,50.0,1\n" + field + b",20.0,3\nc,35.0,2\n"
 
     def test_scores_csv_round_trips_full_precision(self, tmp_path):
         rng = np.random.default_rng(36)
