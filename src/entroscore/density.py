@@ -22,12 +22,13 @@ checked value is off by more, the exact values are returned.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError
-from .model import _check_flag, _check_positive_real, _sample_array
+from .model import _check_count, _check_flag, _check_positive_real, _sample_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
@@ -38,6 +39,17 @@ __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 # 4_000_000 held 64 MB once n >= 400 and was no faster on any shape
 # measured (2-core VM, 2 MiB L2 per core).
 _BLOCK_ELEMENTS = 65_536
+
+# The largest grid that grid_values, and so QuadratureConfig, takes.  A
+# column's scratch grows with the grid: about 24 bytes a point at a
+# Silverman bandwidth, 32 on the exact path, and up to about 600 where the
+# bandwidth is a few grid steps and the FFTs run on the full grid with ten
+# orders; a pool multiplies it by its workers.  At this cap that is at
+# most about 0.6 GB a worker.  Simpson's error on H, an h^2 term of up to
+# 2e-8 at 10001 points, is about 2e-12 here, below the 1.5e-10 that the
+# kernel CDF's own error may move H by, so a finer grid would not make H
+# more accurate.
+_MAX_POINTS = 1_000_001
 
 # grid_values keeps |grid_values(points) - self(grid)| within this on
 # every grid value; where its estimate cannot, it returns self(grid).
@@ -55,6 +67,16 @@ _COARSENING = (32, 16, 8, 4, 2, 1)
 # found on a 1e-5 grid over [-12, 12], polished, and rounded up.
 _NDTR_DERIVATIVE_MAX = (0.3990, 0.2420, 0.3990, 0.5506, 1.197, 2.308, 5.985, 14.18, 41.89, 115.1)
 
+# a! for the coarse rows a = 0..9, as doubles: each is exact, so a product
+# with one has the bits of the product with the int.
+_FACTORIALS = np.array([math.factorial(a) for a in range(len(_NDTR_DERIVATIVE_MAX))], dtype=np.float64)
+_FACTORIALS.flags.writeable = False
+
+# K_p(-j) = parity * K_p(j) down the kernel rows p = 0..9: K_0 is odd, and
+# K_p, a multiple of He_{p-1} phi, has the parity of p - 1.
+_PARITY = np.array([(-1.0) ** (p + 1) for p in range(len(_NDTR_DERIVATIVE_MAX))])[:, np.newaxis]
+_PARITY.flags.writeable = False
+
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -71,7 +93,7 @@ def select_bandwidth(samples) -> float:
     # Sort so the reduction order, and hence the result bit pattern, does
     # not depend on how the caller happened to order the samples.
     x = np.sort(x)
-    std = float(np.std(x, ddof=1))
+    std = _sample_std(x)
     iqr = _sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)
     spread = min(std, iqr / 1.34)
     if spread == 0.0:
@@ -81,6 +103,20 @@ def select_bandwidth(samples) -> float:
             "sample standard deviation and IQR are both zero; no bandwidth exists"
         )
     return 0.9 * spread * x.size ** (-0.2)
+
+
+def _sample_std(x: np.ndarray) -> float:
+    """np.std(x, ddof=1) of a 1-D float64 x of two or more values, to the bit.
+
+    This is np.std's own arithmetic: the pairwise sum of x over n, the
+    pairwise sum of the squared deviations over n - 1, and the square
+    root.  np.std's Python wrapper costs twice that on a column of a few
+    dozen values.
+    """
+    n = x.size
+    dev = x - np.add.reduce(x) / n
+    dev *= dev
+    return math.sqrt(np.add.reduce(dev) / (n - 1))
 
 
 def _sorted_quantile(x: np.ndarray, q: float) -> float:
@@ -159,13 +195,17 @@ class CdfEstimate:
             # exactly 1 or 0, the kernel CDF's limit there, so that is exact.
             with np.errstate(over="ignore"):
                 z /= self._bandwidth
-            out[start : start + chunk.size] = np.mean(ndtr(z, out=z), axis=1)
+            # np.mean's sum, and below its division by n: the same bits.
+            np.add.reduce(ndtr(z, out=z), axis=1, out=out[start : start + chunk.size])
+        out /= n
         return out.reshape(x.shape)
 
     def _finish(self, raw: np.ndarray) -> np.ndarray:
-        """Boundary-correct (if on) and clip raw kernel means into [0, 1]."""
-        values = (raw - self._raw_lo) / self._span if self._correct else raw
-        return np.clip(values, 0.0, 1.0)
+        """Boundary-correct (if on) and clip raw kernel means into [0, 1], in place."""
+        if self._correct:
+            raw -= self._raw_lo
+            raw /= self._span
+        return raw.clip(0.0, 1.0, out=raw)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
@@ -243,8 +283,9 @@ class CdfEstimate:
         divides the check stride (points = 4097 and c = 16 or 32), no
         checked node would see rows 1 and up.
         """
-        if points < 2:
-            raise InvariantError("a grid needs at least two points")
+        _check_count(points, "grid points")
+        if not 2 <= points <= _MAX_POINTS:
+            raise InvariantError(f"grid points must be from 2 to {_MAX_POINTS}, got {points}")
         if _below_fast_path(self._bandwidth, points):
             return self(np.linspace(0.0, 1.0, points))
         u = 1.0 / ((points - 1) * self._bandwidth)
@@ -265,7 +306,7 @@ class CdfEstimate:
             step_free = -ndtr(-z)
             step_free[0] = 0.0
             # Not np.dot, which can wait on OpenBLAS threads: see the docstring.
-            norm = math.sqrt(2.0 * np.sum(step_free * step_free))
+            norm = math.sqrt(2.0 * np.add.reduce(step_free * step_free))
             rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
             order = _least_order(radius, allowed - rounding)
             if order:
@@ -293,18 +334,16 @@ class CdfEstimate:
         rows[0] += np.cumsum(counts) - 0.5 * counts
         # Finish the rows, not the grid: row a carries 1/(n * a! * span),
         # and row 0, Horner's constant term, the correction's offset.
-        rows /= np.array([n * span * math.factorial(a) for a in range(len(rows))])[:, np.newaxis]
+        rows /= ((n * span) * _FACTORIALS[: len(rows)])[:, np.newaxis]
         if self._correct:
             rows[0] -= self._raw_lo / span
         values = _horner(rows, c, points)
         del rows
-        np.clip(values, 0.0, 1.0, out=values)
-        check = np.arange(0, points, max(1, (points - 1) // _CHECK_INTERVALS))
-        # Every other checked node moves to a midpoint between coarse
-        # nodes, where s = -1/2 (nowhere when c = 1): see the docstring.
-        mid = check[1::2] - check[1::2] % c + c // 2
-        check[1::2] = np.where(mid < points, mid, mid - c)
-        if np.max(np.abs(values[check] - self(_grid_nodes(check, points)))) > _GRID_ERROR:
+        values.clip(0.0, 1.0, out=values)
+        check, checked = _checked_nodes(points, c)
+        off = values[check]
+        off -= self(checked)
+        if np.abs(off, out=off).max() > _GRID_ERROR:
             return self(np.linspace(0.0, 1.0, points))
         return values
 
@@ -313,6 +352,22 @@ class CdfEstimate:
             f"CdfEstimate(n={self._samples.size}, bandwidth={self._bandwidth:.6g}, "
             f"boundary_correction={self._correct})"
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_nodes(points: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of grid_values' checked nodes and the nodes, read-only.
+
+    Every ((points - 1) // _CHECK_INTERVALS)-th grid node, and every other
+    one of those moved to a midpoint between coarse nodes, where s = -1/2
+    (nowhere when c = 1): see grid_values' docstring.
+    """
+    check = np.arange(0, points, max(1, (points - 1) // _CHECK_INTERVALS))
+    mid = check[1::2] - check[1::2] % c + c // 2
+    check[1::2] = np.where(mid < points, mid, mid - c)
+    nodes = _grid_nodes(check, points)
+    check.flags.writeable = nodes.flags.writeable = False
+    return check, nodes
 
 
 def _grid_nodes(index: np.ndarray, points: int) -> np.ndarray:
@@ -351,22 +406,35 @@ def _moment_spectra(node, offset, counts, order, size) -> np.ndarray:
     moments[0] = counts
     power = np.ones(offset.size)
     for p in range(1, order):
-        power = power * offset / p
+        power *= offset
+        power /= p
         moments[p] = np.bincount(node, weights=power, minlength=counts.size)
     return np.fft.rfft(moments, size, axis=1)
 
 
 def _kernel_spectra(z, step_free, step, order, size) -> np.ndarray:
-    """rfft of the kernel rows K_p * p! at z = j*U, laid into circular rows of length size."""
+    """rfft of the kernel rows K_p * p! at z = j*U, laid into circular rows of length size.
+
+    Row p >= 1 is (-step**p * He_{p-1}(z)) * phi(z).  The rows take the
+    He_{p-1} from their recurrence first, then -step**p and phi(z) in one
+    pass each over all rows, which gives the bits of scaling each row on
+    its own.
+    """
+    nodes = z.size
     kernels = np.zeros((order, size))
-    _place(kernels[0], step_free, -1.0)
-    density = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    scale = 1.0
-    he_prev, he = 0.0, 1.0  # He_{p-2}, He_{p-1}
-    for p in range(1, order):
-        scale *= step
-        _place(kernels[p], -scale * he * density, (-1.0) ** (p + 1))
-        he_prev, he = he, z * he - (p - 1) * he_prev
+    half = kernels[:, :nodes]
+    half[0] = step_free
+    if order > 1:
+        half[1] = 1.0  # He_0
+    if order > 2:
+        half[2] = z  # He_1 = z * 1 - 0 * 0, to the bit
+    for p in range(3, order):  # He_{p-1} = z He_{p-2} - (p-2) He_{p-3}
+        np.multiply(z, half[p - 1], out=half[p])
+        half[p] -= (p - 2) * half[p - 2]
+    # step**p as the products step * step * ..., left to right.
+    half[1:] *= -np.cumprod(np.full(order - 1, step))[:, np.newaxis]
+    half[1:] *= np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+    _place(kernels, nodes)
     return np.fft.rfft(kernels, axis=1)
 
 
@@ -379,14 +447,17 @@ def _horner(rows: np.ndarray, c: int, points: int) -> np.ndarray:
     of -s gives the same bits and holds one block less during the loop,
     but splits each multiply into c short loops, about 25 us a column
     slower at c = 32; the block is dropped before the transposed copy.
+    With one row (always at c = 1) every node of column M takes rows[0, M].
     """
-    fine = np.empty((c, rows.shape[1]))
-    fine[:] = rows[-1]
-    neg_s = np.empty_like(fine)
+    if len(rows) == 1:
+        return np.repeat(rows[0], c)[c // 2 : c // 2 + points]
+    neg_s = np.empty((c, rows.shape[1]))
     neg_s[:] = ((c // 2 - np.arange(c)) / c)[:, np.newaxis]
-    for a in range(len(rows) - 1, 0, -1):
+    fine = neg_s * rows[-1]
+    for row in rows[-2:0:-1]:
+        fine += row
         fine *= neg_s
-        fine += rows[a - 1]
+    fine += rows[0]
     del neg_s
     return fine.T.ravel()[c // 2 : c // 2 + points]
 
@@ -406,10 +477,17 @@ def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
     return kernels[:rows]
 
 
-def _place(row: np.ndarray, half: np.ndarray, parity: float) -> None:
-    """Lay a kernel given for j = 0..G-1 into a circular row: K(-j) = parity * K(j)."""
-    row[: half.size] = half
-    row[row.size - half.size + 1 :] = parity * half[:0:-1]
+def _place(kernels: np.ndarray, nodes: int) -> None:
+    """Mirror each kernel row, given for j = 0..nodes-1, into the negative j
+    that wrap to the row's end: K_p(-j) = parity * K_p(j).
+
+    The one multiply reads and writes disjoint columns of every row.
+    """
+    np.multiply(
+        kernels[:, nodes - 1 : 0 : -1],
+        _PARITY[: len(kernels)],
+        out=kernels[:, kernels.shape[1] - nodes + 1 :],
+    )
 
 
 def _fft_size(minimum: int) -> int:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import CdfEstimate
+from .density import _MAX_POINTS, CdfEstimate
 from .errors import (
     AllZeroEntropyError,
     DegenerateColumnError,
@@ -38,16 +38,6 @@ _NOISE_BUDGET = 1e-9
 
 # CDF values at or below this are taken to give phi*ln(phi) its limit, 0.
 _PHI_FLOOR = 1e-12
-
-# The largest grid QuadratureConfig takes.  A column's scratch grows with
-# the grid: about 24 bytes a point at a Silverman bandwidth, 32 on the
-# exact path, and up to about 600 where the bandwidth is a few grid steps
-# and the FFTs run on the full grid with ten orders; a pool multiplies it
-# by its workers.  At this cap that is at most about 0.6 GB a worker.
-# Simpson's error on H, an h^2 term of up to 2e-8 at 10001 points, is
-# about 2e-12 here, below the 1.5e-10 that the kernel CDF's own error
-# may move H by, so a finer grid would not make H more accurate.
-_MAX_POINTS = 1_000_001
 
 WEIGHT_RULES = ("paper", "classic")
 
@@ -114,7 +104,7 @@ def continuous_entropy(
         phi = np.asarray(cdf(np.linspace(0.0, 1.0, config.points)), dtype=np.float64)
     if phi.shape != (config.points,):
         raise InvariantError("cdf must return one value per grid point")
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise QuadratureOutOfRangeError(
             "cdf produced NaN or infinite values on the quadrature grid"
         )
@@ -125,8 +115,8 @@ def continuous_entropy(
     simpson = (step / 3.0) * (
         integrand[0]
         + integrand[-1]
-        + 4.0 * np.sum(integrand[1:-1:2])
-        + 2.0 * np.sum(integrand[2:-2:2])
+        + 4.0 * np.add.reduce(integrand[1:-1:2])
+        + 2.0 * np.add.reduce(integrand[2:-2:2])
     )
     value = float(-math.e * simpson)
     if not (-_NOISE_BUDGET <= value <= 1.0 + _NOISE_BUDGET):

@@ -13,7 +13,7 @@ import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def _parse_cell(cell: str) -> float | None:
     return value
 
 
-def _parse_row(cells: tuple[str, ...], text: str, out: array) -> bool:
+def _parse_row(cells: Sequence[str], text: str, out: array) -> bool:
     """Append a row's indicator values to out; False drops the row.
 
     text holds every cell, with nothing between them but commas.
@@ -234,10 +234,16 @@ def _parse_records(records, schema: Schema) -> tuple[RawDataset, IngestReport]:
         raise HeaderMismatchError(
             f"columns not in schema: {', '.join(sorted(unknown))}"
         )
-    # Each schema indicator's cell, in schema order, sits after the id; the
-    # id rides along so the getter always returns a tuple.
+    # pick gives each schema indicator's cell, in schema order.  The header
+    # holds exactly the schema's names, so where it lists them in that order
+    # (always, with one indicator) the cells are one slice after the id;
+    # otherwise there are at least two, and itemgetter gives a tuple.
     width = len(header)
-    pick = operator.itemgetter(0, *(indicator_headers.index(name) + 1 for name in schema.names))
+    columns = [indicator_headers.index(name) + 1 for name in schema.names]
+    if columns == list(range(1, width)):
+        pick = operator.itemgetter(slice(1, None))
+    else:
+        pick = operator.itemgetter(*columns)
 
     entity_ids: list[str] = []
     # Kept rows' values, packed row after row as C doubles.
@@ -258,7 +264,7 @@ def _parse_records(records, schema: Schema) -> tuple[RawDataset, IngestReport]:
             _check_decodable(text, line_num)
         # The picked cells are the row's cells after the id, so the text
         # after the id's comma holds them all.
-        if len(record) == width and _parse_row(pick(record)[1:], text[len(record[0]) + 1 :], values):
+        if len(record) == width and _parse_row(pick(record), text[len(record[0]) + 1 :], values):
             entity_ids.append(entity_id)
         else:
             _check_decodable(text, line_num)

@@ -98,7 +98,7 @@ def _sample_array(samples, user: str) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise InvariantError(f"{user} needs a 1-D array of at least two samples")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvariantError(f"{user} needs finite samples")
     return x
 
@@ -403,7 +403,7 @@ class EvaluationReport:
         if not np.all((self.scores >= 0.0) & (self.scores <= scale)):
             raise InvariantError(f"scores must lie in [0, {self.scale}]")
         n = self.scores.size
-        if sorted(self.ranking.tolist()) != list(range(n)):
+        if self.ranking.shape != (n,) or not np.array_equal(np.sort(self.ranking), np.arange(n)):
             raise InvariantError("ranking must be a permutation of row indices")
         ordered = self.scores[self.ranking]
         if np.any(np.diff(ordered) > 0.0):

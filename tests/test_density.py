@@ -79,6 +79,17 @@ class TestSelectBandwidth:
         got = np.array([density._sorted_quantile(x, q) for q in (0.25, 0.75)])
         assert np.array_equal(got.view(np.int64), np.percentile(x, (25, 75)).view(np.int64))
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        pool=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=40),
+        picks=st.lists(st.integers(0, 39), min_size=2, max_size=200),
+    )
+    def test_std_is_np_std_to_the_bit(self, pool, picks):
+        # Below 1e150 in magnitude no square or sum overflows.
+        x = np.sort(np.array([pool[i % len(pool)] for i in picks]))
+        got = np.array([density._sample_std(x)])
+        assert np.array_equal(got.view(np.int64), np.array([np.std(x, ddof=1)]).view(np.int64))
+
 
 class TestCdfEstimate:
     def test_monotone_and_bounded(self):
@@ -315,9 +326,12 @@ class TestGridValues:
 
     def test_values_off_on_a_checked_node_fall_back_to_the_exact_sum(self, monkeypatch):
         place = density._place
-        monkeypatch.setattr(
-            density, "_place", lambda row, half, parity: place(row, half * (1.0 + 1e-9), parity)
-        )
+
+        def skewed(kernels, nodes):
+            kernels[:, :nodes] *= 1.0 + 1e-9
+            place(kernels, nodes)
+
+        monkeypatch.setattr(density, "_place", skewed)
         x = _column("uniform", 100, np.random.default_rng(34))
         cdf = es.estimate_cdf(x, es.select_bandwidth(x))
         assert np.array_equal(cdf.grid_values(10001), cdf(np.linspace(0.0, 1.0, 10001)))
@@ -385,10 +399,33 @@ class TestGridValues:
             assert length == self._length(10001, c) and (rows == 1) == (c == 1)
             assert np.max(np.abs(fast - exact)) <= density._GRID_ERROR
 
-    @pytest.mark.parametrize("points", [0, 1])
+    @pytest.mark.parametrize("points", [-1, 0, 1])
     def test_needs_two_points(self, points):
-        with pytest.raises(es.InvariantError):
+        with pytest.raises(es.InvariantError, match="^grid points must be from 2 to 1000001, got "):
             es.estimate_cdf([0.2, 0.8], 0.1).grid_values(points)
+
+    @pytest.mark.parametrize("points", [2.5, 11.0, "11", None, True, np.int64(11)])
+    def test_points_must_be_an_int(self, points):
+        with pytest.raises(es.InvariantError, match="^grid points must be an integer, got "):
+            es.estimate_cdf([0.2, 0.8], 0.1).grid_values(points)
+
+    @pytest.mark.parametrize("points", [1_000_002, 10**9, 10**30])
+    def test_points_above_the_cap_are_refused(self, points):
+        # Before any grid is allocated.
+        with pytest.raises(es.InvariantError, match="^grid points must be from 2 to 1000001, got "):
+            es.estimate_cdf([0.2, 0.8], 0.1).grid_values(points)
+
+    def test_three_points_run_the_ffts_on_the_full_grid(self, monkeypatch):
+        # At 3 points c is 2 or 1.  With h = 5 and no correction, c = 2
+        # (radius 0.2) misses the budget at every order, and c = 1 (radius
+        # 0.05) meets it, so one coarse row comes back.
+        calls = self._ffts(monkeypatch)
+        x = _column("normal", 50, np.random.default_rng(40))
+        cdf = es.estimate_cdf(x, 5.0, False)
+        fast = cdf.grid_values(3)
+        [(rows, length)] = calls
+        assert rows == 1 and length == self._length(3, 1)
+        assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 3)))) <= density._GRID_ERROR
 
     def test_entropy_within_its_bound_of_the_exact_path(self):
         # continuous_entropy documents the bound e * (27.6 eps + 2.8e-11).
@@ -412,8 +449,89 @@ def _spectra_reference(moments, kernels, rows):
     return out
 
 
+def _kernel_spectra_reference(z, step_free, step, order, size):
+    """_kernel_spectra's rows built one at a time, each laid out with its mirror."""
+    phi = np.exp(-0.5 * z * z) * density._INV_SQRT_2PI
+    kernels = np.zeros((order, size))
+    scale, he_prev, he = 1.0, 0.0, 1.0  # step**p, He_{p-2}, He_{p-1}
+    for p in range(order):
+        if p == 0:
+            half = step_free
+        else:
+            scale *= step
+            half = -scale * he * phi
+            he_prev, he = he, z * he - (p - 1) * he_prev
+        kernels[p, : z.size] = half
+        kernels[p, size - z.size + 1 :] = (-1.0) ** (p + 1) * half[:0:-1]
+    return np.fft.rfft(kernels, axis=1)
+
+
+def _moment_spectra_reference(node, offset, counts, order, size):
+    """_moment_spectra's rows, one bincount of fresh powers per order."""
+    moments = [counts]
+    power = np.ones(offset.size)
+    for p in range(1, order):
+        power = power * offset / p
+        moments.append(np.bincount(node, weights=power, minlength=counts.size))
+    return np.fft.rfft(np.array(moments), size, axis=1)
+
+
+def _horner_reference(rows, c, points):
+    """Every grid node's value by Horner's rule in Python floats, node by node."""
+    table = rows.tolist()
+    values = []
+    for m in range(points):
+        column, q = divmod(m + c // 2, c)  # m = c*column - c//2 + q
+        neg_s = (c // 2 - q) / c
+        value = table[-1][column]
+        for a in range(len(table) - 2, -1, -1):
+            value = value * neg_s + table[a][column]
+        values.append(value)
+    return np.array(values)
+
+
+def _coarse_grid(points, c, h):
+    """grid_values' coarse node count, FFT length, step U = c*u and z = j*U."""
+    nodes = (points - 1 + c // 2) // c + 1
+    step = c / ((points - 1) * h)
+    return nodes, density._fft_size(2 * nodes - 1), step, np.arange(nodes) * step
+
+
 class TestSameBits:
     """The memory-lean forms against the plain formulas they replace."""
+
+    @pytest.mark.parametrize("c", [1, 2, 32])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_kernel_spectra_match_the_row_by_row_build(self, c, order):
+        from scipy.special import ndtr
+
+        nodes, size, step, z = _coarse_grid(10001, c, 0.05)
+        step_free = -ndtr(-z)
+        step_free[0] = 0.0
+        expected = _kernel_spectra_reference(z, step_free, step, order, size)
+        got = density._kernel_spectra(z, step_free, step, order, size)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 32])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_moment_spectra_match_one_bincount_per_order(self, c, order):
+        nodes, size, _, _ = _coarse_grid(1001, c, 0.05)
+        t = np.random.default_rng(order).uniform(size=57) * (1000 / c)
+        node = np.rint(t).astype(np.intp)
+        counts = np.bincount(node, minlength=nodes).astype(np.float64)
+        expected = _moment_spectra_reference(node, t - node, counts, order, size)
+        got = density._moment_spectra(node, t - node, counts, order, size)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 32])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_horner_matches_node_by_node_evaluation(self, c, order):
+        # grid_values hands over one row at c = 1, but any count works.
+        points = 1001
+        nodes = (points - 1 + c // 2) // c + 1
+        rows = np.random.default_rng(10 * c + order).normal(size=(order, nodes))
+        got = density._horner(rows.copy(), c, points)
+        assert got.tobytes() == _horner_reference(rows, c, points).tobytes()
 
     @pytest.mark.parametrize("rows", range(1, 11))
     def test_spectra_matches_the_broadcast_formula(self, rows):

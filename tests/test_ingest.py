@@ -54,6 +54,17 @@ class TestHappyPath:
         ds, _ = parse(data)
         np.testing.assert_array_equal(ds.values, [[1.0, 10.0], [2.0, 20.0]])
 
+    def test_reordered_columns_keep_the_drop_policy(self):
+        # Cells are picked by name in any header order, and a row with a
+        # missing or underscored cell still drops.
+        data = csv_bytes(
+            ["entity_id", "ind_02", "ind_00", "ind_01"],
+            [["a", "3", "1", "2"], ["b", "6", "na", "5"], ["c", " 9 ", "7", "8"], ["d", "1_0", "1", "2"]],
+        )
+        ds, report = parse(data, simple_schema(3))
+        assert ds.entity_ids == ("a", "c") and report.dropped_ids == ("b", "d")
+        np.testing.assert_array_equal(ds.values, [[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
+
     def test_utf8_bom_is_stripped(self):
         data = b"\xef\xbb\xbf" + csv_bytes(HEADER2, [["a", "1", "2"], ["b", "3", "4"]])
         ds, _ = parse(data)

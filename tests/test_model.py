@@ -240,14 +240,24 @@ _MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _WEIGHTS = np.array([0.5, 0.5])
 
 
-def _report(scale, scores=(0.0, 0.0)):
+def _report(scale, scores=(0.0, 0.0), ranking=(0, 1)):
     stats = es.DescriptiveStats(mean=0.0, median=0.0, std_dev=0.0, kurtosis=math.nan,
                                 skewness=math.nan, smallest=0.0, largest=0.0, obs=2)
     return es.EvaluationReport(es.EntropyVector([0.5, 0.5]), es.WeightVector(_WEIGHTS),
-                               np.array(scores), np.arange(2), stats, scale=scale)
+                               np.array(scores), np.array(ranking), stats, scale=scale)
 
 
 class TestEvaluationReport:
+    @pytest.mark.parametrize("ranking", [(0, 1), (1, 0)])
+    def test_takes_a_permutation_of_the_rows(self, ranking):
+        assert _report(100.0, ranking=ranking).ranking.tolist() == list(ranking)
+
+    @pytest.mark.parametrize("ranking", [(0, 0), (1, 2), (-1, 0), (0,), (0, 1, 2), ((0, 1),), 0])
+    def test_rejects_a_ranking_that_is_not_a_permutation(self, ranking):
+        # A 0-d ranking raised a bare TypeError before.
+        with pytest.raises(es.InvariantError, match="^ranking must be a permutation of row indices$"):
+            _report(100.0, ranking=ranking)
+
     @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
     def test_rejects_a_score_that_is_not_finite(self, bad):
         with pytest.raises(es.InvariantError, match=r"^scores must lie in \[0, 100.0\]$"):
