@@ -18,6 +18,10 @@ estimate is at most 1e-12, and the values are checked against the exact
 ones on a few nodes, half of them between coarse nodes, where every term
 of the expansion shows.  Where no coarsening meets the bound, or a
 checked value is off by more, the exact values are returned.
+
+The bandwidth and the correction's endpoint sums are written for m
+columns at once: the one-column calls are their m = 1 case, and _setup
+runs them for all of a pipeline run's columns, with the same bits.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError
-from .model import _check_count, _check_flag, _check_positive_real, _sample_array
+from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError, _named
+from .model import _NOT_POSITIVE, _check_count, _check_flag, _check_positive_real, _sample_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
@@ -55,6 +59,11 @@ _MAX_POINTS = 1_000_001
 # every grid value; where its estimate cannot, it returns self(grid).
 _GRID_ERROR = 1e-12
 
+# _spectra forms its products on runs of at most this many frequencies:
+# 16 KiB a row.  At a Silverman bandwidth and 10001 points (c = 32, 321
+# frequencies) that is one run.
+_FREQUENCIES = 1024
+
 # grid_values checks its values against self() on every
 # ((points - 1) // _CHECK_INTERVALS)-th grid node.
 _CHECK_INTERVALS = 16
@@ -77,8 +86,19 @@ _FACTORIALS.flags.writeable = False
 _PARITY = np.array([(-1.0) ** (p + 1) for p in range(len(_NDTR_DERIVATIVE_MAX))])[:, np.newaxis]
 _PARITY.flags.writeable = False
 
+# n! for the Taylor orders n = 1..10, as doubles: each is exact, so a
+# division by one has the bits of the division by the int.
+_ORDER_FACTORIALS = tuple(float(math.factorial(p)) for p in range(1, len(_NDTR_DERIVATIVE_MAX) + 1))
+
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(np.float64).eps)
+
+# The boundary correction's endpoints.
+_ENDS = np.array([0.0, 1.0])
+_ENDS.flags.writeable = False
+
+_NO_BANDWIDTH = "sample standard deviation and IQR are both zero; no bandwidth exists"
+_FLAT = "bandwidth so large the kernel CDF is flat on [0, 1]"
 
 
 def select_bandwidth(samples) -> float:
@@ -89,47 +109,62 @@ def select_bandwidth(samples) -> float:
     DegenerateColumnError is raised.  That happens when max equals min, and
     also when the spread underflows to zero in float64.
     """
-    x = _sample_array(samples, "bandwidth selection")
     # Sort so the reduction order, and hence the result bit pattern, does
     # not depend on how the caller happened to order the samples.
-    x = np.sort(x)
-    std = _sample_std(x)
-    iqr = _sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)
-    spread = min(std, iqr / 1.34)
-    if spread == 0.0:
-        spread = max(std, iqr / 1.34)
-    if spread == 0.0:
-        raise DegenerateColumnError(
-            "sample standard deviation and IQR are both zero; no bandwidth exists"
-        )
-    return 0.9 * spread * x.size ** (-0.2)
+    x = np.sort(_sample_array(samples, "bandwidth selection"))
+    [h] = _silverman(x[np.newaxis])
+    if h is None:
+        raise DegenerateColumnError(_NO_BANDWIDTH)
+    return h
 
 
-def _sample_std(x: np.ndarray) -> float:
-    """np.std(x, ddof=1) of a 1-D float64 x of two or more values, to the bit.
+def _silverman(x: np.ndarray) -> list[float | None]:
+    """select_bandwidth of each row of a C-contiguous, row-sorted (m, n) x,
+    or None for a row where it raises DegenerateColumnError.
 
-    This is np.std's own arithmetic: the pairwise sum of x over n, the
-    pairwise sum of the squared deviations over n - 1, and the square
+    Every sum runs along the contiguous last axis, where numpy adds one
+    row at a time in its 1-D pairwise order, so each row gets the bits of
+    its own select_bandwidth.  The choice of spread is Python float
+    arithmetic, a few operations a row.
+    """
+    shrink = x.shape[-1] ** (-0.2)
+    std = _sample_std(x).tolist()
+    iqr = ((_sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)) / 1.34).tolist()
+    bandwidths = []
+    for s, q in zip(std, iqr):
+        spread = min(s, q)
+        if spread == 0.0:
+            spread = max(s, q)
+        bandwidths.append(None if spread == 0.0 else 0.9 * spread * shrink)
+    return bandwidths
+
+
+def _sample_std(x: np.ndarray) -> np.ndarray:
+    """np.std(x, ddof=1, axis=-1) of float64 rows of two or more values, to the bit.
+
+    This is np.std's own arithmetic: the pairwise sum of a row over n, the
+    pairwise sum of its squared deviations over n - 1, and the square
     root.  np.std's Python wrapper costs twice that on a column of a few
     dozen values.
     """
-    n = x.size
-    dev = x - np.add.reduce(x) / n
+    n = x.shape[-1]
+    dev = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     dev *= dev
-    return math.sqrt(np.add.reduce(dev) / (n - 1))
+    return np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1))
 
 
-def _sorted_quantile(x: np.ndarray, q: float) -> float:
-    """np.percentile(x, 100*q) of a sorted x, to the bit, for 0 <= q < 1.
+def _sorted_quantile(x: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(x, 100*q, axis=-1) of rows sorted along the last axis,
+    to the bit, for 0 <= q < 1.
 
     This is numpy's default linear method, with its arithmetic: the
     virtual index q*(n - 1), and a + d*g, or b - d*(1 - g) when g >= 1/2,
     between the order statistics a and b either side of it.
     """
-    virtual = q * (x.size - 1)
+    virtual = q * (x.shape[-1] - 1)
     below = math.floor(virtual)
     g = virtual - below
-    a, b = x[below : below + 2].tolist()
+    a, b = x[..., below], x[..., below + 1]
     d = b - a
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
@@ -156,15 +191,23 @@ class CdfEstimate:
         self._samples = x
         self._bandwidth = _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError)
         self._correct = _check_flag(boundary_correction, "boundary_correction")
+        self._raw_lo, self._span = 0.0, 1.0
         if self._correct:
-            lo, hi = self._raw(np.array([0.0, 1.0]))
-            span = hi - lo
-            if span <= 0.0:
-                raise InvalidBandwidthError(
-                    "bandwidth so large the kernel CDF is flat on [0, 1]"
-                )
-            self._raw_lo = lo
-            self._span = span
+            lo, hi = self._raw(_ENDS).tolist()
+            if hi - lo <= 0.0:
+                raise InvalidBandwidthError(_FLAT)
+            self._raw_lo, self._span = lo, hi - lo
+
+    @classmethod
+    def _from_sorted(cls, samples, bandwidth, correct, raw_lo, span):
+        """The estimate __init__ would build from sorted, read-only samples
+        whose bandwidth and correction span _setup has checked."""
+        self = cls.__new__(cls)
+        self._samples = samples
+        self._bandwidth = bandwidth
+        self._correct = correct
+        self._raw_lo, self._span = raw_lo, span
+        return self
 
     @property
     def support_samples(self) -> np.ndarray:
@@ -179,38 +222,18 @@ class CdfEstimate:
         return self._correct
 
     def _raw(self, x: np.ndarray) -> np.ndarray:
-        """Mean of per-sample Gaussian CDFs, evaluated in memory-bounded blocks."""
-        from scipy.special import ndtr  # only continuous runs pay its import
-
-        flat = x.ravel()
-        n = self._samples.size
-        block = max(1, _BLOCK_ELEMENTS // n)
-        out = np.empty(flat.size, dtype=np.float64)
-        # z and then its ndtr fill one reused block.
-        scratch = np.empty((min(block, flat.size), n))
-        for start in range(0, flat.size, block):
-            chunk = flat[start : start + block]
-            z = np.subtract.outer(chunk, self._samples, out=scratch[: chunk.size])
-            # A tiny bandwidth can overflow z to +-inf; ndtr(+-inf) is
-            # exactly 1 or 0, the kernel CDF's limit there, so that is exact.
-            with np.errstate(over="ignore"):
-                z /= self._bandwidth
-            # np.mean's sum, and below its division by n: the same bits.
-            np.add.reduce(ndtr(z, out=z), axis=1, out=out[start : start + chunk.size])
-        out /= n
-        return out.reshape(x.shape)
-
-    def _finish(self, raw: np.ndarray) -> np.ndarray:
-        """Boundary-correct (if on) and clip raw kernel means into [0, 1], in place."""
-        if self._correct:
-            raw -= self._raw_lo
-            raw /= self._span
-        return raw.clip(0.0, 1.0, out=raw)
+        """Mean of per-sample Gaussian CDFs at every value of x: _kernel_means of one column."""
+        h = np.array([self._bandwidth])
+        return _kernel_means(self._samples[np.newaxis], h, x.reshape(1, -1), 1).reshape(x.shape)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
         scalar = arr.ndim == 0
-        values = self._finish(self._raw(np.atleast_1d(arr)))
+        values = self._raw(np.atleast_1d(arr))
+        if self._correct:
+            values -= self._raw_lo
+            values /= self._span
+        values.clip(0.0, 1.0, out=values)
         return float(values[0]) if scalar else values.reshape(arr.shape)
 
     def grid_values(self, points: int) -> np.ndarray:
@@ -267,11 +290,13 @@ class CdfEstimate:
         is returned instead: for h below about three grid steps, which
         _below_fast_path decides before any coarse row is formed, and,
         with boundary correction on, for h above about 2.5, where dividing
-        by the small span magnifies rounding.
+        by the small span magnifies rounding.  The z = j*U and K_0 rows
+        of the rounding estimate are the ones the kernel rows start from.
 
         The scratch is the larger of three (P, size/2 + 1) complex
-        blocks, while the transforms are formed and multiplied, and two
-        (c, nodes) blocks of doubles with the coarse rows, while Horner's
+        blocks, while the transforms are formed (the products that
+        multiply them take at most 1024 frequencies a row), and two (c,
+        nodes) blocks of doubles with the coarse rows, while Horner's
         rule runs and its values are copied out in grid order.
 
         As the rounding share is only estimated, the values on every
@@ -291,8 +316,7 @@ class CdfEstimate:
         u = 1.0 / ((points - 1) * self._bandwidth)
         from scipy.special import ndtr  # only continuous runs pay its import
 
-        span = self._span if self._correct else 1.0
-        allowed = _GRID_ERROR * span
+        allowed = _GRID_ERROR * self._span
         for c in _COARSENING:
             radius = c * u if c > 1 else u / 2.0
             if c >= points or not _least_order(radius, allowed):
@@ -314,26 +338,32 @@ class CdfEstimate:
         else:
             return self(np.linspace(0.0, 1.0, points))
 
-        n = self._samples.size
-        t = self._samples * ((points - 1) / c)
-        node = np.rint(t).astype(np.intp)  # k
-        offset = t - node  # f
-        counts = np.bincount(node, minlength=nodes).astype(np.float64)
         # The factorials of C(p, a) = p!/(a! (p-a)!) are folded in: f^q/q!
         # into the moments, p! into the kernels, 1/a! into the rows.  Each
-        # coarse block is dropped once used, and the kernels' transform is
-        # taken before the moments' real rows exist, so at most three
-        # (P, size/2 + 1) complex blocks are held at once; _spectra writes
-        # its rows over the kernels' transform.
+        # array is dropped once used (run_pipeline holds every column's
+        # samples throughout, and this keeps its peak below what one
+        # column at a time held), and the kernels' transform is taken
+        # before the moments' real rows exist, so at most three (P, size/2
+        # + 1) complex blocks are held at once; _spectra writes its rows
+        # over the kernels' transform.
         spectra = _kernel_spectra(z, step_free, c * u, order, size)
-        spectra = _spectra(
-            _moment_spectra(node, offset, counts, order, size), spectra, order if c > 1 else 1
-        )
+        del z, step_free
+        offset = self._samples * ((points - 1) / c)
+        node = np.rint(offset).astype(np.intp)  # k
+        offset -= node  # f
+        counts = np.bincount(node, minlength=nodes).astype(np.float64)
+        moments = _moment_spectra(node, offset, counts, order, size)
+        del node, offset
+        spectra = _spectra(moments, spectra, order if c > 1 else 1)
+        del moments
         rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
         del spectra
         rows[0] += np.cumsum(counts) - 0.5 * counts
+        del counts
+        n = self._samples.size
         # Finish the rows, not the grid: row a carries 1/(n * a! * span),
         # and row 0, Horner's constant term, the correction's offset.
+        span = self._span
         rows /= ((n * span) * _FACTORIALS[: len(rows)])[:, np.newaxis]
         if self._correct:
             rows[0] -= self._raw_lo / span
@@ -394,10 +424,93 @@ def _below_fast_path(bandwidth: float, points: int) -> bool:
 
 def _least_order(radius: float, budget: float) -> int:
     """Least Taylor order P <= 10 with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
-    for order, top in enumerate(_NDTR_DERIVATIVE_MAX, start=1):
-        if radius**order / math.factorial(order) * top <= budget:
+    for order, (factorial, top) in enumerate(zip(_ORDER_FACTORIALS, _NDTR_DERIVATIVE_MAX), start=1):
+        if radius**order / factorial * top <= budget:
             return order
     return 0
+
+
+def _kernel_means(x: np.ndarray, bandwidths: np.ndarray, nodes: np.ndarray, depth: int):
+    """The raw estimate of each column at its own nodes: out[j, i] is the
+    mean over x[j] of ndtr((nodes[j, i] - x[j]) / bandwidths[j]).
+
+    x is a C-contiguous, row-sorted (m, n) array, nodes an (m, k) one,
+    which may be a broadcast view.  The kernel terms fill one reused block
+    of up to depth columns by as many of their nodes as _BLOCK_ELEMENTS
+    allows.  Each mean is one row's sum along the contiguous last axis,
+    numpy's 1-D pairwise sum, so neither the block nor m changes a bit.
+    """
+    from scipy.special import ndtr  # only continuous runs pay its import
+
+    m, n = x.shape
+    k = nodes.shape[1]
+    width = max(1, min(k, _BLOCK_ELEMENTS // n))
+    depth = min(m, depth)
+    out = np.empty((m, k))
+    scratch = np.empty((depth, width, n))
+    # A tiny bandwidth can overflow z to +-inf; ndtr(+-inf) is exactly 1 or
+    # 0, the kernel CDF's limit there, so that is exact.
+    with np.errstate(over="ignore"):
+        for j in range(0, m, depth):
+            columns = slice(j, j + depth)
+            for i in range(0, k, width):
+                part = slice(i, i + width)
+                z = scratch[: min(depth, m - j), : min(width, k - i)]
+                np.subtract(nodes[columns, part, np.newaxis], x[columns, np.newaxis], out=z)
+                z /= bandwidths[columns, np.newaxis, np.newaxis]
+                # np.mean's sum, and below its division by n: the same bits.
+                np.add.reduce(ndtr(z, out=z), axis=2, out=out[columns, part])
+    out /= n
+    return out
+
+
+def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
+    """Set up the (n, m) normalized matrix's columns together, one numpy
+    call a step for all of them: Silverman's bandwidths (where bandwidth
+    is None) and the correction's endpoint sums.  Returns the bandwidths
+    as run_pipeline reports them and the CdfEstimates.
+
+    The columns are copied into one C-contiguous (m, n) array sorted
+    along its rows, which the estimates share, and every sum runs along a
+    contiguous row, so each column gets the bits of select_bandwidth,
+    CdfEstimate and grid_values on its own.  A sort of the transposed
+    view would stay Fortran-ordered, and numpy then sums down its columns
+    in another order.  A block of the endpoint sums holds at most 3 *
+    points doubles, 24 bytes a grid point, the least one column's grid
+    values hold (see _MAX_POINTS), or one column's block if that is
+    larger.  A fault raises what the one-column calls raise, named after
+    the first faulty column of the first step that finds one.
+    """
+    x = np.array(columns.T, order="C")
+    x.sort(axis=1)
+    x.flags.writeable = False
+    m, n = x.shape
+    if bandwidth is None:
+        bandwidths = tuple(_silverman(x))
+        if None in bandwidths:
+            raise _named(DegenerateColumnError(_NO_BANDWIDTH), names[bandwidths.index(None)])
+        # Silverman's h underflows to 0.0 on a spread of a few subnormals,
+        # which CdfEstimate's check refuses.
+        if 0.0 in bandwidths:
+            message = _NOT_POSITIVE.format(name="bandwidth", double=0.0)
+            raise _named(InvalidBandwidthError(message), names[bandwidths.index(0.0)])
+        h = np.array(bandwidths)
+    else:
+        h = np.full(m, _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError))
+        bandwidths = (bandwidth,) * m
+    if correct:
+        ends = np.broadcast_to(_ENDS, (m, 2))
+        raw_lo, raw_hi = _kernel_means(x, h, ends, max(1, 3 * points // (2 * n))).T
+        span = raw_hi - raw_lo
+        for j in np.flatnonzero(span <= 0.0)[:1]:
+            raise _named(InvalidBandwidthError(_FLAT), names[j])
+    else:
+        raw_lo, span = np.zeros(m), np.ones(m)
+    estimates = tuple(
+        CdfEstimate._from_sorted(row, hj, correct, lo, sp)
+        for row, hj, lo, sp in zip(x, h.tolist(), raw_lo.tolist(), span.tolist())
+    )
+    return bandwidths, estimates
 
 
 def _moment_spectra(node, offset, counts, order, size) -> np.ndarray:
@@ -466,14 +579,23 @@ def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
     """Row a < rows is sum_{p>=a} moments[p - a] * kernels[p].
 
     Row a is written over kernels[a], which no later row reads, and
-    kernels[:rows] is returned, so no output block is allocated.
+    kernels[:rows] is returned, so no output block is allocated.  The
+    rows are formed on near-equal runs of at most _FREQUENCIES
+    frequencies, so the product, the one temporary, holds at most that
+    many a row rather than a third (P, size/2 + 1) block.
     """
-    order = len(kernels)
+    order, length = kernels.shape
+    runs = -(-length // _FREQUENCIES)
+    bounds = [length * r // runs for r in range(runs + 1)]
     for a in range(rows):
-        # Same-shape operands, so the product is the only temporary (a
-        # broadcast one allocates buffers too), and the sum down axis 0
-        # adds its terms in p order.
-        np.add.reduce(moments[: order - a] * kernels[a:], axis=0, out=kernels[a])
+        for lo, hi in zip(bounds, bounds[1:]):
+            # Same-shape operands, so the product is the only temporary (a
+            # broadcast one allocates buffers too), and the sum down axis 0
+            # adds its terms in p order: runs of two or more frequencies
+            # keep axis 1 the inner loop, so no run sums pairwise.
+            np.add.reduce(
+                moments[: order - a, lo:hi] * kernels[a:, lo:hi], axis=0, out=kernels[a, lo:hi]
+            )
     return kernels[:rows]
 
 

@@ -74,3 +74,8 @@ class AllZeroEntropyError(EntroscoreError):
 
 class DimensionMismatchError(EntroscoreError):
     """Matrix and weight dimensions do not agree."""
+
+
+def _named(exc: EntroscoreError, indicator: str) -> EntroscoreError:
+    """An error of exc's type whose message names the indicator it is about."""
+    return type(exc)(f"indicator '{indicator}': {exc}")

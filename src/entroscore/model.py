@@ -64,6 +64,10 @@ def _check_count(value, name: str) -> None:
         raise InvariantError(f"{name} must be an integer, got {value!r}")
 
 
+# _check_positive_real's message for a value that is not above 0 and finite.
+_NOT_POSITIVE = "{name} must be positive and finite as a double, got {double!r}"
+
+
 def _check_positive_real(value, name: str, error: type[EntroscoreError] = InvariantError) -> float:
     """value as a double, checked to be a real number above 0 and finite as a double.
 
@@ -78,7 +82,7 @@ def _check_positive_real(value, name: str, error: type[EntroscoreError] = Invari
     except OverflowError:
         double = math.inf if value > 0 else -math.inf
     if not 0.0 < double < math.inf:
-        raise error(f"{name} must be positive and finite as a double, got {double!r}")
+        raise error(_NOT_POSITIVE.format(name=name, double=double))
     return double
 
 

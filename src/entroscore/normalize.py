@@ -18,6 +18,7 @@ from .errors import (
     EntroscoreError,
     InvariantError,
     NonFiniteInputError,
+    _named,
 )
 from .model import Direction, NormalizedMatrix, RawDataset
 
@@ -76,14 +77,23 @@ def normalize_matrix(dataset: RawDataset) -> NormalizedMatrix:
     """Normalize every column of a dataset per its schema direction.
 
     Column errors are raised with the offending indicator named, and a
-    non-finite value with the offending entity ids.
+    non-finite value with the offending entity ids.  Every column's min
+    and max are taken once, for all columns together: a column holding
+    NaN or +-inf, or whose range is 0 or overflows, has no positive
+    finite range, and the first such column in schema order raises the
+    fault _column_fault names.  The arithmetic is _rescale's, so every
+    column gets its bits.
     """
-    n, m = dataset.values.shape
-    out = np.empty((n, m), dtype=np.float64)
-    for j, spec in enumerate(dataset.schema):
-        inverse = spec.direction is Direction.INVERSE
-        try:
-            out[:, j] = _rescale(dataset.values[:, j], inverse, dataset.entity_ids)
-        except EntroscoreError as exc:
-            raise type(exc)(f"indicator '{spec.name}': {exc}") from None
+    values = dataset.values
+    lo, hi = values.min(axis=0), values.max(axis=0)
+    # inf - inf is NaN and a finite range can overflow: both are screened.
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    for j in np.flatnonzero(~((span > 0.0) & (span < math.inf)))[:1]:
+        error, detail = _column_fault(values[:, j], dataset.entity_ids)
+        raise _named(error(detail), dataset.schema.names[j])
+    out = np.subtract(values, lo, out=np.empty(values.shape))
+    inverse = [j for j, spec in enumerate(dataset.schema) if spec.direction is Direction.INVERSE]
+    out[:, inverse] = hi[inverse] - values[:, inverse]
+    out /= span
     return NormalizedMatrix(out, dataset.schema)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import CdfEstimate, _below_fast_path, estimate_cdf, select_bandwidth
+from .density import CdfEstimate, _below_fast_path, _setup
 from .entropy import (
     WEIGHT_RULES,
     QuadratureConfig,
@@ -23,10 +23,12 @@ from .entropy import (
     continuous_entropy,
     discrete_entropy,
 )
-from .errors import DimensionMismatchError, EntroscoreError, InvariantError
+from .errors import DimensionMismatchError, EntroscoreError, InvariantError, _named
 
-# Not called: normalize_matrix holds the pipeline's one column check.  The
-# name stays importable here because bench/tracer.py hooks scoring.validate.
+# Not called: normalize_matrix holds the pipeline's one column check, and
+# density._setup picks the bandwidths and builds the estimates.  These
+# names stay importable here because bench/tracer.py hooks them here.
+from .density import estimate_cdf, select_bandwidth  # noqa: F401
 from .ingest import validate  # noqa: F401
 from .model import (
     DescriptiveStats,
@@ -76,10 +78,12 @@ class EvaluationOptions:
     taker of these arguments shares, raise InvariantError otherwise, as
     does a quadrature that is not a QuadratureConfig.  threads, an int,
     caps the number of continuous indicator columns processed concurrently.
-    run_pipeline starts a pool of that size only where it pays: for long
-    columns, fine quadrature grids or bandwidths on the exact kernel-CDF
-    path, and otherwise runs the columns one after another, as it always
-    does discrete ones.  Results are identical for any thread count.
+    The columns' set-up (bandwidths and CDF estimates) runs once, on the
+    calling thread, before any pool.  run_pipeline then starts a pool of
+    that size only where it pays: for long columns, fine quadrature grids
+    or bandwidths on the exact kernel-CDF path, and otherwise runs the
+    columns one after another, as it always does discrete ones.  Results
+    are identical for any thread count.
     """
 
     method: str = "continuous"
@@ -193,12 +197,6 @@ class PipelineRun:
     cdfs: tuple[CdfEstimate, ...] | None
 
 
-def _continuous_column(column: np.ndarray, h: float, options: EvaluationOptions):
-    """Entropy and CDF estimate of one normalized column at bandwidth h."""
-    cdf = estimate_cdf(column, h, options.boundary_correction)
-    return continuous_entropy(cdf, options.quadrature), cdf
-
-
 def _pool_pays(rows: int, points: int, bandwidths: tuple[float, ...]) -> bool:
     """Whether continuous columns of this shape finish sooner on a thread pool.
 
@@ -218,14 +216,16 @@ def _pool_pays(rows: int, points: int, bandwidths: tuple[float, ...]) -> bool:
 def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) -> PipelineRun:
     """Normalize, estimate, weigh, and score a dataset, keeping intermediates.
 
-    Indicator columns are independent.  Every bandwidth is picked first,
-    in column order, on the calling thread.  Continuous columns then run
-    on a pool of at most options.threads workers, but only where
-    _pool_pays finds that a pool beats one worker for their length, grid
-    and bandwidths.  Results are assembled in column order and are
-    bit-identical to a sequential run.  A column that cannot be
-    normalized raises the error normalize_matrix names it with; any
-    later fault names its indicator too.
+    Indicator columns are independent.  Continuous columns are first set
+    up together, once, on the calling thread and before any pool starts:
+    their bandwidths and CDF estimates (density._setup).  Only
+    continuous_entropy runs per column, on a pool of at most
+    options.threads workers where _pool_pays finds that a pool beats one
+    worker for their length, grid and bandwidths.  Results are assembled
+    in column order and are bit-identical to a sequential run, and to
+    select_bandwidth, estimate_cdf and continuous_entropy on each column.
+    A column that cannot be normalized raises the error normalize_matrix
+    names it with; any later fault names its indicator too.
     """
     options = options or EvaluationOptions()
     normalized = normalize_matrix(dataset)
@@ -233,31 +233,30 @@ def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) 
     m = len(names)
 
     def named(j: int, job, *args):
-        """job(column j, *args), with any fault naming indicator j."""
+        """job(*args), with any fault naming indicator j."""
         try:
-            return job(normalized.values[:, j], *args)
+            return job(*args)
         except EntroscoreError as exc:
-            raise type(exc)(f"indicator '{names[j]}': {exc}") from None
+            raise _named(exc, names[j]) from None
 
     if options.method == "discrete":
-        values = [named(j, discrete_entropy) for j in range(m)]
+        values = [named(j, discrete_entropy, normalized.values[:, j]) for j in range(m)]
         bandwidths = cdfs = None
     else:
-        if options.bandwidth is None:
-            bandwidths = tuple(named(j, select_bandwidth) for j in range(m))
-        else:
-            bandwidths = (options.bandwidth,) * m
+        points = options.quadrature.points
+        bandwidths, cdfs = _setup(
+            normalized.values, names, options.bandwidth, options.boundary_correction, points
+        )
 
-        def column_job(j: int):
-            return named(j, _continuous_column, bandwidths[j], options)
+        def column_job(j: int) -> float:
+            return named(j, continuous_entropy, cdfs[j], options.quadrature)
 
         rows = normalized.values.shape[0]
-        if options.threads > 1 and m > 1 and _pool_pays(rows, options.quadrature.points, bandwidths):
+        if options.threads > 1 and m > 1 and _pool_pays(rows, points, bandwidths):
             with ThreadPoolExecutor(max_workers=options.threads) as pool:
-                results = list(pool.map(column_job, range(m)))
+                values = list(pool.map(column_job, range(m)))
         else:
-            results = [column_job(j) for j in range(m)]
-        values, cdfs = zip(*results)
+            values = [column_job(j) for j in range(m)]
 
     entropies = EntropyVector(np.array(values, dtype=np.float64))
     weights = compute_weights(entropies, options.weight_rule)

@@ -133,6 +133,12 @@ class TestCdfEstimate:
         out = cdf(np.full((3, 4), 0.5))
         assert out.shape == (3, 4)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_input_gives_an_empty_result(self, shape):
+        cdf = es.estimate_cdf(np.random.default_rng(18).uniform(size=20), 0.1)
+        out = cdf(np.empty(shape))
+        assert out.shape == shape and out.dtype == np.float64
+
     def test_sample_order_never_matters(self):
         rng = np.random.default_rng(19)
         x = rng.uniform(size=64)

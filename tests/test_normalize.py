@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
+from entroscore import normalize
 from helpers import simple_schema
+
+# Cells a column may hold: signed zeros and ties, huge values whose range
+# overflows, and the non-finite values the screen must catch.
+CELLS = (0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e308, -1e308, 5e-324, np.nan, np.inf, -np.inf)
 
 
 class TestHandValues:
@@ -165,3 +172,42 @@ class TestNormalizeMatrix:
         )
         assert np.array_equal(es.normalize_matrix(shuffled).values,
                               es.normalize_matrix(ds).values[perm])
+
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        picks=st.lists(
+            st.lists(st.integers(0, len(CELLS) - 1), min_size=1, max_size=8), min_size=2, max_size=9
+        ),
+        inverse=st.sets(st.integers(0, 7)),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_is_the_column_by_column_rescale_to_the_bit(self, picks, inverse, layout):
+        # The one pass over all columns against _rescale on each column in
+        # schema order: the same bits, or the first faulty column's error
+        # under its indicator's name, and never a numpy warning.
+        m = min(len(row) for row in picks)
+        values = np.array([[CELLS[i] for i in row[:m]] for row in picks])
+        if layout == "F":
+            values = np.asfortranarray(values)
+        elif layout == "strided":
+            wide = np.zeros((2 * values.shape[0], 3 * m))
+            wide[::2, ::3] = values
+            values = wide[::2, ::3]
+        ids = tuple(f"e{i}" for i in range(values.shape[0]))
+        ds = es.RawDataset(ids, values, simple_schema(m, tuple(inverse)))
+        expected = []
+        try:
+            for j, spec in enumerate(ds.schema):
+                inv = spec.direction is es.Direction.INVERSE
+                try:
+                    expected.append(normalize._rescale(ds.values[:, j], inv, ids))
+                except es.EntroscoreError as exc:
+                    raise type(exc)(f"indicator '{spec.name}': {exc}") from None
+        except es.EntroscoreError as exc:
+            with pytest.raises(type(exc)) as info:
+                es.normalize_matrix(ds)
+            assert str(info.value) == str(exc)
+            return
+        got = es.normalize_matrix(ds).values
+        assert got.tobytes() == np.column_stack(expected).tobytes()

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
-from entroscore import scoring
+from entroscore import density, scoring
 from helpers import random_dataset, record_pool_starts, simple_schema
 
 
@@ -395,25 +399,28 @@ class TestRunPipeline:
         assert started == [2, 8]
 
     def test_bandwidth_fault_is_named_before_any_column_runs(self, monkeypatch):
-        # Every bandwidth is picked before any column's CDF, so a fault in
-        # the third column's bandwidth stops the run before a pool starts,
-        # under that indicator's name.
+        # Every bandwidth is picked, in one step for all columns, before
+        # any column's CDF, so a fault in the third column's bandwidth
+        # stops the run before a pool starts, under that indicator's name.
         started = record_pool_starts(monkeypatch)
         picked, built = [], []
+        silverman = density._silverman
 
-        def select_bandwidth(column):
-            picked.append(column)
-            if len(picked) == 3:
-                raise es.DegenerateColumnError("no bandwidth exists")
-            return es.select_bandwidth(column)
+        def faulty(x):
+            picked.append(x.shape)
+            bandwidths = silverman(x)
+            bandwidths[2] = None
+            return bandwidths
 
-        monkeypatch.setattr(scoring, "select_bandwidth", select_bandwidth)
-        monkeypatch.setattr(scoring, "estimate_cdf", lambda *args: built.append(args))
+        monkeypatch.setattr(density, "_silverman", faulty)
+        monkeypatch.setattr(density, "_kernel_means", lambda *args: built.append(args))
         ds = random_dataset(np.random.default_rng(41), 3000, 4)
         with pytest.raises(es.DegenerateColumnError) as info:
             es.run_pipeline(ds, es.EvaluationOptions(threads=2))
-        assert str(info.value) == "indicator 'ind_02': no bandwidth exists"
-        assert len(picked) == 3 and built == [] and started == []
+        assert str(info.value) == (
+            "indicator 'ind_02': sample standard deviation and IQR are both zero; no bandwidth exists"
+        )
+        assert picked == [(4, 3000)] and built == [] and started == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_continuous_columns_make_no_blas_call(self, monkeypatch, threads):
@@ -450,6 +457,193 @@ class TestRunPipeline:
         assert np.all((report.scores >= 0.0) & (report.scores <= 100.0))
         np.testing.assert_allclose(report.weights.weights.sum(), 1.0, atol=1e-12)
         assert 0.0 < report.stats.std_dev < 100.0
+
+
+def _bench_dataset(rows: int, seed: int) -> es.RawDataset:
+    """bench/workloads.generate's library data at rows x 17."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    shape = workloads.Spec("lib", "continuous", rows=rows, indicators=17, drop_share=0.0, threads=1)
+    inputs = workloads.generate(shape, seed)
+    specs = tuple(
+        es.IndicatorSpec(name, category, "inverse" if inverse else "positive")
+        for name, category, inverse in zip(inputs.names, inputs.categories, inputs.inverse)
+    )
+    return es.RawDataset(inputs.kept_ids, inputs.clean, es.Schema(specs))
+
+
+# Column kinds for the set-up property: spread, ties, a heavy tail, and a
+# spike with outliers (IQR 0, so Silverman's rule takes its other branch).
+def _kind_column(kind: int, n: int, rng) -> np.ndarray:
+    if kind == 0:
+        return rng.uniform(size=n)
+    if kind == 1:
+        return rng.integers(0, 4, size=n).astype(np.float64)
+    if kind == 2:
+        return rng.lognormal(sigma=1.5, size=n)
+    column = np.zeros(n)
+    column[rng.integers(0, n, size=max(1, n // 8))] = rng.normal(size=max(1, n // 8))
+    return column
+
+
+class TestBatchedSetup:
+    """run_pipeline sets every continuous column up in one pass: the same
+    bits as the one-column calls, in no more memory than those took."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.sampled_from([2, 7, 8, 9, 128, 129, 300]),
+        m=st.integers(1, 20),
+        correct=st.booleans(),
+        bandwidth=st.sampled_from([None, 0.05, 0.7]),
+        exact=st.sets(st.integers(0, 19), max_size=2),
+        points=st.sampled_from([3, 1001, 4097, 10001]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        skew=st.none() | st.integers(0, 19),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_is_the_one_column_calls_to_the_bit(
+        self, n, m, correct, bandwidth, exact, points, layout, skew, seed
+    ):
+        # Bandwidths, entropies, weights and scores against select_bandwidth,
+        # estimate_cdf and continuous_entropy on each normalized column.
+        # With Silverman's rule, the columns in exact get h = 1e-5, below
+        # the fast path.  skew, if drawn, puts one FFT column's values off
+        # its check; that column alone must come back as the exact sum.
+        rng = np.random.default_rng(seed)
+        values = np.column_stack([_kind_column(int(rng.integers(4)), n, rng) for _ in range(m)])
+        flat = values.max(axis=0) == values.min(axis=0)
+        values[0, flat] += 1.0
+        if layout == "F":
+            values = np.asfortranarray(values)
+        elif layout == "strided":
+            wide = np.zeros((2 * n, 3 * m))
+            wide[::2, ::3] = values
+            values = wide[::2, ::3]
+        ds = es.RawDataset(tuple(f"e{i}" for i in range(n)), values, simple_schema(m, (1, 4)))
+        exact = {j for j in exact if j < m} if bandwidth is None else set()
+        options = es.EvaluationOptions(
+            bandwidth=bandwidth, boundary_correction=correct, quadrature=es.QuadratureConfig(points)
+        )
+
+        # The reference, noting which columns take the FFTs.
+        spectra = density._spectra
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return spectra(*args)
+
+        normalized = es.normalize_matrix(ds)
+        hs, entropies, fft_columns = [], [], []
+        with mock.patch.object(density, "_spectra", counted):
+            for j in range(m):
+                column = normalized.values[:, j]
+                h = bandwidth or (1e-5 if j in exact else es.select_bandwidth(column))
+                cdf = es.estimate_cdf(column, h, correct)
+                before = len(calls)
+                entropies.append(es.continuous_entropy(cdf, options.quadrature))
+                if len(calls) > before:
+                    fft_columns.append(j)
+                hs.append(h)
+        if skew is not None and fft_columns:
+            skew = fft_columns[skew % len(fft_columns)]
+            cdf = es.estimate_cdf(normalized.values[:, skew], hs[skew], correct)
+            entropies[skew] = es.continuous_entropy(lambda grid: cdf(grid), options.quadrature)
+        else:
+            skew = None
+        weights = es.compute_weights(np.array(entropies))
+        scores = es.composite_scores(normalized, weights)
+
+        silverman = density._silverman
+
+        def mixed(x):
+            return [1e-5 if j in exact else h for j, h in enumerate(silverman(x))]
+
+        def skewed(*args):
+            out = spectra(*args)
+            calls.append(None)
+            if len(calls) - 1 == fft_columns.index(skew):
+                out *= 1.0 + 1e-3
+            return out
+
+        calls.clear()
+        with mock.patch.object(density, "_silverman", mixed), mock.patch.object(
+            density, "_spectra", skewed if skew is not None else spectra
+        ):
+            run = es.run_pipeline(ds, options)
+        assert np.array(run.bandwidths).tobytes() == np.array(hs, dtype=np.float64).tobytes()
+        assert run.report.entropies.entropies.tobytes() == np.array(entropies).tobytes()
+        assert run.report.weights.weights.tobytes() == weights.weights.tobytes()
+        assert run.report.scores.tobytes() == scores.tobytes()
+        assert run.normalized.values.tobytes() == normalized.values.tobytes()
+
+    def test_an_underflowing_bandwidth_is_refused_as_the_estimate_refuses_it(self):
+        # IQR one subnormal, so Silverman's h rounds to 0.0 at 2000 rows.
+        column = np.array([0.0] * 1000 + [5e-324] * 999 + [1.0])
+        assert es.select_bandwidth(column) == 0.0
+        with pytest.raises(es.InvalidBandwidthError) as one:
+            es.estimate_cdf(column, 0.0)
+        values = np.column_stack([np.linspace(0.0, 1.0, 2000), column])
+        ds = es.RawDataset(tuple(f"e{i}" for i in range(2000)), values, simple_schema(2))
+        with pytest.raises(es.InvalidBandwidthError) as info:
+            es.run_pipeline(ds)
+        assert str(info.value) == f"indicator 'ind_01': {one.value}"
+
+    def test_a_flat_estimate_is_named_before_any_grid_work(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(density.CdfEstimate, "grid_values", lambda *args: built.append(args))
+        ds = random_dataset(np.random.default_rng(42), 30, 3)
+        with pytest.raises(es.InvalidBandwidthError) as info:
+            es.run_pipeline(ds, es.EvaluationOptions(bandwidth=1e20))
+        assert str(info.value) == "indicator 'ind_00': bandwidth so large the kernel CDF is flat on [0, 1]"
+        assert built == []
+
+    @staticmethod
+    def _one_column_at_a_time(ds: es.RawDataset):
+        """run_pipeline's products from the one-column calls, in the order
+        run_pipeline made them before its set-up was batched: every
+        bandwidth, then each column's estimate and entropy in turn."""
+        normalized = es.normalize_matrix(ds)
+        columns = normalized.values.T
+        bandwidths = tuple(es.select_bandwidth(column) for column in columns)
+        results = []
+        for column, h in zip(columns, bandwidths):
+            cdf = es.estimate_cdf(column, h)
+            results.append((es.continuous_entropy(cdf), cdf))
+        values, cdfs = zip(*results)
+        entropies = es.EntropyVector(np.array(values))
+        weights = es.compute_weights(entropies)
+        scores = es.composite_scores(normalized, weights)
+        report = es.EvaluationReport(
+            entropies, weights, scores, es.rank(scores), es.describe(scores), 100.0
+        )
+        return report, normalized, bandwidths, cdfs
+
+    @pytest.mark.parametrize("rows", [70, 1000, 3000])
+    def test_peak_memory_is_no_higher_than_one_column_at_a_time(self, rows):
+        # bench/workloads.generate's data at rows x 17.  run_pipeline holds
+        # every column's sorted samples from the start, one copy of the
+        # matrix, where the one-column calls build them a column at a time;
+        # beyond that copy, the set-up's blocks must fit in the scratch that
+        # one column's grid work holds anyway.
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing; its peak is not this test's")
+        ds = _bench_dataset(rows, 7)
+        peaks = {}
+        for run in (self._one_column_at_a_time, es.run_pipeline):
+            run(ds)  # imports and caches out of the measured run
+            tracemalloc.start()
+            try:
+                run(ds)
+                peaks[run] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        held = ds.values.nbytes
+        assert peaks[es.run_pipeline] <= peaks[self._one_column_at_a_time] + held
 
 
 @st.composite
