@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,21 +38,13 @@ __all__ = ["build_parser", "run", "main"]
 # Marker for dump flags given without a path: resolve against --out-dir.
 _USE_OUT_DIR = ""
 
-# The JSON type each --config key must hold.  A bool is never accepted as
-# a number, and "bandwidth" may also be the string "silverman".
-_CONFIG_TYPES = {
-    "input": str,
-    "schema": str,
-    "method": str,
-    "weight_rule": str,
-    "bandwidth": float,
-    "boundary_correction": bool,
-    "quadrature_points": int,
-    "scale": float,
-    "out_dir": str,
-    "threads": int,
-}
-_JSON_TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
+# The --config keys.  A file names a path or a choice with a JSON string;
+# EvaluationOptions, or QuadratureConfig for quadrature_points, judges
+# each option value on its own, so that a refusal names the file.
+_STRING_KEYS = ("input", "schema", "out_dir", "method", "weight_rule")
+_OPTION_KEYS = (
+    "method", "weight_rule", "bandwidth", "boundary_correction", "quadrature_points", "scale", "threads"
+)
 
 
 class RunPaths(NamedTuple):
@@ -170,16 +163,21 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         parser.error(str(exc))
     if not isinstance(payload, dict):
         parser.error(f"config {path} must hold a JSON object")
-    unknown = sorted(set(payload) - set(_CONFIG_TYPES))
+    unknown = sorted(set(payload) - {*_STRING_KEYS, *_OPTION_KEYS})
     if unknown:
         parser.error(f"config {path} has unknown keys: {', '.join(unknown)}")
     for key, value in payload.items():
         if value is None or (key == "bandwidth" and value == "silverman"):
             continue  # null leaves the default
-        want = _CONFIG_TYPES[key]
-        accepted = (int, float) if want is float else want
-        if isinstance(value, bool) is not (want is bool) or not isinstance(value, accepted):
-            parser.error(f"config {path}: {key} must be {_JSON_TYPE_NAMES[want]}, got {value!r}")
+        if key in _STRING_KEYS and not isinstance(value, str):
+            parser.error(f"config {path}: {key} must be a string, got {value!r}")
+        try:
+            if key == "quadrature_points":
+                QuadratureConfig(points=value)
+            elif key in _OPTION_KEYS:
+                replace(EvaluationOptions(), **{key: value})
+        except InvariantError as exc:
+            parser.error(f"config {path}: {exc}")
     return payload
 
 
@@ -195,9 +193,9 @@ def resolve_config(
 ) -> tuple[RunPaths, EvaluationOptions]:
     """Merge flags over config-file values over built-in defaults.
 
-    EvaluationOptions is the only judge of option values; its
-    InvariantError is a usage error, as is any other bad flag or config
-    value.
+    EvaluationOptions and QuadratureConfig are the only judges of option
+    values; their InvariantError is a usage error, as is any other bad flag
+    or config value.
     """
     file_values = _load_config_file(args.config, parser) if args.config else {}
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,25 +76,16 @@ def _aligned_columns(headers: Sequence[str], columns: Sequence[Sequence], numeri
     return "\n".join(lines)
 
 
-def _aligned(headers: Sequence[str], rows: list[Sequence[str]], numeric: Sequence[bool]) -> str:
-    columns = [column[1:] for column in zip(headers, *rows)]
-    return _aligned_columns(headers, columns, numeric)
-
-
 def weights_table(schema: Schema, entropies: EntropyVector, weights: WeightVector) -> str:
     """Aligned category / indicator / entropy / weight table."""
-    rows = [
-        (
-            CATEGORY_LABELS.get(spec.category, spec.category),
-            spec.label,
-            _fixed(float(entropies.entropies[j]), 6),
-            _fixed(float(weights.weights[j]), 6),
-        )
-        for j, spec in enumerate(schema)
-    ]
-    return _aligned(
+    return _aligned_columns(
         ("Category", "Indicator", "Entropy", "Weight"),
-        rows,
+        (
+            [CATEGORY_LABELS.get(spec.category, spec.category) for spec in schema],
+            [spec.label for spec in schema],
+            [_fixed(value, 6) for value in entropies.entropies.tolist()],
+            [_fixed(value, 6) for value in weights.weights.tolist()],
+        ),
         (False, False, True, True),
     )
 
@@ -128,70 +119,70 @@ def stats_block(stats: DescriptiveStats) -> str:
     return "\n".join(f"{label.ljust(width)}  {value}" for label, value in entries) + "\n"
 
 
-def _writer(stream: IO[str], entity_ids: Sequence[str] = ()) -> "csv.writer":
-    """CSV writer ending lines with a bare newline.
+# Characters that make csv.writer quote a field, and NUL, which it handles
+# differently before Python 3.11.
+_QUOTED = ',"\r\n\0'
 
-    csv quotes a field that holds the line terminator but not one that
-    holds a lone carriage return, which a reader splits the row at.  So
-    when some entity id holds one, every field of the file is quoted.
+
+def _write_csv(
+    path: Path, header: Sequence[str], text: Sequence[Sequence[str]], numbers: Sequence[np.ndarray]
+) -> None:
+    """Write header, then row i of every text column and of every numeric column.
+
+    A float prints as its shortest round-trip decimal, an int as an int.
+    Where no text cell, header included, holds a character of _QUOTED and
+    no float is NaN, each row is written with one format call; csv.writer
+    writes any other file, NaN as NA.  csv quotes a field that holds the
+    line terminator but not one that holds a lone carriage return, which a
+    reader splits the row at, so when some text cell holds one, every field
+    of the file is quoted.
     """
-    quoting = csv.QUOTE_ALL if "\r" in "".join(entity_ids) else csv.QUOTE_MINIMAL
-    return csv.writer(stream, lineterminator="\n", quoting=quoting)
+    cells = "".join(map("".join, (header, *text)))
+    floats = [column.dtype.kind == "f" for column in numbers]
+    plain = not any(ch in cells for ch in _QUOTED) and not any(
+        np.isnan(column).any() for column, is_float in zip(numbers, floats) if is_float
+    )
+    numbers = [column.tolist() for column in numbers]  # %r of a numpy float is np.float64(...)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if plain:
+            row = ",".join(["%s"] * len(text) + ["%r" if is_float else "%d" for is_float in floats]) + "\n"
+            fh.write(",".join(header) + "\n")
+            fh.writelines(map(row.__mod__, zip(*text, *numbers)))
+            return
+        quoting = csv.QUOTE_ALL if "\r" in cells else csv.QUOTE_MINIMAL
+        out = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        out.writerow(header)
+        out.writerows(zip(*text, *(
+            map(_full, column) if is_float else column for column, is_float in zip(numbers, floats)
+        )))
 
 
 def write_weights_csv(path: Path, schema: Schema, entropies: EntropyVector, weights: WeightVector) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(["category", "indicator", "entropy", "weight"])
-        for j, spec in enumerate(schema):
-            out.writerow(
-                [
-                    spec.category,
-                    spec.name,
-                    _full(float(entropies.entropies[j])),
-                    _full(float(weights.weights[j])),
-                ]
-            )
+    _write_csv(
+        path,
+        ("category", "indicator", "entropy", "weight"),
+        ([spec.category for spec in schema], schema.names),
+        (entropies.entropies, weights.weights),
+    )
 
 
 def write_scores_csv(path: Path, entity_ids: Sequence[str], scores: np.ndarray, ranking: np.ndarray) -> None:
-    """Scores in input row order, with each entity's 1-based rank.
-
-    Where no id needs quoting or holds a NUL (which csv.writer handles
-    differently before Python 3.11) and no score is NaN, each row is
-    written with one format call; csv.writer writes any other file.
-    """
+    """Scores in input row order, with each entity's 1-based rank."""
     position = np.empty(len(ranking), dtype=np.intp)
     position[ranking] = np.arange(1, len(ranking) + 1)
-    scores = np.asarray(scores, dtype=np.float64)
-    ids = "".join(entity_ids)
-    plain = not any(ch in ids for ch in ',"\r\n\0') and not np.isnan(scores).any()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if plain:
-            fh.write("entity_id,score,rank\n")
-            fh.writelines(map("%s,%r,%d\n".__mod__, zip(entity_ids, scores.tolist(), position.tolist())))
-            return
-        out = _writer(fh, entity_ids)
-        out.writerow(["entity_id", "score", "rank"])
-        out.writerows(zip(entity_ids, map(_full, scores.tolist()), position.tolist()))
+    _write_csv(
+        path,
+        ("entity_id", "score", "rank"),
+        (entity_ids,),
+        (np.asarray(scores, dtype=np.float64), position),
+    )
 
 
 def write_normalized_csv(path: Path, entity_ids: Sequence[str], normalized: NormalizedMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh, entity_ids)
-        out.writerow(["entity_id", *normalized.schema.names])
-        out.writerows(
-            [entity_id, *map(_full, row)]
-            for entity_id, row in zip(entity_ids, normalized.values.tolist())
-        )
+    _write_csv(path, ("entity_id", *normalized.schema.names), (entity_ids,), normalized.values.T)
 
 
 def write_cdf_csv(path: Path, cdf: CdfEstimate, points: int = CDF_GRID_POINTS) -> None:
     """Uniform-grid (x, phi(x)) pairs for one indicator."""
     grid = np.linspace(0.0, 1.0, points)
-    values = cdf(grid)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(["x", "phi"])
-        for x, phi in zip(grid, values):
-            out.writerow([_full(float(x)), _full(float(phi))])
+    _write_csv(path, ("x", "phi"), (), (grid, cdf(grid)))

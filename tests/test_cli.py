@@ -8,6 +8,7 @@ is the point: imports, and the environment OpenBLAS reads at start-up.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -18,10 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import cli
 from entroscore.cli import run
+from entroscore.report import CDF_GRID_POINTS
 from helpers import csv_bytes
 
 
@@ -384,6 +388,71 @@ assert run(["evaluate", *data]) == 0 and "scipy.special" in sys.modules
         assert "Capital intensity" in capsys.readouterr().out
 
 
+def _text(quoted: str, forbidden: str = ""):
+    """Non-blank text with no outer whitespace, as parse_csv keeps ids and header cells."""
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters=forbidden)
+    return st.text(chars | st.sampled_from(quoted), min_size=1, max_size=8).filter(
+        lambda text: text == text.strip()
+    )
+
+
+def read_records(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCsvRoundTrip:
+    """Every CSV of `evaluate` reads back with csv.reader as the run's ids, names and values.
+
+    Ids and categories hold the characters that make csv quote a field and
+    NUL; a name names its cdf_<name>.csv too, so it holds no NUL or '/'.
+    """
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        st.lists(_text(',"\r\n\0'), min_size=3, max_size=6, unique=True),
+        st.lists(_text(',"\r\n', forbidden="\0/"), min_size=1, max_size=3, unique=True),
+        st.data(),
+    )
+    def test_every_csv_reads_back(self, tmp_path_factory, ids, names, data):
+        categories = data.draw(st.lists(_text(',"\r\n\0'), min_size=len(names), max_size=len(names)))
+        values = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 100.0), min_size=len(names), max_size=len(names)),
+            min_size=len(ids), max_size=len(ids),
+        )))
+        values[0], values[1] = 0.0, 1.0  # two distinct values in every column
+        schema = es.Schema(tuple(
+            es.IndicatorSpec(name, category, "positive") for name, category in zip(names, categories)
+        ))
+        work = tmp_path_factory.mktemp("round_trip")
+        es.save_schema(schema, work / "schema.json")
+        # The excel dialect ends rows with "\r\n", so it quotes a cell holding a lone CR.
+        buf = io.StringIO()
+        csv.writer(buf).writerows([["entity_id", *names], *([eid, *map(repr, row)] for eid, row in zip(ids, values.tolist()))])
+        (work / "data.csv").write_bytes(buf.getvalue().encode("utf-8"))
+        out = work / "out"
+        argv = ["evaluate", "--input", str(work / "data.csv"), "--schema", str(work / "schema.json"),
+                "--out-dir", str(out), "--dump-normalized", "--dump-cdf"]
+        assert run(argv) == 0
+
+        result = es.run_pipeline(es.RawDataset(tuple(ids), values, schema))
+        report = result.report
+        position = np.empty(len(ids), dtype=int)
+        position[report.ranking] = np.arange(1, len(ids) + 1)
+        scores = zip(ids, map(repr, report.scores.tolist()), map(str, position.tolist()))
+        assert read_records(out / "scores.csv") == [["entity_id", "score", "rank"], *map(list, scores)]
+        weights = zip(
+            categories, names, map(repr, report.entropies.entropies.tolist()), map(repr, report.weights.weights.tolist())
+        )
+        assert read_records(out / "weights.csv") == [["category", "indicator", "entropy", "weight"], *map(list, weights)]
+        normalized = ([eid, *map(repr, row)] for eid, row in zip(ids, result.normalized.values.tolist()))
+        assert read_records(out / "normalized.csv") == [["entity_id", *names], *normalized]
+        grid = np.linspace(0.0, 1.0, CDF_GRID_POINTS)
+        for name, cdf in zip(names, result.cdfs):
+            phi = zip(map(repr, grid.tolist()), map(repr, cdf(grid).tolist()))
+            assert read_records(out / f"cdf_{name}.csv") == [["x", "phi"], *map(list, phi)]
+
+
 class TestSchemaCategories:
     def test_free_category_loads_and_prints_verbatim(self, tmp_path, capsys):
         schema_path = tmp_path / "schema.json"
@@ -465,7 +534,8 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert run([command, *base_args(small_csv), "--config", str(cfg)]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
+        name = "quadrature points" if key == "quadrature_points" else key
+        assert f"error: config {cfg}: {name} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload", [{"threads": 0}, {"scale": -1}, {"bandwidth": 0}, {"scale": 10**400}]
@@ -475,12 +545,13 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         assert run(["validate", *base_args(small_csv), "--config", str(cfg)]) == 2
+        assert f"error: config {cfg}: " in capsys.readouterr().err
 
     def test_config_scale_too_large_for_a_double(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"scale": 1' + "0" * 399 + "}")
         assert run(["evaluate", *base_args(small_csv), "--config", str(cfg)]) == 2
-        assert "error: scale must be positive and finite as a double, got inf\n" in (
+        assert f"error: config {cfg}: scale must be positive and finite as a double, got inf\n" in (
             capsys.readouterr().err
         )
 

@@ -90,7 +90,7 @@ class TestRankingTable:
 
 
 def aligned_reference(headers, rows, numeric):
-    """Cell-by-cell ljust/rjust rendering that _aligned must reproduce."""
+    """Cell-by-cell ljust/rjust rendering that _aligned_columns must reproduce."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -108,11 +108,11 @@ def aligned_reference(headers, rows, numeric):
     return "\n".join(lines) + "\n"
 
 
-# Entity ids as parse_csv leaves them: non-blank, possibly long, non-ASCII,
-# holding the characters that make csv quote a field, or braces that a
-# format string would read as a field.
+# Entity ids as parse_csv leaves them, and schema names and categories:
+# non-blank, possibly long, non-ASCII, holding the characters that make csv
+# quote a field, a NUL, or braces that a format string would read as a field.
 IDS = st.text(
-    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\r\n {}'),
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\r\n\0 {}'),
     min_size=1,
     max_size=40,
 )
@@ -127,7 +127,8 @@ class TestAlignedRendering:
         headers = data.draw(st.lists(st.text(min_size=1, max_size=8), min_size=k, max_size=k))
         numeric = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
         rows = data.draw(st.lists(st.lists(IDS | st.just(""), min_size=k, max_size=k), max_size=8))
-        assert rep._aligned(headers, rows, numeric) == aligned_reference(headers, rows, numeric)
+        columns = [[row[i] for row in rows] for i in range(k)]
+        assert rep._aligned_columns(headers, columns, numeric) == aligned_reference(headers, rows, numeric)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.lists(IDS, max_size=12, unique=True), st.data())
@@ -143,15 +144,24 @@ class TestAlignedRendering:
         )
 
 
-def writerow_reference(header, rows, ids) -> bytes:
-    """One writerow per row; every field quoted when an id holds a CR."""
-    quoting = csv.QUOTE_ALL if any("\r" in eid for eid in ids) else csv.QUOTE_MINIMAL
+def writerow_reference(header, rows) -> bytes:
+    """One writerow per row; every field quoted when some field holds a CR."""
+    cr = any("\r" in str(field) for row in [header, *rows] for field in row)
     buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n", quoting=quoting)
+    out = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL)
     out.writerow(header)
     for row in rows:
         out.writerow(row)
     return buf.getvalue().encode("utf-8")
+
+
+def unique_schema(data, m: int) -> es.Schema:
+    """m indicators whose names and categories are drawn from IDS."""
+    names = data.draw(st.lists(IDS, min_size=m, max_size=m, unique=True))
+    categories = data.draw(st.lists(IDS, min_size=m, max_size=m))
+    return es.Schema(tuple(
+        es.IndicatorSpec(name, category, "positive") for name, category in zip(names, categories)
+    ))
 
 
 class TestCsvWriterBytes:
@@ -164,7 +174,7 @@ class TestCsvWriterBytes:
         rows = [[eid, repr(float(scores[i])), rank_of[i]] for i, eid in enumerate(ids)]
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         rep.write_scores_csv(path, ids, scores, ranking)
-        assert path.read_bytes() == writerow_reference(["entity_id", "score", "rank"], rows, ids)
+        assert path.read_bytes() == writerow_reference(["entity_id", "score", "rank"], rows)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.lists(IDS, min_size=2, max_size=12, unique=True), st.integers(1, 3), st.data())
@@ -174,13 +184,77 @@ class TestCsvWriterBytes:
             st.lists(unit, min_size=m, max_size=m), min_size=len(ids), max_size=len(ids)
         )))
         values[0], values[1] = 0.0, 1.0  # both endpoints, as a normalized column has
-        schema = es.Schema(tuple(
-            es.IndicatorSpec(f"ind_{j}", "operation", "positive") for j in range(m)
-        ))
+        schema = unique_schema(data, m)
         rows = [[eid, *(repr(float(v)) for v in values[i])] for i, eid in enumerate(ids)]
         path = tmp_path_factory.mktemp("normalized") / "normalized.csv"
         rep.write_normalized_csv(path, ids, es.NormalizedMatrix(values, schema))
-        assert path.read_bytes() == writerow_reference(["entity_id", *schema.names], rows, ids)
+        assert path.read_bytes() == writerow_reference(["entity_id", *schema.names], rows)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 4), st.data())
+    def test_weights_csv_matches_writerow_reference(self, tmp_path_factory, m, data):
+        schema = unique_schema(data, m)
+        entropies = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        shares = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+        weights = shares / shares.sum()
+        rows = [
+            [spec.category, spec.name, repr(float(entropies[j])), repr(float(weights[j]))]
+            for j, spec in enumerate(schema)
+        ]
+        path = tmp_path_factory.mktemp("weights") / "weights.csv"
+        rep.write_weights_csv(path, schema, es.EntropyVector(entropies), es.WeightVector(weights))
+        assert path.read_bytes() == writerow_reference(["category", "indicator", "entropy", "weight"], rows)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+        st.floats(0.01, 1.0),
+        st.integers(2, 301),
+    )
+    def test_cdf_csv_matches_writerow_reference(self, tmp_path_factory, samples, bandwidth, points):
+        cdf = es.estimate_cdf(samples, bandwidth)
+        grid = np.linspace(0.0, 1.0, points)
+        rows = [[repr(x), repr(phi)] for x, phi in zip(grid.tolist(), cdf(grid).tolist())]
+        path = tmp_path_factory.mktemp("cdf") / "cdf.csv"
+        rep.write_cdf_csv(path, cdf, points)
+        assert path.read_bytes() == writerow_reference(["x", "phi"], rows)
+
+
+class TestLoneCarriageReturn:
+    """A schema name or category holding a lone CR reads back whole with csv.reader."""
+
+    @staticmethod
+    def read_back(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_weights_csv(self, tmp_path):
+        schema = es.Schema((
+            es.IndicatorSpec("a\rb", "x\ry", "positive"),
+            es.IndicatorSpec("c", "operation", "inverse"),
+        ))
+        path = tmp_path / "weights.csv"
+        rep.write_weights_csv(
+            path, schema, es.EntropyVector(np.array([0.25, 0.75])), es.WeightVector(np.array([0.25, 0.75]))
+        )
+        assert self.read_back(path) == [
+            ["category", "indicator", "entropy", "weight"],
+            ["x\ry", "a\rb", "0.25", "0.25"],
+            ["operation", "c", "0.75", "0.75"],
+        ]
+
+    def test_normalized_csv(self, tmp_path):
+        schema = es.Schema((
+            es.IndicatorSpec("a\rb", "operation", "positive"),
+            es.IndicatorSpec("c", "operation", "inverse"),
+        ))
+        path = tmp_path / "normalized.csv"
+        rep.write_normalized_csv(path, ("e1", "e2"), es.NormalizedMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), schema))
+        assert self.read_back(path) == [
+            ["entity_id", "a\rb", "c"],
+            ["e1", "0.0", "1.0"],
+            ["e2", "1.0", "0.0"],
+        ]
 
 
 class TestStatsBlock:
