@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 
 import numpy as np
 
 import entroscore as es
 from entroscore import scoring
+
+# Text drawn for a CSV file holds the characters that make csv quote a
+# field, and a NUL where csv carries one: from Python 3.11 on.  Before
+# that csv's reader refuses a line holding a NUL and its writer a field.
+CSV_NUL = sys.version_info >= (3, 11)
+CSV_SPECIALS = ',"\r\n\0' if CSV_NUL else ',"\r\n'
+NOT_IN_CSV = "" if CSV_NUL else "\0"
 
 
 def simple_schema(m: int, inverse: tuple[int, ...] = ()) -> es.Schema:
@@ -51,6 +59,12 @@ def csv_bytes(header, rows) -> bytes:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue().encode("utf-8")
+
+
+def read_records(path) -> list[list[str]]:
+    """Every record of a CSV file, as csv.reader reads it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def dataset_csv_bytes(dataset: es.RawDataset) -> bytes:

@@ -26,7 +26,7 @@ import entroscore as es
 from entroscore import cli
 from entroscore.cli import run
 from entroscore.report import CDF_GRID_POINTS
-from helpers import csv_bytes
+from helpers import CSV_SPECIALS, NOT_IN_CSV, csv_bytes, read_records
 
 
 @pytest.fixture
@@ -396,26 +396,24 @@ def _text(quoted: str, forbidden: str = ""):
     )
 
 
-def read_records(path) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.reader(fh))
-
-
 class TestCsvRoundTrip:
     """Every CSV of `evaluate` reads back with csv.reader as the run's ids, names and values.
 
     Ids and categories hold the characters that make csv quote a field and
-    NUL; a name names its cdf_<name>.csv too, so it holds no NUL or '/'.
+    a NUL where csv carries one; a name names its cdf_<name>.csv too, so it
+    holds no NUL or '/'.
     """
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(
-        st.lists(_text(',"\r\n\0'), min_size=3, max_size=6, unique=True),
+        st.lists(_text(CSV_SPECIALS, forbidden=NOT_IN_CSV), min_size=3, max_size=6, unique=True),
         st.lists(_text(',"\r\n', forbidden="\0/"), min_size=1, max_size=3, unique=True),
         st.data(),
     )
     def test_every_csv_reads_back(self, tmp_path_factory, ids, names, data):
-        categories = data.draw(st.lists(_text(',"\r\n\0'), min_size=len(names), max_size=len(names)))
+        categories = data.draw(st.lists(
+            _text(CSV_SPECIALS, forbidden=NOT_IN_CSV), min_size=len(names), max_size=len(names)
+        ))
         values = np.array(data.draw(st.lists(
             st.lists(st.floats(0.0, 100.0), min_size=len(names), max_size=len(names)),
             min_size=len(ids), max_size=len(ids),
@@ -546,6 +544,23 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps(payload))
         assert run(["validate", *base_args(small_csv), "--config", str(cfg)]) == 2
         assert f"error: config {cfg}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("payload", "flag", "message"),
+        [
+            ({"threads": 0}, ["--threads", "2"], "threads must be >= 1"),
+            ({"scale": -1}, ["--scale", "50"], "scale must be positive"),
+            ({"method": "bogus"}, ["--method", "discrete"], "unknown method 'bogus'"),
+            ({"boundary_correction": 1}, ["--no-boundary-correction"], "boundary_correction must be True or False"),
+        ],
+    )
+    def test_config_value_is_judged_where_a_flag_overrides_it(self, small_csv, tmp_path, capsys,
+                                                              payload, flag, message):
+        # A flag takes the place of a file value, but the file must hold a valid one.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["evaluate", *base_args(small_csv), "--config", str(cfg), *flag]) == 2
+        assert f"error: config {cfg}: {message}" in capsys.readouterr().err
 
     def test_config_scale_too_large_for_a_double(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import report as rep
+from helpers import CSV_SPECIALS, NOT_IN_CSV, read_records
 
 
 def two_indicator_fixture():
@@ -110,9 +111,11 @@ def aligned_reference(headers, rows, numeric):
 
 # Entity ids as parse_csv leaves them, and schema names and categories:
 # non-blank, possibly long, non-ASCII, holding the characters that make csv
-# quote a field, a NUL, or braces that a format string would read as a field.
+# quote a field, a NUL where csv carries one, or braces that a format string
+# would read as a field.
 IDS = st.text(
-    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\r\n\0 {}'),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=NOT_IN_CSV)
+    | st.sampled_from(CSV_SPECIALS + " {}"),
     min_size=1,
     max_size=40,
 )
@@ -155,6 +158,12 @@ def writerow_reference(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def assert_csv(path, header, rows) -> None:
+    """path holds one writerow a row, and csv.reader reads every field back as written."""
+    assert path.read_bytes() == writerow_reference(header, rows)
+    assert read_records(path) == [list(header), *([str(field) for field in row] for row in rows)]
+
+
 def unique_schema(data, m: int) -> es.Schema:
     """m indicators whose names and categories are drawn from IDS."""
     names = data.draw(st.lists(IDS, min_size=m, max_size=m, unique=True))
@@ -188,7 +197,7 @@ class TestCsvWriterBytes:
         rows = [[eid, *(repr(float(v)) for v in values[i])] for i, eid in enumerate(ids)]
         path = tmp_path_factory.mktemp("normalized") / "normalized.csv"
         rep.write_normalized_csv(path, ids, es.NormalizedMatrix(values, schema))
-        assert path.read_bytes() == writerow_reference(["entity_id", *schema.names], rows)
+        assert_csv(path, ["entity_id", *schema.names], rows)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.integers(1, 4), st.data())
@@ -203,7 +212,7 @@ class TestCsvWriterBytes:
         ]
         path = tmp_path_factory.mktemp("weights") / "weights.csv"
         rep.write_weights_csv(path, schema, es.EntropyVector(entropies), es.WeightVector(weights))
-        assert path.read_bytes() == writerow_reference(["category", "indicator", "entropy", "weight"], rows)
+        assert_csv(path, ["category", "indicator", "entropy", "weight"], rows)
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(
@@ -219,42 +228,24 @@ class TestCsvWriterBytes:
         rep.write_cdf_csv(path, cdf, points)
         assert path.read_bytes() == writerow_reference(["x", "phi"], rows)
 
-
-class TestLoneCarriageReturn:
-    """A schema name or category holding a lone CR reads back whole with csv.reader."""
-
-    @staticmethod
-    def read_back(path):
-        with open(path, encoding="utf-8", newline="") as fh:
-            return list(csv.reader(fh))
-
-    def test_weights_csv(self, tmp_path):
+    def test_lone_carriage_return_in_a_schema_reads_back(self, tmp_path):
+        # csv leaves a lone CR bare, and a reader splits the row there.
         schema = es.Schema((
             es.IndicatorSpec("a\rb", "x\ry", "positive"),
             es.IndicatorSpec("c", "operation", "inverse"),
         ))
-        path = tmp_path / "weights.csv"
-        rep.write_weights_csv(
-            path, schema, es.EntropyVector(np.array([0.25, 0.75])), es.WeightVector(np.array([0.25, 0.75]))
-        )
-        assert self.read_back(path) == [
-            ["category", "indicator", "entropy", "weight"],
+        quarters = np.array([0.25, 0.75])
+        rep.write_weights_csv(tmp_path / "weights.csv", schema, es.EntropyVector(quarters), es.WeightVector(quarters))
+        assert_csv(tmp_path / "weights.csv", ["category", "indicator", "entropy", "weight"], [
             ["x\ry", "a\rb", "0.25", "0.25"],
             ["operation", "c", "0.75", "0.75"],
-        ]
-
-    def test_normalized_csv(self, tmp_path):
-        schema = es.Schema((
-            es.IndicatorSpec("a\rb", "operation", "positive"),
-            es.IndicatorSpec("c", "operation", "inverse"),
-        ))
-        path = tmp_path / "normalized.csv"
-        rep.write_normalized_csv(path, ("e1", "e2"), es.NormalizedMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), schema))
-        assert self.read_back(path) == [
-            ["entity_id", "a\rb", "c"],
+        ])
+        corners = es.NormalizedMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), schema)
+        rep.write_normalized_csv(tmp_path / "normalized.csv", ("e1", "e2"), corners)
+        assert_csv(tmp_path / "normalized.csv", ["entity_id", "a\rb", "c"], [
             ["e1", "0.0", "1.0"],
             ["e2", "1.0", "0.0"],
-        ]
+        ])
 
 
 class TestStatsBlock:
