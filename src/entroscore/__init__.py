@@ -26,6 +26,7 @@ from .errors import (
     InvariantError,
     MalformedCsvError,
     NonFiniteInputError,
+    OutputNameError,
     QuadratureOutOfRangeError,
     TooFewRowsError,
 )
@@ -113,4 +114,5 @@ __all__ = [
     "QuadratureOutOfRangeError",
     "AllZeroEntropyError",
     "DimensionMismatchError",
+    "OutputNameError",
 ]

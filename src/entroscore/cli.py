@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .entropy import WEIGHT_RULES, QuadratureConfig
-from .errors import EntroscoreError, InvariantError
+from .errors import EntroscoreError, InvariantError, OutputNameError
 from .ingest import parse_csv, validate
 from .model import SCHEMA_FORMAT_VERSION, Schema, _read_json, default_schema, load_schema
 from .report import (
@@ -301,8 +301,22 @@ def _cmd_weights(paths: RunPaths, options: EvaluationOptions) -> int:
     return 0
 
 
+def _check_file_names(schema: Schema) -> None:
+    """Refuse an indicator name that cannot go into the name of one file in
+    one directory, cdf_<name>.csv, before the run writes anything."""
+    separators = "\0" + os.sep + (os.altsep or "")
+    for name in schema.names:
+        if name in (".", "..") or any(ch in name for ch in separators):
+            raise OutputNameError(
+                f"--dump-cdf cannot name a file after indicator {name!r}: "
+                "a name must hold no NUL or path separator, and not be '.' or '..'"
+            )
+
+
 def _cmd_evaluate(paths: RunPaths, options: EvaluationOptions) -> int:
     schema = _resolve_schema(paths)
+    if paths.dump_cdf_dir is not None and options.method != "discrete":
+        _check_file_names(schema)
     dataset, ingest_report = _read_dataset(paths, schema)
     _note_drops(ingest_report)
     result = run_pipeline(dataset, options)

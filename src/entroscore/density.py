@@ -86,10 +86,6 @@ _FACTORIALS.flags.writeable = False
 _PARITY = np.array([(-1.0) ** (p + 1) for p in range(len(_NDTR_DERIVATIVE_MAX))])[:, np.newaxis]
 _PARITY.flags.writeable = False
 
-# n! for the Taylor orders n = 1..10, as doubles: each is exact, so a
-# division by one has the bits of the division by the int.
-_ORDER_FACTORIALS = tuple(float(math.factorial(p)) for p in range(1, len(_NDTR_DERIVATIVE_MAX) + 1))
-
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -264,11 +260,11 @@ class CdfEstimate:
         (moment f^(p-a) summed per coarse node) * K_p, each done as
         circular FFT products of a length that holds 2*nodes - 1 values
         without wrap-around.  A grid value is the polynomial in -s with
-        these rows at M as coefficients, evaluated by Horner's rule.  The
-        coarse rows are finished before it: row a carries 1/(n * a!) and
-        the correction's 1/span, and row 0 its offset -raw(0)/span, so
-        each Horner step is one multiply by a contiguous block of -s and
-        one add, and the grid values need only the final clip.  At
+        these rows at M as coefficients, one product of the rows with a
+        table of the exact powers (-s)^a (_fine_values).  The coarse rows
+        are finished before it: row a carries 1/(n * a!) and the
+        correction's 1/span, and row 0 its offset -raw(0)/span, so the
+        grid values need only the final clip.  At
         c = 1 only row 0 is left, the plain binned estimator (Silverman
         1982, Algorithm AS 176; Wand 1994) with its binning error removed
         by the expansion; for c > 1 it is the one-dimensional grid form of
@@ -280,8 +276,11 @@ class CdfEstimate:
         P is the least order whose remainder, plus an estimate of the
         rounding, is at most 1e-12 of the correction span.  The rounding
         estimate is eps*log2(size)*||K_0||_2 for the transforms (Higham
-        2002, section 24.1), on the coarse K_0, plus 2*eps per Horner step
-        of at most 10.  The norm is a numpy reduction, not a BLAS dot:
+        2002, section 24.1), on the coarse K_0, plus 2*eps for each of at
+        most 10 orders: a grid value, a sum of P products with exact
+        powers, rounds by about P*eps times its terms' summed magnitudes
+        (Higham 2002, section 3.1), about the value, half Horner's bound.
+        The norm is a numpy reduction, not a BLAS dot:
         OpenBLAS hands a dot of more than 10000 values to its worker
         threads, which stalls a column while other threads keep the cores
         busy, and the dot's bits would depend on the BLAS thread count.
@@ -296,8 +295,8 @@ class CdfEstimate:
         The scratch is the larger of three (P, size/2 + 1) complex
         blocks, while the transforms are formed (the products that
         multiply them take at most 1024 frequencies a row), and two (c,
-        nodes) blocks of doubles with the coarse rows, while Horner's
-        rule runs and its values are copied out in grid order.
+        nodes) blocks of doubles with the coarse rows, while the fine
+        values are formed and copied out in grid order.
 
         As the rounding share is only estimated, the values on every
         ((points - 1) // 16)-th node (17 nodes at 10001 points) are
@@ -319,7 +318,8 @@ class CdfEstimate:
         allowed = _GRID_ERROR * self._span
         for c in _COARSENING:
             radius = c * u if c > 1 else u / 2.0
-            if c >= points or not _least_order(radius, allowed):
+            least = _least_order(radius, allowed) if c < points else 0
+            if not least:
                 continue
             nodes = (points - 1 + c // 2) // c + 1
             size = _fft_size(2 * nodes - 1)
@@ -332,7 +332,8 @@ class CdfEstimate:
             # Not np.dot, which can wait on OpenBLAS threads: see the docstring.
             norm = math.sqrt(2.0 * np.add.reduce(step_free * step_free))
             rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
-            order = _least_order(radius, allowed - rounding)
+            # A smaller budget needs an order at least as high.
+            order = _least_order(radius, allowed - rounding, least)
             if order:
                 break
         else:
@@ -362,12 +363,12 @@ class CdfEstimate:
         del counts
         n = self._samples.size
         # Finish the rows, not the grid: row a carries 1/(n * a! * span),
-        # and row 0, Horner's constant term, the correction's offset.
+        # and row 0, the constant term, the correction's offset.
         span = self._span
         rows /= ((n * span) * _FACTORIALS[: len(rows)])[:, np.newaxis]
         if self._correct:
             rows[0] -= self._raw_lo / span
-        values = _horner(rows, c, points)
+        values = _fine_values(rows, c, points)
         del rows
         values.clip(0.0, 1.0, out=values)
         check, checked = _checked_nodes(points, c)
@@ -422,10 +423,10 @@ def _below_fast_path(bandwidth: float, points: int) -> bool:
     return half_u >= 1.0 or not _least_order(half_u, _GRID_ERROR)
 
 
-def _least_order(radius: float, budget: float) -> int:
-    """Least Taylor order P <= 10 with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
-    for order, (factorial, top) in enumerate(zip(_ORDER_FACTORIALS, _NDTR_DERIVATIVE_MAX), start=1):
-        if radius**order / factorial * top <= budget:
+def _least_order(radius: float, budget: float, start: int = 1) -> int:
+    """Least Taylor order P, from start to 10, with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
+    for order in range(start, len(_NDTR_DERIVATIVE_MAX) + 1):
+        if radius**order / math.factorial(order) * _NDTR_DERIVATIVE_MAX[order - 1] <= budget:
             return order
     return 0
 
@@ -551,28 +552,26 @@ def _kernel_spectra(z, step_free, step, order, size) -> np.ndarray:
     return np.fft.rfft(kernels, axis=1)
 
 
-def _horner(rows: np.ndarray, c: int, points: int) -> np.ndarray:
+def _fine_values(rows: np.ndarray, c: int, points: int) -> np.ndarray:
     """The grid values sum_a (-s)^a * rows[a] from grid_values' finished coarse rows.
 
-    Column M of fine holds the grid nodes m = c*M - c//2 + q, q < c,
-    whose offset is s = (q - c//2)/c, so each Horner step is one
-    multiply by a contiguous block of -s and one add.  A (c, 1) column
-    of -s gives the same bits and holds one block less during the loop,
-    but splits each multiply into c short loops, about 25 us a column
-    slower at c = 32; the block is dropped before the transposed copy.
+    Grid node m = c*M - c//2 + q, q < c, has offset s = (q - c//2)/c, so
+    the values are the (M, q) product of rows with _powers(c, P), raveled:
+    numpy's own einsum loop, without BLAS, adds its terms from a = 0 on.
     With one row (always at c = 1) every node of column M takes rows[0, M].
     """
     if len(rows) == 1:
         return np.repeat(rows[0], c)[c // 2 : c // 2 + points]
-    neg_s = np.empty((c, rows.shape[1]))
-    neg_s[:] = ((c // 2 - np.arange(c)) / c)[:, np.newaxis]
-    fine = neg_s * rows[-1]
-    for row in rows[-2:0:-1]:
-        fine += row
-        fine *= neg_s
-    fine += rows[0]
-    del neg_s
-    return fine.T.ravel()[c // 2 : c // 2 + points]
+    fine = np.einsum("am,qa->mq", rows, _powers(c, len(rows)))
+    return fine.ravel()[c // 2 : c // 2 + points]
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(c: int, order: int) -> np.ndarray:
+    """The read-only (c, order) table of (-s)^a, exact: k**a / c**a with |k|**a <= 16**9."""
+    table = np.vander((c // 2 - np.arange(c)) / c, order, increasing=True)
+    table.flags.writeable = False
+    return table
 
 
 def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:

@@ -21,6 +21,7 @@ __all__ = [
     "QuadratureOutOfRangeError",
     "AllZeroEntropyError",
     "DimensionMismatchError",
+    "OutputNameError",
 ]
 
 
@@ -74,6 +75,11 @@ class AllZeroEntropyError(EntroscoreError):
 
 class DimensionMismatchError(EntroscoreError):
     """Matrix and weight dimensions do not agree."""
+
+
+class OutputNameError(EntroscoreError):
+    """An indicator name cannot go into an output file's name: it holds a NUL
+    or a path separator, or is . or .."""
 
 
 def _named(exc: EntroscoreError, indicator: str) -> EntroscoreError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import CdfEstimate, _below_fast_path, _setup
+from .density import _EPS, CdfEstimate, _below_fast_path, _sample_std, _setup
 from .entropy import (
     WEIGHT_RULES,
     QuadratureConfig,
@@ -154,21 +154,24 @@ def describe(scores) -> DescriptiveStats:
         raise InvariantError("describe needs a non-empty 1-D score list")
     n = arr.size
     unit = arr
-    magnitude = float(np.max(np.abs(arr)))
+    magnitude = float(np.abs(arr).max())
     if _HUGE_SCORE < magnitude < math.inf:
         unit = arr / magnitude
-    mean = np.mean(unit)
-    std_dev = float(np.std(unit, ddof=1)) if n >= 2 else float("nan")
+    # np.mean's and np.std's arithmetic without their Python wrappers,
+    # which cost more than the sums on a few dozen scores: the pairwise
+    # sum over n, and density._sample_std.
+    mean = np.add.reduce(unit) / n
+    std_dev = float(_sample_std(unit)) if n >= 2 else float("nan")
     skewness = kurtosis = float("nan")
     if n >= 4 and std_dev > 0.0:
         dev = unit - mean
-        m2 = np.mean(dev**2)
-        if m2 > (np.finfo(np.float64).eps * mean) ** 2:
+        m2 = np.add.reduce(dev**2) / n
+        if m2 > (_EPS * mean) ** 2:
             # Same operations in the same order as scipy.stats.skew and
             # kurtosis with bias=False, so the bits match; this includes
             # the (g + 3) - 3 of its excess kurtosis.
-            m3 = np.mean(dev**2 * dev)
-            m4 = np.mean((dev**2) ** 2)
+            m3 = np.add.reduce(dev**2 * dev) / n
+            m4 = np.add.reduce((dev**2) ** 2) / n
             skewness = float(((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5)
             g = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
             kurtosis = float(g + 3.0 - 3.0)
@@ -177,14 +180,26 @@ def describe(scores) -> DescriptiveStats:
         std_dev *= magnitude
     return DescriptiveStats(
         mean=float(mean),
-        median=float(np.median(arr)),
+        median=_median(arr),
         std_dev=std_dev,
         kurtosis=kurtosis,
         skewness=skewness,
-        smallest=float(np.min(arr)),
-        largest=float(np.max(arr)),
+        smallest=float(arr.min()),
+        largest=float(arr.max()),
         obs=n,
     )
+
+
+def _median(arr: np.ndarray) -> float:
+    """np.median of a 1-D float64 array, to the bit: its partition, NaN
+    where the last value is NaN, else np.mean's sum of the middle one or
+    two values over their count."""
+    half = arr.size // 2
+    kth = [half, -1] if arr.size % 2 else [half - 1, half, -1]
+    part = np.partition(arr, kth)
+    if math.isnan(part[-1]):
+        return math.nan
+    return float(np.add.reduce(part[kth[0] : half + 1]) / (half + 1 - kth[0]))
 
 
 @dataclass(frozen=True, eq=False)

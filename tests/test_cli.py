@@ -296,6 +296,29 @@ class TestEvaluate:
         assert "discrete" in captured.err
         assert not [p for p in out_dir.iterdir() if p.name.startswith("cdf_")]
 
+    @pytest.mark.parametrize("name", ["a\0b", "a/b", ".", ".."])
+    def test_dump_cdf_refuses_a_name_no_file_can_carry(self, tmp_path, capsys, name):
+        schema_path = tmp_path / "schema.json"
+        es.save_schema(
+            es.Schema((
+                es.IndicatorSpec("speed", "operation", "positive"),
+                es.IndicatorSpec(name, "operation", "positive"),
+            )),
+            schema_path,
+        )
+        csv_path = tmp_path / "data.csv"
+        rows = "".join(f"e{i:02d},{i % 7 + 1},{i % 5 + 1}\n" for i in range(12))
+        csv_path.write_text(f"entity_id,speed,{name}\n{rows}", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["evaluate", "--input", str(csv_path), "--schema", str(schema_path),
+                "--out-dir", str(out_dir), "--dump-cdf"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --dump-cdf cannot name a file after indicator ")
+        assert repr(name) in captured.err and captured.err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_drop_note_on_stderr(self, tmp_path, capsys):
         schema_path = tmp_path / "schema.json"
         es.save_schema(
@@ -401,13 +424,16 @@ class TestCsvRoundTrip:
 
     Ids and categories hold the characters that make csv quote a field and
     a NUL where csv carries one; a name names its cdf_<name>.csv too, so it
-    holds no NUL or '/'.
+    holds no NUL or '/' and is not '.' or '..', which --dump-cdf refuses.
     """
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(
         st.lists(_text(CSV_SPECIALS, forbidden=NOT_IN_CSV), min_size=3, max_size=6, unique=True),
-        st.lists(_text(',"\r\n', forbidden="\0/"), min_size=1, max_size=3, unique=True),
+        st.lists(
+            _text(',"\r\n', forbidden="\0/").filter(lambda name: name not in (".", "..")),
+            min_size=1, max_size=3, unique=True,
+        ),
         st.data(),
     )
     def test_every_csv_reads_back(self, tmp_path_factory, ids, names, data):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -482,18 +483,26 @@ def _moment_spectra_reference(node, offset, counts, order, size):
     return np.fft.rfft(np.array(moments), size, axis=1)
 
 
-def _horner_reference(rows, c, points):
-    """Every grid node's value by Horner's rule in Python floats, node by node."""
+def _power_sum_reference(rows, c, points):
+    """Every grid node's value as a sum of powers in Python floats, node by node,
+    from a = 0: one multiply and one add a term."""
     table = rows.tolist()
     values = []
     for m in range(points):
         column, q = divmod(m + c // 2, c)  # m = c*column - c//2 + q
         neg_s = (c // 2 - q) / c
-        value = table[-1][column]
-        for a in range(len(table) - 2, -1, -1):
-            value = value * neg_s + table[a][column]
+        value = 0.0
+        for a in range(len(table)):
+            value = value + table[a][column] * neg_s**a
         values.append(value)
     return np.array(values)
+
+
+def _coarse_rows(c, order, points, seed):
+    """Random coarse rows for _fine_values, each row of its own magnitude."""
+    nodes = (points - 1 + c // 2) // c + 1
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(order, nodes)) * 10.0 ** rng.uniform(-6, 6, size=(order, 1))
 
 
 def _coarse_grid(points, c, h):
@@ -529,15 +538,60 @@ class TestSameBits:
         got = density._moment_spectra(node, t - node, counts, order, size)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("c", [1, 2, 32])
+    @pytest.mark.parametrize("c", [1, 2, 4, 8, 16, 32])
     @pytest.mark.parametrize("order", range(1, 11))
-    def test_horner_matches_node_by_node_evaluation(self, c, order):
+    def test_fine_values_match_a_python_power_sum(self, c, order):
         # grid_values hands over one row at c = 1, but any count works.
-        points = 1001
-        nodes = (points - 1 + c // 2) // c + 1
-        rows = np.random.default_rng(10 * c + order).normal(size=(order, nodes))
-        got = density._horner(rows.copy(), c, points)
-        assert got.tobytes() == _horner_reference(rows, c, points).tobytes()
+        # This pins np.einsum's order: each term added in turn from a = 0,
+        # with a separate multiply and add, no fused multiply-add.
+        rows = _coarse_rows(c, order, 1001, 10 * c + order)
+        got = density._fine_values(rows, c, 1001)
+        assert got.tobytes() == _power_sum_reference(rows, c, 1001).tobytes()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        c=st.sampled_from(density._COARSENING),
+        order=st.integers(1, 10),
+        points=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fine_values_are_within_the_dot_product_bound(self, c, order, points, seed):
+        # |computed - exact| <= gamma_P * sum_a |(-s)^a * rows[a][M]|
+        # (Higham 2002, section 3.1), taken as (P + 1) * eps.
+        rows = _coarse_rows(c, order, points, seed)
+        got = density._fine_values(rows, c, points).tolist()
+        table = [[Fraction(v) for v in row] for row in rows.tolist()]
+        eps = Fraction(density._EPS)
+        for m, value in enumerate(got):
+            column, q = divmod(m + c // 2, c)
+            terms = [row[column] * Fraction(c // 2 - q, c) ** a for a, row in enumerate(table)]
+            bound = (order + 1) * eps * sum(abs(t) for t in terms)
+            assert abs(Fraction(value) - sum(terms)) <= bound
+
+    @pytest.mark.parametrize("c", [2, 32])
+    @pytest.mark.parametrize("order", [2, 7, 10])
+    def test_fine_values_do_not_depend_on_row_alignment(self, c, order):
+        rows = _coarse_rows(c, order, 10001, order)
+        expected = density._fine_values(rows, c, 10001).tobytes()
+        buffer = np.empty(rows.nbytes + 8, dtype=np.uint8)
+        for shift in range(1, 8):
+            misaligned = buffer[shift : shift + rows.nbytes].view(np.float64).reshape(rows.shape)
+            misaligned[:] = rows
+            assert not misaligned.flags.aligned
+            assert density._fine_values(misaligned, c, 10001).tobytes() == expected
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(radius=st.floats(1e-6, 2.0), budget=st.floats(1e-16, 1e-11), share=st.floats(0.0, 1.0))
+    def test_least_order_from_the_order_a_larger_budget_needs(self, radius, budget, share):
+        # grid_values searches the budget less rounding from the order the
+        # whole budget needs; the order must be the search from 1's.
+        def bound(p):
+            return radius**p / math.factorial(p) * density._NDTR_DERIVATIVE_MAX[p - 1]
+
+        smaller = budget * share
+        expected = next((p for p in range(1, 11) if bound(p) <= smaller), 0)
+        start = density._least_order(radius, budget) or 1
+        assert density._least_order(radius, smaller, start) == expected
 
     @pytest.mark.parametrize("rows", range(1, 11))
     def test_spectra_matches_the_broadcast_formula(self, rows):
@@ -592,11 +646,10 @@ class TestScratchMemory:
         # c > 1) and _spectra's product, plus the zero-padded copy that
         # numpy 1.x's rfft makes.
         transforms = 4 * rows * length * 16
-        # Horner's rule: the (c, nodes) values and block of -s, or the
-        # values and their transposed copy, the coarse rows, and one ufunc
-        # buffer (numpy's default 8192 elements) for the broadcast add.
-        horner = (2 * c * nodes + rows * nodes + 8192) * 8
-        assert peak <= max(transforms, horner) + 64 * 1024
+        # The fine values: the einsum's (nodes, c) values and their copy
+        # in grid order, and the coarse rows.
+        fine = (2 * c * nodes + rows * nodes) * 8
+        assert peak <= max(transforms, fine) + 64 * 1024
 
     def test_the_exact_sum_holds_one_small_block(self):
         # h = 1e-5 is below the fast path at 10001 points.

@@ -166,6 +166,35 @@ class TestDescribe:
         assert big.obs == base.obs
 
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+        scale=st.sampled_from([1.0, 1e-300, 1e200]),
+    )
+    def test_reductions_have_numpys_bits(self, values, scale):
+        # describe sums without np.mean's, np.std's and np.median's Python
+        # wrappers; the stats must keep the functions' bits.
+        from scipy import stats
+
+        arr = np.array(values) * scale
+        d = es.describe(arr)
+        magnitude = float(np.max(np.abs(arr)))
+        factor = magnitude if scoring._HUGE_SCORE < magnitude else 1.0
+        unit = arr / factor
+        expected = {
+            "mean": float(np.mean(unit) * factor),
+            "median": float(np.median(arr)),
+            "std_dev": float(np.std(unit, ddof=1)) * factor if arr.size >= 2 else math.nan,
+            "smallest": float(np.min(arr)),
+            "largest": float(np.max(arr)),
+        }
+        if not math.isnan(d.skewness):
+            expected["skewness"] = float(stats.skew(unit, bias=False))
+            expected["kurtosis"] = float(stats.kurtosis(unit, fisher=True, bias=False))
+        for name, value in expected.items():
+            assert np.float64(getattr(d, name)).tobytes() == np.float64(value).tobytes(), name
+
+
 class TestEvaluationOptions:
     def test_defaults(self):
         opts = es.EvaluationOptions()
