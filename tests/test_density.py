@@ -498,6 +498,20 @@ def _power_sum_reference(rows, c, points):
     return np.array(values)
 
 
+def _horner_reference(rows, c, points):
+    """Every grid node's value by Horner's rule in Python floats, node by node."""
+    table = rows.tolist()
+    values = []
+    for m in range(points):
+        column, q = divmod(m + c // 2, c)  # m = c*column - c//2 + q
+        neg_s = (c // 2 - q) / c
+        value = table[-1][column]
+        for a in range(len(table) - 2, -1, -1):
+            value = value * neg_s + table[a][column]
+        values.append(value)
+    return np.array(values)
+
+
 def _coarse_rows(c, order, points, seed):
     """Random coarse rows for _fine_values, each row of its own magnitude."""
     nodes = (points - 1 + c // 2) // c + 1
@@ -547,6 +561,27 @@ class TestSameBits:
         rows = _coarse_rows(c, order, 1001, 10 * c + order)
         got = density._fine_values(rows, c, 1001)
         assert got.tobytes() == _power_sum_reference(rows, c, 1001).tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 32])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_horner_matches_node_by_node_evaluation(self, c, order):
+        # The fine values against Horner's rule, the evaluation they replace:
+        # the same bits where s = 0 (every node at c = 1), and elsewhere
+        # within both rounding bounds, gamma_P for the power sum and
+        # gamma_2(P-1) for Horner (Higham 2002, sections 3.1 and 5.1), taken
+        # as (3P + 1) * eps times sum_a |(-s)^a * rows[a][M]|.
+        rows = _coarse_rows(c, order, 1001, 10 * c + order)
+        got = density._fine_values(rows, c, 1001).tolist()
+        expected = _horner_reference(rows, c, 1001).tolist()
+        table = rows.tolist()
+        for m, (value, reference) in enumerate(zip(got, expected)):
+            column, q = divmod(m + c // 2, c)
+            neg_s = (c // 2 - q) / c
+            if neg_s == 0.0:
+                assert value.hex() == reference.hex()
+            else:
+                scale = sum(abs(row[column] * neg_s**a) for a, row in enumerate(table))
+                assert abs(value - reference) <= (3 * order + 1) * density._EPS * scale
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
