@@ -286,8 +286,8 @@ class CdfEstimate:
         busy, and the dot's bits would depend on the BLAS thread count.
         c is the largest factor in _COARSENING, below points, for which
         some P <= 10 meets the budget.  If none does, the exact self(grid)
-        is returned instead: for h below about three grid steps, which
-        _below_fast_path decides before any coarse row is formed, and,
+        is returned instead: for h below about three grid steps, where
+        even c = 1 misses the budget and no coarse row is formed, and,
         with boundary correction on, for h above about 2.5, where dividing
         by the small span magnifies rounding.  The z = j*U and K_0 rows
         of the rounding estimate are the ones the kernel rows start from.
@@ -310,8 +310,6 @@ class CdfEstimate:
         _check_count(points, "grid points")
         if not 2 <= points <= _MAX_POINTS:
             raise InvariantError(f"grid points must be from 2 to {_MAX_POINTS}, got {points}")
-        if _below_fast_path(self._bandwidth, points):
-            return self(np.linspace(0.0, 1.0, points))
         u = 1.0 / ((points - 1) * self._bandwidth)
         from scipy.special import ndtr  # only continuous runs pay its import
 
@@ -396,16 +394,9 @@ def _checked_nodes(points: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     check = np.arange(0, points, max(1, (points - 1) // _CHECK_INTERVALS))
     mid = check[1::2] - check[1::2] % c + c // 2
     check[1::2] = np.where(mid < points, mid, mid - c)
-    nodes = _grid_nodes(check, points)
+    nodes = np.linspace(0.0, 1.0, points)[check]
     check.flags.writeable = nodes.flags.writeable = False
     return check, nodes
-
-
-def _grid_nodes(index: np.ndarray, points: int) -> np.ndarray:
-    """np.linspace(0, 1, points)[index], to the bit, without the grid."""
-    nodes = index * (1.0 / (points - 1))
-    nodes[index == points - 1] = 1.0
-    return nodes
 
 
 def _below_fast_path(bandwidth: float, points: int) -> bool:
@@ -414,17 +405,16 @@ def _below_fast_path(bandwidth: float, points: int) -> bool:
     It does where even c = 1, whose radius u/2 (u = d/h) is the least,
     misses the error budget at the widest span, 1: for h below about
     three grid steps.  The exact sum costs O(points * n) in ndtr, which
-    runs without the interpreter lock.  Where u/2 >= 1 every remainder
-    bound is at least the least max|ndtr^(P)|/P!, 3.2e-5 at P = 10, so
-    that is decided before any power of u, which overflows for a tiny h,
-    is formed.
+    runs without the interpreter lock.
     """
-    half_u = 0.5 / ((points - 1) * bandwidth)
-    return half_u >= 1.0 or not _least_order(half_u, _GRID_ERROR)
+    return not _least_order(0.5 / ((points - 1) * bandwidth), _GRID_ERROR)
 
 
 def _least_order(radius: float, budget: float, start: int = 1) -> int:
     """Least Taylor order P, from start to 10, with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
+    # Every bound is then at least 3.2e-5 (P = 10), and radius**P can overflow.
+    if radius >= 1.0:
+        return 0
     for order in range(start, len(_NDTR_DERIVATIVE_MAX) + 1):
         if radius**order / math.factorial(order) * _NDTR_DERIVATIVE_MAX[order - 1] <= budget:
             return order
@@ -468,8 +458,8 @@ def _kernel_means(x: np.ndarray, bandwidths: np.ndarray, nodes: np.ndarray, dept
 def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
     """Set up the (n, m) normalized matrix's columns together, one numpy
     call a step for all of them: Silverman's bandwidths (where bandwidth
-    is None) and the correction's endpoint sums.  Returns the bandwidths
-    as run_pipeline reports them and the CdfEstimates.
+    is None) and the correction's endpoint sums.  Returns the
+    CdfEstimates, which hold the bandwidths as checked doubles.
 
     The columns are copied into one C-contiguous (m, n) array sorted
     along its rows, which the estimates share, and every sum runs along a
@@ -498,7 +488,6 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
         h = np.array(bandwidths)
     else:
         h = np.full(m, _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError))
-        bandwidths = (bandwidth,) * m
     if correct:
         ends = np.broadcast_to(_ENDS, (m, 2))
         raw_lo, raw_hi = _kernel_means(x, h, ends, max(1, 3 * points // (2 * n))).T
@@ -507,11 +496,10 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
             raise _named(InvalidBandwidthError(_FLAT), names[j])
     else:
         raw_lo, span = np.zeros(m), np.ones(m)
-    estimates = tuple(
+    return tuple(
         CdfEstimate._from_sorted(row, hj, correct, lo, sp)
         for row, hj, lo, sp in zip(x, h.tolist(), raw_lo.tolist(), span.tolist())
     )
-    return bandwidths, estimates
 
 
 def _moment_spectra(node, offset, counts, order, size) -> np.ndarray:
@@ -558,10 +546,8 @@ def _fine_values(rows: np.ndarray, c: int, points: int) -> np.ndarray:
     Grid node m = c*M - c//2 + q, q < c, has offset s = (q - c//2)/c, so
     the values are the (M, q) product of rows with _powers(c, P), raveled:
     numpy's own einsum loop, without BLAS, adds its terms from a = 0 on.
-    With one row (always at c = 1) every node of column M takes rows[0, M].
+    At c = 1, with its one row, the table is [[1.0]]: each value is rows[0, M].
     """
-    if len(rows) == 1:
-        return np.repeat(rows[0], c)[c // 2 : c // 2 + points]
     fine = np.einsum("am,qa->mq", rows, _powers(c, len(rows)))
     return fine.ravel()[c // 2 : c // 2 + points]
 

@@ -69,6 +69,12 @@ def _check_quadrature(config) -> None:
         raise InvariantError(f"quadrature must be a QuadratureConfig, got {config!r}")
 
 
+def _check_weight_rule(rule) -> None:
+    """Raise InvariantError unless rule is one of WEIGHT_RULES."""
+    if rule not in WEIGHT_RULES:
+        raise InvariantError(f"unknown weight rule {rule!r}; expected one of {WEIGHT_RULES}")
+
+
 def continuous_entropy(
     cdf: Callable[[np.ndarray], np.ndarray],
     config: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -182,8 +188,7 @@ def compute_weights(entropies, rule: str = "paper") -> WeightVector:
         raise InvariantError("entropies must be finite")
     if np.any(values < 0.0):
         raise InvariantError("entropies must be non-negative")
-    if rule not in WEIGHT_RULES:
-        raise InvariantError(f"unknown weight rule {rule!r}; expected one of {WEIGHT_RULES}")
+    _check_weight_rule(rule)
 
     mass = values if rule == "paper" else 1.0 - values
     if rule == "classic" and np.any(mass < 0.0):

@@ -61,15 +61,16 @@ class IngestReport:
     """Counts and identifiers of rows removed during parsing."""
 
     rows_read: int
-    rows_dropped: int
     dropped_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dropped_ids", tuple(self.dropped_ids))
-        if self.rows_dropped != len(self.dropped_ids):
-            raise InvariantError("rows_dropped must match the dropped id list")
         if self.rows_dropped > self.rows_read:
             raise InvariantError("cannot drop more rows than were read")
+
+    @property
+    def rows_dropped(self) -> int:
+        return len(self.dropped_ids)
 
     @property
     def rows_retained(self) -> int:
@@ -286,7 +287,7 @@ def _parse_records(records, schema: Schema) -> tuple[RawDataset, IngestReport]:
 
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(entity_ids), len(schema))
     dataset = RawDataset(tuple(entity_ids), matrix, schema)
-    report = IngestReport(rows_read, len(dropped), tuple(dropped))
+    report = IngestReport(rows_read, dropped)
     return dataset, report
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 SCHEMA_FORMAT_VERSION = 1
+
+# Whether csv.writer can write a field holding NUL, which every report
+# CSV would then carry from a name or category: from Python 3.11 on.
+_CSV_NUL = sys.version_info >= (3, 11)
 
 WEIGHT_SUM_TOLERANCE = 1e-12
 
@@ -112,6 +117,7 @@ class IndicatorSpec:
     """Name, category, and direction of one indicator column.
 
     The category is free-form grouping metadata, never used in computation.
+    Before Python 3.11 a name or category holding NUL raises InvariantError.
     """
 
     name: str
@@ -123,6 +129,8 @@ class IndicatorSpec:
             raise InvariantError("indicator name must be a non-empty string")
         if not isinstance(self.category, str) or not self.category:
             raise InvariantError("indicator category must be a non-empty string")
+        if not _CSV_NUL and "\0" in self.name + self.category:
+            raise InvariantError(f"indicator {self.name!r}: csv before Python 3.11 cannot write a NUL")
         # Accept plain strings for convenience when parsing config files.
         try:
             object.__setattr__(self, "direction", Direction(self.direction))

@@ -8,7 +8,6 @@ so scores read as percentages).
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -16,14 +15,14 @@ import numpy as np
 
 from .density import _EPS, CdfEstimate, _below_fast_path, _sample_std, _setup
 from .entropy import (
-    WEIGHT_RULES,
     QuadratureConfig,
     _check_quadrature,
+    _check_weight_rule,
     compute_weights,
     continuous_entropy,
     discrete_entropy,
 )
-from .errors import DimensionMismatchError, EntroscoreError, InvariantError, _named
+from .errors import DimensionMismatchError, EntroscoreError, InvariantError, NonFiniteInputError, _named
 
 # Not called: normalize_matrix holds the pipeline's one column check, and
 # density._setup picks the bandwidths and builds the estimates.  These
@@ -62,9 +61,10 @@ METHODS = ("continuous", "discrete")
 _POOL_POINTS_PER_ROW = 50
 _POOL_ROWS = 750
 
-# Above this max|score|, describe takes the moments on scores / max|score|:
-# squares of such scores overflow float64.
-_HUGE_SCORE = 1e150
+# Where max|score| lies outside this band, describe takes the moments on
+# scores / max|score|.  Inside it n * (2 * max)**4 cannot overflow, and
+# deviations down to eps * mean keep normal fourth powers.
+_PLAIN_SCORES = (1e-60, 1e60)
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,7 @@ class EvaluationOptions:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvariantError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.weight_rule not in WEIGHT_RULES:
-            raise InvariantError(
-                f"unknown weight rule {self.weight_rule!r}; expected one of {WEIGHT_RULES}"
-            )
+        _check_weight_rule(self.weight_rule)
         if self.bandwidth is not None:
             _check_positive_real(self.bandwidth, "bandwidth")
         _check_flag(self.boundary_correction, "boundary_correction")
@@ -144,18 +141,22 @@ def describe(scores) -> DescriptiveStats:
     kurtosis carry the usual small-sample bias corrections and are NaN
     whenever n < 4 or the variance is zero.  Like scipy.stats, the
     variance counts as zero when the second central moment is at most
-    (eps * mean)**2, where it is rounding noise of the mean.  When
-    max|score| is above 1e150, where squares and sums can overflow, the
-    moments are taken on scores / max|score| and the mean and standard
-    deviation scaled back.
+    (eps * mean)**2, where it is rounding noise of the mean.  When a
+    nonzero max|score| lies outside [1e-60, 1e60], where fourth powers can
+    overflow or squared deviations underflow, the moments are taken on
+    scores / max|score| and the mean and standard deviation scaled back.
+    A NaN or infinite score raises NonFiniteInputError.
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise InvariantError("describe needs a non-empty 1-D score list")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInputError("describe needs finite scores, got NaN or infinite ones")
     n = arr.size
     unit = arr
     magnitude = float(np.abs(arr).max())
-    if _HUGE_SCORE < magnitude < math.inf:
+    low, high = _PLAIN_SCORES
+    if 0.0 < magnitude and not low <= magnitude <= high:
         unit = arr / magnitude
     # np.mean's and np.std's arithmetic without their Python wrappers,
     # which cost more than the sums on a few dozen scores: the pairwise
@@ -191,20 +192,19 @@ def describe(scores) -> DescriptiveStats:
 
 
 def _median(arr: np.ndarray) -> float:
-    """np.median of a 1-D float64 array, to the bit: its partition, NaN
-    where the last value is NaN, else np.mean's sum of the middle one or
-    two values over their count."""
+    """np.median of a 1-D array of finite doubles, to the bit: its
+    partition, with the last index that np.median checks for NaN, and
+    np.mean's sum of the middle one or two values over their count."""
     half = arr.size // 2
     kth = [half, -1] if arr.size % 2 else [half - 1, half, -1]
     part = np.partition(arr, kth)
-    if math.isnan(part[-1]):
-        return math.nan
     return float(np.add.reduce(part[kth[0] : half + 1]) / (half + 1 - kth[0]))
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineRun:
-    """Report plus the intermediate products the CLI can dump for audit."""
+    """Report plus the intermediate products the CLI can dump for audit; a
+    bandwidth is its CdfEstimate's checked double (2 reads back as 2.0)."""
 
     report: EvaluationReport
     normalized: NormalizedMatrix
@@ -259,9 +259,8 @@ def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) 
         bandwidths = cdfs = None
     else:
         points = options.quadrature.points
-        bandwidths, cdfs = _setup(
-            normalized.values, names, options.bandwidth, options.boundary_correction, points
-        )
+        cdfs = _setup(normalized.values, names, options.bandwidth, options.boundary_correction, points)
+        bandwidths = tuple(cdf.bandwidth for cdf in cdfs)
 
         def column_job(j: int) -> float:
             return named(j, continuous_entropy, cdfs[j], options.quadrature)

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 
 import numpy as np
 
 import entroscore as es
-from entroscore import scoring
+from entroscore import model, scoring
 
 # Text drawn for a CSV file holds the characters that make csv quote a
 # field, and a NUL where csv carries one: from Python 3.11 on.  Before
 # that csv's reader refuses a line holding a NUL and its writer a field.
-CSV_NUL = sys.version_info >= (3, 11)
+CSV_NUL = model._CSV_NUL
 CSV_SPECIALS = ',"\r\n\0' if CSV_NUL else ',"\r\n'
 NOT_IN_CSV = "" if CSV_NUL else "\0"
 

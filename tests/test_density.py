@@ -300,9 +300,12 @@ class TestGridValues:
 
     @pytest.mark.parametrize("points", [3, 5, 17, 1001, 2001, 4097, 10001, 20001])
     def test_checked_nodes_are_the_linspace_nodes_to_the_bit(self, points):
-        index = np.arange(points)
-        nodes = density._grid_nodes(index, points)
-        assert np.array_equal(nodes.view(np.int64), np.linspace(0.0, 1.0, points).view(np.int64))
+        grid = np.linspace(0.0, 1.0, points)
+        # grid_values takes a coarsening only below points.
+        for c in (c for c in density._COARSENING if c < points):
+            check, nodes = density._checked_nodes(points, c)
+            assert check.min() >= 0 and check.max() < points
+            assert np.array_equal(nodes.view(np.int64), grid[check].view(np.int64))
 
     def test_sample_order_never_matters(self):
         rng = np.random.default_rng(31)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
+from entroscore import model
 from helpers import simple_schema
 
 
@@ -46,6 +47,15 @@ class TestIndicatorSpec:
     def test_rejects_empty_name(self):
         with pytest.raises(es.InvariantError):
             es.IndicatorSpec("", "solvency", "positive")
+
+    @pytest.mark.parametrize("name,category", [("a\0b", "solvency"), ("x", "sol\0vency")])
+    def test_a_nul_is_refused_where_csv_cannot_write_it(self, monkeypatch, name, category):
+        monkeypatch.setattr(model, "_CSV_NUL", False)
+        message = r"^indicator '.*': csv before Python 3.11 cannot write a NUL$"
+        with pytest.raises(es.InvariantError, match=message):
+            es.IndicatorSpec(name, category, "positive")
+        monkeypatch.setattr(model, "_CSV_NUL", True)
+        assert es.IndicatorSpec(name, category, "positive").category == category
 
     def test_label_is_readable(self):
         spec = es.IndicatorSpec("rate_of_cost_profit", "operation", "positive")

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
@@ -148,10 +148,11 @@ class TestDescribe:
         np.testing.assert_allclose(d.mean, 50.0, atol=0.5)
         np.testing.assert_allclose(d.std_dev, 10.0, atol=0.3)
 
-    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    @pytest.mark.parametrize("scale", [1e-200, 1e100, 1e200, 1.7e308])
     def test_huge_scale_gives_the_scaled_stats_quietly(self, scale):
-        # Squared deviations overflow past 1e154, and a sum of scores near
-        # the largest float overflows too.
+        # Fourth powers of deviations overflow past about 1e77, squared
+        # ones underflow below about 1e-154, and a sum of scores near the
+        # largest float overflows too.
         ds = random_dataset(np.random.default_rng(38), 40, 5)
         base = es.evaluate(ds, es.EvaluationOptions(method="discrete")).stats
         with warnings.catch_warnings():
@@ -171,6 +172,9 @@ class TestDescribe:
         values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
         scale=st.sampled_from([1.0, 1e-300, 1e200]),
     )
+    # A fourth moment that overflows, and squared deviations that underflow.
+    @example(values=[1.0, 0.0, 0.5, 0.2, 0.3], scale=1e120)
+    @example(values=[1.0, 2.0, 5.0, 10.0, 3.0], scale=1e-300)
     def test_reductions_have_numpys_bits(self, values, scale):
         # describe sums without np.mean's, np.std's and np.median's Python
         # wrappers; the stats must keep the functions' bits.
@@ -179,7 +183,8 @@ class TestDescribe:
         arr = np.array(values) * scale
         d = es.describe(arr)
         magnitude = float(np.max(np.abs(arr)))
-        factor = magnitude if scoring._HUGE_SCORE < magnitude else 1.0
+        low, high = scoring._PLAIN_SCORES
+        factor = magnitude if 0.0 < magnitude and not low <= magnitude <= high else 1.0
         unit = arr / factor
         expected = {
             "mean": float(np.mean(unit) * factor),
@@ -193,6 +198,13 @@ class TestDescribe:
             expected["kurtosis"] = float(stats.kurtosis(unit, fisher=True, bias=False))
         for name, value in expected.items():
             assert np.float64(getattr(d, name)).tobytes() == np.float64(value).tobytes(), name
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_are_refused_quietly(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(es.NonFiniteInputError, match="finite scores"):
+                es.describe([1.0, bad, 2.0, 3.0])
 
 
 class TestEvaluationOptions:
