@@ -45,14 +45,14 @@ __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 _BLOCK_ELEMENTS = 65_536
 
 # The largest grid that grid_values, and so QuadratureConfig, takes.  A
-# column's scratch grows with the grid: about 24 bytes a point at a
-# Silverman bandwidth, 32 on the exact path, and up to about 600 where the
-# bandwidth is a few grid steps and the FFTs run on the full grid with ten
-# orders; a pool multiplies it by its workers.  At this cap that is at
-# most about 0.6 GB a worker.  Simpson's error on H, an h^2 term of up to
-# 2e-8 at 10001 points, is about 2e-12 here, below the 1.5e-10 that the
-# kernel CDF's own error may move H by, so a finer grid would not make H
-# more accurate.
+# column's scratch grows with the grid: about 16 bytes a point at a
+# Silverman bandwidth, 24 on the exact path, and up to about 610 where the
+# bandwidth is under three grid steps and the FFTs run on the full grid
+# with eleven or twelve orders; a pool multiplies it by its workers.  At
+# this cap that is at most about 0.6 GB a worker.  Simpson's error on H,
+# an h^2 term of up to 2e-8 at 10001 points, is about 2e-12 here, below
+# the 1.5e-10 that the kernel CDF's own error may move H by, so a finer
+# grid would not make H more accurate.
 _MAX_POINTS = 1_000_001
 
 # grid_values keeps |grid_values(points) - self(grid)| within this on
@@ -72,16 +72,19 @@ _CHECK_INTERVALS = 16
 # here that meets its error budget.
 _COARSENING = (32, 16, 8, 4, 2, 1)
 
-# max over z of |d^p/dz^p ndtr(z)| = |He_{p-1}(z) phi(z)| for p = 1..10,
-# found on a 1e-5 grid over [-12, 12], polished, and rounded up.
-_NDTR_DERIVATIVE_MAX = (0.3990, 0.2420, 0.3990, 0.5506, 1.197, 2.308, 5.985, 14.18, 41.89, 115.1)
+# max over z of |d^p/dz^p ndtr(z)| = |He_{p-1}(z) phi(z)| for p = 1..12,
+# found on a 1e-5 grid over [-12, 12], polished, and rounded up to four
+# significant digits.
+_NDTR_DERIVATIVE_MAX = (
+    0.3990, 0.2420, 0.3990, 0.5506, 1.197, 2.308, 5.985, 14.18, 41.89, 115.1, 377.1, 1163.0
+)
 
-# a! for the coarse rows a = 0..9, as doubles: each is exact, so a product
+# a! for the coarse rows a = 0..11, as doubles: each is exact, so a product
 # with one has the bits of the product with the int.
 _FACTORIALS = np.array([math.factorial(a) for a in range(len(_NDTR_DERIVATIVE_MAX))], dtype=np.float64)
 _FACTORIALS.flags.writeable = False
 
-# K_p(-j) = parity * K_p(j) down the kernel rows p = 0..9: K_0 is odd, and
+# K_p(-j) = parity * K_p(j) down the kernel rows p = 0..11: K_0 is odd, and
 # K_p, a multiple of He_{p-1} phi, has the parity of p - 1.
 _PARITY = np.array([(-1.0) ** (p + 1) for p in range(len(_NDTR_DERIVATIVE_MAX))])[:, np.newaxis]
 _PARITY.flags.writeable = False
@@ -277,7 +280,7 @@ class CdfEstimate:
         rounding, is at most 1e-12 of the correction span.  The rounding
         estimate is eps*log2(size)*||K_0||_2 for the transforms (Higham
         2002, section 24.1), on the coarse K_0, plus 2*eps for each of at
-        most 10 orders: a grid value, a sum of P products with exact
+        most 12 orders: a grid value, a sum of P products with exact
         powers, rounds by about P*eps times its terms' summed magnitudes
         (Higham 2002, section 3.1), about the value, half Horner's bound.
         The norm is a numpy reduction, not a BLAS dot:
@@ -285,8 +288,8 @@ class CdfEstimate:
         threads, which stalls a column while other threads keep the cores
         busy, and the dot's bits would depend on the BLAS thread count.
         c is the largest factor in _COARSENING, below points, for which
-        some P <= 10 meets the budget.  If none does, the exact self(grid)
-        is returned instead: for h below about three grid steps, where
+        some P <= 12 meets the budget.  If none does, the exact self(grid)
+        is returned instead: for h below about 1.7 grid steps, where
         even c = 1 misses the budget and no coarse row is formed, and,
         with boundary correction on, for h above about 2.5, where dividing
         by the small span magnifies rounding.  The z = j*U and K_0 rows
@@ -404,15 +407,15 @@ def _below_fast_path(bandwidth: float, points: int) -> bool:
 
     It does where even c = 1, whose radius u/2 (u = d/h) is the least,
     misses the error budget at the widest span, 1: for h below about
-    three grid steps.  The exact sum costs O(points * n) in ndtr, which
+    1.7 grid steps.  The exact sum costs O(points * n) in ndtr, which
     runs without the interpreter lock.
     """
     return not _least_order(0.5 / ((points - 1) * bandwidth), _GRID_ERROR)
 
 
 def _least_order(radius: float, budget: float, start: int = 1) -> int:
-    """Least Taylor order P, from start to 10, with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
-    # Every bound is then at least 3.2e-5 (P = 10), and radius**P can overflow.
+    """Least Taylor order P, from start to 12, with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
+    # Every bound is then at least 2.4e-6 (P = 12), and radius**P can overflow.
     if radius >= 1.0:
         return 0
     for order in range(start, len(_NDTR_DERIVATIVE_MAX) + 1):
@@ -466,11 +469,12 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
     contiguous row, so each column gets the bits of select_bandwidth,
     CdfEstimate and grid_values on its own.  A sort of the transposed
     view would stay Fortran-ordered, and numpy then sums down its columns
-    in another order.  A block of the endpoint sums holds at most 3 *
-    points doubles, 24 bytes a grid point, the least one column's grid
-    values hold (see _MAX_POINTS), or one column's block if that is
-    larger.  A fault raises what the one-column calls raise, named after
-    the first faulty column of the first step that finds one.
+    in another order.  A block of the endpoint sums holds at most 2 *
+    points doubles, 16 bytes a grid point, as much as the two grid-sized
+    arrays that one column's entropy holds (see _MAX_POINTS), or one
+    column's block if that is larger.  A fault raises what the
+    one-column calls raise, named after the first faulty column of the
+    first step that finds one.
     """
     x = np.array(columns.T, order="C")
     x.sort(axis=1)
@@ -490,7 +494,7 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
         h = np.full(m, _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError))
     if correct:
         ends = np.broadcast_to(_ENDS, (m, 2))
-        raw_lo, raw_hi = _kernel_means(x, h, ends, max(1, 3 * points // (2 * n))).T
+        raw_lo, raw_hi = _kernel_means(x, h, ends, max(1, points // n)).T
         span = raw_hi - raw_lo
         for j in np.flatnonzero(span <= 0.0)[:1]:
             raise _named(InvalidBandwidthError(_FLAT), names[j])
@@ -554,7 +558,7 @@ def _fine_values(rows: np.ndarray, c: int, points: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _powers(c: int, order: int) -> np.ndarray:
-    """The read-only (c, order) table of (-s)^a, exact: k**a / c**a with |k|**a <= 16**9."""
+    """The read-only (c, order) table of (-s)^a, exact: k**a / c**a with |k|**a <= 16**11."""
     table = np.vander((c // 2 - np.arange(c)) / c, order, increasing=True)
     table.flags.writeable = False
     return table

@@ -47,7 +47,8 @@ class QuadratureConfig:
     """Uniform-grid composite Simpson settings.
 
     points must be an odd int (Simpson pairs intervals) from 3 to
-    1000001; each grid point costs a column 24 to 600 bytes of scratch.
+    1000001; each grid point costs a column 16 to about 610 bytes of
+    scratch.
     """
 
     points: int = 10001
@@ -107,7 +108,9 @@ def continuous_entropy(
     if isinstance(cdf, CdfEstimate):
         phi = cdf.grid_values(config.points)
     else:
-        phi = np.asarray(cdf(np.linspace(0.0, 1.0, config.points)), dtype=np.float64)
+        # A copy: the integrand is formed in place, and the callable may
+        # hand back an array it keeps.
+        phi = np.array(cdf(np.linspace(0.0, 1.0, config.points)), dtype=np.float64)
     if phi.shape != (config.points,):
         raise InvariantError("cdf must return one value per grid point")
     if not np.isfinite(phi).all():
@@ -136,12 +139,13 @@ def continuous_entropy(
 def _phi_log_phi(phi: np.ndarray) -> np.ndarray:
     """phi ln phi per finite value, and 0, its limit, at or below _PHI_FLOOR.
 
-    Those values are replaced by 1.0, whose 1.0 * ln(1.0) is exactly 0,
-    so every value takes the same three passes and no gather or scatter.
+    Those values are replaced by 1.0 in phi itself, whose 1.0 * ln(1.0) is
+    exactly 0, so every value takes the same three passes and no gather
+    or scatter, and the integrand takes one more grid-sized array, not two.
     """
-    safe = np.where(phi > _PHI_FLOOR, phi, 1.0)
-    out = np.log(safe)
-    out *= safe
+    np.copyto(phi, 1.0, where=phi <= _PHI_FLOOR)
+    out = np.log(phi)
+    out *= phi
     return out
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
+from pathlib import Path
 
 import numpy as np
 
 import entroscore as es
-from entroscore import model, scoring
+from entroscore import density, model, scoring
 
 # Text drawn for a CSV file holds the characters that make csv quote a
 # field, and a NUL where csv carries one: from Python 3.11 on.  Before
@@ -38,6 +40,22 @@ def random_dataset(rng, n: int, m: int, inverse: tuple[int, ...] = (),
     return es.RawDataset(ids, values, simple_schema(m, inverse))
 
 
+def bench_dataset(rows: int, seed: int) -> es.RawDataset:
+    """bench/workloads.generate's library data at rows x 17."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    shape = workloads.Spec("lib", "continuous", rows=rows, indicators=17, drop_share=0.0, threads=1)
+    inputs = workloads.generate(shape, seed)
+    specs = tuple(
+        es.IndicatorSpec(name, category, "inverse" if inverse else "positive")
+        for name, category, inverse in zip(inputs.names, inputs.categories, inputs.inverse)
+    )
+    return es.RawDataset(inputs.kept_ids, inputs.clean, es.Schema(specs))
+
+
 def record_pool_starts(monkeypatch) -> list:
     """Make scoring's thread pools log their max_workers into the returned list."""
     started = []
@@ -49,6 +67,19 @@ def record_pool_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(scoring, "ThreadPoolExecutor", Recording)
     return started
+
+
+def record_spectra(monkeypatch) -> list:
+    """Make density._spectra log (rows, spectrum length) of every call into the returned list."""
+    calls = []
+    spectra = density._spectra
+
+    def recorded(moments, kernels, rows):
+        calls.append((rows, kernels.shape[1]))
+        return spectra(moments, kernels, rows)
+
+    monkeypatch.setattr(density, "_spectra", recorded)
+    return calls
 
 
 def csv_bytes(header, rows) -> bytes:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import density
+from helpers import record_spectra
 
 
 class TestSelectBandwidth:
@@ -280,11 +281,12 @@ class TestGridValues:
 
     @pytest.mark.parametrize(
         "h,points",
-        [(2e-4, 10001), (5e-3, 301), (1e-100, 10001), (1e-300, 10001), (1e-310, 3), (5e-324, 10001)],
+        [(1.5e-4, 10001), (5e-3, 301), (1e-100, 10001), (1e-300, 10001), (1e-310, 3), (5e-324, 10001)],
     )
     def test_below_the_threshold_the_exact_values_come_back(self, h, points):
-        # Bandwidths of 2 and 1.5 grid steps, then ones so small that z and
-        # the powers of step/h overflow, which must warn nothing.
+        # Bandwidths of 1.5 grid steps, below the 1.7 where c = 1 meets
+        # the budget at order 12, then ones so small that z and the powers
+        # of step/h overflow, which must warn nothing.
         x = _column("uniform", 50, np.random.default_rng(30))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -366,26 +368,13 @@ class TestGridValues:
         assert np.array_equal(cdf.grid_values(points), cdf(grid))
 
     @staticmethod
-    def _ffts(monkeypatch):
-        """Record (rows, spectrum length) of every _spectra call."""
-        calls = []
-        spectra = density._spectra
-
-        def recorded(moments, kernels, rows):
-            calls.append((rows, kernels.shape[1]))
-            return spectra(moments, kernels, rows)
-
-        monkeypatch.setattr(density, "_spectra", recorded)
-        return calls
-
-    @staticmethod
     def _length(points, c):
         """Spectrum length of the FFTs on every c-th grid node."""
         nodes = (points - 1 + c // 2) // c + 1
         return density._fft_size(2 * nodes - 1) // 2 + 1
 
     def test_a_silverman_bandwidth_runs_the_ffts_on_a_coarse_grid(self, monkeypatch):
-        calls = self._ffts(monkeypatch)
+        calls = record_spectra(monkeypatch)
         x = _column("normal", 40, np.random.default_rng(36))
         cdf = es.estimate_cdf(x, es.select_bandwidth(x))
         fast = cdf.grid_values(10001)
@@ -393,11 +382,11 @@ class TestGridValues:
         [(rows, length)] = calls
         assert rows > 1 and length == self._length(10001, density._COARSENING[0])
 
-    @pytest.mark.parametrize("steps,c", [(12, 2), (4, 1), (2, None)])
+    @pytest.mark.parametrize("steps,c", [(12, 2), (4, 1), (2, 1), (1.5, None)])
     def test_a_bandwidth_of_a_few_grid_steps_steps_down_the_ladder(self, monkeypatch, steps, c):
-        # At 12 grid steps only c = 2 meets the budget, at 4 only c = 1,
-        # and at 2 no order does, so the exact sum comes back.
-        calls = self._ffts(monkeypatch)
+        # At 12 grid steps only c = 2 meets the budget, at 4 and 2 only
+        # c = 1, and at 1.5 no order does, so the exact sum comes back.
+        calls = record_spectra(monkeypatch)
         x = _column("uniform", 60, np.random.default_rng(37))
         cdf = es.estimate_cdf(x, steps / 10000.0)
         fast = cdf.grid_values(10001)
@@ -426,12 +415,12 @@ class TestGridValues:
             es.estimate_cdf([0.2, 0.8], 0.1).grid_values(points)
 
     def test_three_points_run_the_ffts_on_the_full_grid(self, monkeypatch):
-        # At 3 points c is 2 or 1.  With h = 5 and no correction, c = 2
-        # (radius 0.2) misses the budget at every order, and c = 1 (radius
-        # 0.05) meets it, so one coarse row comes back.
-        calls = self._ffts(monkeypatch)
+        # At 3 points c is 2 or 1.  With h = 3 and no correction, c = 2
+        # (radius 1/3) misses the budget at every order, and c = 1 (radius
+        # 1/12) meets it, so one coarse row comes back.
+        calls = record_spectra(monkeypatch)
         x = _column("normal", 50, np.random.default_rng(40))
-        cdf = es.estimate_cdf(x, 5.0, False)
+        cdf = es.estimate_cdf(x, 3.0, False)
         fast = cdf.grid_values(3)
         [(rows, length)] = calls
         assert rows == 1 and length == self._length(3, 1)
@@ -448,6 +437,36 @@ class TestGridValues:
                 fast = es.continuous_entropy(cdf)
                 exact = es.continuous_entropy(lambda g: cdf(g))
                 assert abs(fast - exact) <= bound
+
+    def test_the_derivative_maxima_bound_the_ndtr_derivatives_closely(self):
+        # max over z of |He_{p-1}(z) phi(z)| on a 1e-4 grid over [-12, 12],
+        # where every maximum lies: the Taylor remainder's bound needs each
+        # entry at least this, and within 0.1% of it.
+        from numpy.polynomial.hermite_e import hermeval
+
+        z = np.linspace(-12.0, 12.0, 240001)
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        assert len(density._NDTR_DERIVATIVE_MAX) == 12
+        for p, entry in enumerate(density._NDTR_DERIVATIVE_MAX, start=1):
+            peak = float(np.max(np.abs(hermeval(z, [0.0] * (p - 1) + [1.0]) * phi)))
+            assert peak <= entry <= 1.001 * peak
+
+    @pytest.mark.parametrize("order", [4, 8, 11])
+    def test_the_rounding_estimate_can_raise_the_order(self, monkeypatch, order):
+        # h puts this order's truncation bound at c = 32 1e-15 inside the
+        # 1e-12 budget, less than the rounding estimate's least share,
+        # 2 * eps for each of 12 orders, so grid_values must take one
+        # order more than the truncation alone needs.
+        calls = record_spectra(monkeypatch)
+        top = density._GRID_ERROR * (1.0 - 1e-3)
+        radius = (top * math.factorial(order) / density._NDTR_DERIVATIVE_MAX[order - 1]) ** (1 / order)
+        h = 32 / (10000 * radius)
+        assert density._least_order(32 * (1.0 / (10000 * h)), density._GRID_ERROR) == order
+        cdf = es.estimate_cdf(_column("uniform", 50, np.random.default_rng(41)), h, False)
+        fast = cdf.grid_values(10001)
+        [(rows, length)] = calls
+        assert rows == order + 1 and length == self._length(10001, 32)
+        assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
 
 
 def _spectra_reference(moments, kernels, rows):
@@ -522,6 +541,10 @@ def _coarse_rows(c, order, points, seed):
     return rng.normal(size=(order, nodes)) * 10.0 ** rng.uniform(-6, 6, size=(order, 1))
 
 
+# Every Taylor order grid_values can take.
+_ORDERS = range(1, len(density._NDTR_DERIVATIVE_MAX) + 1)
+
+
 def _coarse_grid(points, c, h):
     """grid_values' coarse node count, FFT length, step U = c*u and z = j*U."""
     nodes = (points - 1 + c // 2) // c + 1
@@ -533,7 +556,7 @@ class TestSameBits:
     """The memory-lean forms against the plain formulas they replace."""
 
     @pytest.mark.parametrize("c", [1, 2, 32])
-    @pytest.mark.parametrize("order", range(1, 11))
+    @pytest.mark.parametrize("order", _ORDERS)
     def test_kernel_spectra_match_the_row_by_row_build(self, c, order):
         from scipy.special import ndtr
 
@@ -545,7 +568,7 @@ class TestSameBits:
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("c", [1, 2, 32])
-    @pytest.mark.parametrize("order", range(1, 11))
+    @pytest.mark.parametrize("order", _ORDERS)
     def test_moment_spectra_match_one_bincount_per_order(self, c, order):
         nodes, size, _, _ = _coarse_grid(1001, c, 0.05)
         t = np.random.default_rng(order).uniform(size=57) * (1000 / c)
@@ -556,7 +579,7 @@ class TestSameBits:
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("c", [1, 2, 4, 8, 16, 32])
-    @pytest.mark.parametrize("order", range(1, 11))
+    @pytest.mark.parametrize("order", _ORDERS)
     def test_fine_values_match_a_python_power_sum(self, c, order):
         # grid_values hands over one row at c = 1, but any count works.
         # This pins np.einsum's order: each term added in turn from a = 0,
@@ -566,7 +589,7 @@ class TestSameBits:
         assert got.tobytes() == _power_sum_reference(rows, c, 1001).tobytes()
 
     @pytest.mark.parametrize("c", [1, 2, 32])
-    @pytest.mark.parametrize("order", range(1, 11))
+    @pytest.mark.parametrize("order", _ORDERS)
     def test_horner_matches_node_by_node_evaluation(self, c, order):
         # The fine values against Horner's rule, the evaluation they replace:
         # the same bits where s = 0 (every node at c = 1), and elsewhere
@@ -589,7 +612,7 @@ class TestSameBits:
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         c=st.sampled_from(density._COARSENING),
-        order=st.integers(1, 10),
+        order=st.sampled_from(_ORDERS),
         points=st.integers(2, 200),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -627,14 +650,14 @@ class TestSameBits:
             return radius**p / math.factorial(p) * density._NDTR_DERIVATIVE_MAX[p - 1]
 
         smaller = budget * share
-        expected = next((p for p in range(1, 11) if bound(p) <= smaller), 0)
+        expected = next((p for p in _ORDERS if bound(p) <= smaller), 0)
         start = density._least_order(radius, budget) or 1
         assert density._least_order(radius, smaller, start) == expected
 
-    @pytest.mark.parametrize("rows", range(1, 11))
+    @pytest.mark.parametrize("rows", _ORDERS)
     def test_spectra_matches_the_broadcast_formula(self, rows):
         rng = np.random.default_rng(rows)
-        shape = (10, 97)
+        shape = (len(_ORDERS), 97)
         moments, kernels = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
         expected = _spectra_reference(moments, kernels, rows)
         assert density._spectra(moments, kernels.copy(), rows).tobytes() == expected.tobytes()
@@ -671,11 +694,14 @@ class TestScratchMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("shape,seed,c", [("lognormal", 1, 16), ("normal", 0, 32)])
+    @pytest.mark.parametrize("shape,seed,c", [("lognormal", 1, 16), ("lognormal", 1, 32), ("normal", 0, 32)])
     def test_the_fast_path_holds_few_coarse_blocks(self, monkeypatch, shape, seed, c):
-        calls = TestGridValues._ffts(monkeypatch)
+        # Silverman's bandwidth plans c = 32 on both columns; a fixed h of
+        # 80 grid steps plans c = 16.
+        calls = record_spectra(monkeypatch)
         x = _column(shape, 69, np.random.default_rng(seed))
-        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        h = es.select_bandwidth(x) if c == 32 else 80 / 10000
+        cdf = es.estimate_cdf(x, h)
         peak = self._peak(lambda: cdf.grid_values(10001))
         [(rows, length)] = calls
         assert x.size == 70 and length == TestGridValues._length(10001, c)

@@ -24,6 +24,10 @@ def power_cdf(k):
     return lambda x: np.asarray(x, dtype=np.float64) ** k
 
 
+# A module-level array that a CDF callable hands back as it is: x**2.
+_HELD = np.linspace(0.0, 1.0, 10001) ** 2
+
+
 class TestQuadratureConfig:
     def test_defaults(self):
         cfg = es.QuadratureConfig()
@@ -119,6 +123,14 @@ class TestContinuousEntropy:
     def test_returns_plain_float(self):
         assert type(es.continuous_entropy(power_cdf(1), es.QuadratureConfig())) is float
 
+    def test_leaves_the_callables_array_unchanged(self):
+        # The integrand is formed in place; a callable's array is copied
+        # first.  _HELD's first value, 0.0, is one the integrand replaces.
+        kept = _HELD.copy()
+        h = es.continuous_entropy(lambda x: _HELD, es.QuadratureConfig(_HELD.size))
+        assert _HELD.tobytes() == kept.tobytes()
+        np.testing.assert_allclose(h, 2 * math.e / 9, atol=1e-6)
+
 
 _FLOOR_EDGES = (
     0.0,
@@ -154,6 +166,14 @@ class TestIntegrand:
         gathered[live] = phi[live] * np.log(phi[live])
         got = entropy._phi_log_phi(phi)
         assert np.array_equal(got.view(np.int64), gathered.view(np.int64))
+
+    def test_the_floor_is_1e_12(self):
+        # Exactly the limit 0 at and below 1e-12, phi ln phi above it: the
+        # bound in continuous_entropy's docstring rests on this floor.
+        got = entropy._phi_log_phi(np.array([1e-12, 5e-13, 0.0, 1e-10, 0.5]))
+        assert got[:3].tolist() == [0.0, 0.0, 0.0]
+        expected = [1e-10 * math.log(1e-10), 0.5 * math.log(0.5)]
+        np.testing.assert_allclose(got[3:], expected, rtol=1e-15, atol=0.0)
 
 
 class TestContinuousEntropyErrors:

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +14,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import density, scoring
-from helpers import random_dataset, record_pool_starts, simple_schema
+from helpers import bench_dataset, random_dataset, record_pool_starts, record_spectra, simple_schema
 
 
 class TestCompositeScores:
@@ -500,20 +498,30 @@ class TestRunPipeline:
         assert 0.0 < report.stats.std_dev < 100.0
 
 
-def _bench_dataset(rows: int, seed: int) -> es.RawDataset:
-    """bench/workloads.generate's library data at rows x 17."""
-    bench = str(Path(__file__).resolve().parent.parent / "bench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import workloads
+class TestBenchPlans:
+    """The grid plans that bench/workloads.generate's columns get."""
 
-    shape = workloads.Spec("lib", "continuous", rows=rows, indicators=17, drop_share=0.0, threads=1)
-    inputs = workloads.generate(shape, seed)
-    specs = tuple(
-        es.IndicatorSpec(name, category, "inverse" if inverse else "positive")
-        for name, category, inverse in zip(inputs.names, inputs.categories, inputs.inverse)
-    )
-    return es.RawDataset(inputs.kept_ids, inputs.clean, es.Schema(specs))
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_every_silverman_column_runs_on_the_coarsest_grid(self, monkeypatch, seed):
+        # The heavy-tailed columns' Silverman h is 119-172 grid steps at
+        # 10001 points; c = 32 needs about 109.
+        calls = record_spectra(monkeypatch)
+        es.run_pipeline(bench_dataset(70, seed))
+        nodes = (10000 + 16) // 32 + 1
+        length = density._fft_size(2 * nodes - 1) // 2 + 1
+        assert [got for _, got in calls] == [length] * 17
+
+    def test_a_bandwidth_of_two_steps_takes_the_ffts_at_1001_points(self, monkeypatch):
+        # At 1000 rows one lognormal column's Silverman h is 2.29 steps of a
+        # 1001-point grid, which c = 1 covers: the FFTs, not the exact sum.
+        calls = record_spectra(monkeypatch)
+        ds = bench_dataset(1000, 11)
+        column = es.normalize_matrix(ds).values[:, ds.schema.names.index("lognormal_008")]
+        cdf = es.estimate_cdf(column, es.select_bandwidth(column))
+        assert 2.0 < cdf.bandwidth * 1000 < 2.5
+        fast = cdf.grid_values(1001)
+        assert calls == [(1, density._fft_size(2 * 1001 - 1) // 2 + 1)]
+        assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 1001)))) <= density._GRID_ERROR
 
 
 # Column kinds for the set-up property: spread, ties, a heavy tail, and a
@@ -673,7 +681,7 @@ class TestBatchedSetup:
         # one column's grid work holds anyway.
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc is already tracing; its peak is not this test's")
-        ds = _bench_dataset(rows, 7)
+        ds = bench_dataset(rows, 7)
         peaks = {}
         for run in (self._one_column_at_a_time, es.run_pipeline):
             run(ds)  # imports and caches out of the measured run
