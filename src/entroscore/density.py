@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError, _named
-from .model import _NOT_POSITIVE, _check_count, _check_flag, _check_positive_real, _sample_array
+from .model import _check_count, _check_flag, _check_positive_real, _sample_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
@@ -484,11 +484,13 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
         bandwidths = tuple(_silverman(x))
         if None in bandwidths:
             raise _named(DegenerateColumnError(_NO_BANDWIDTH), names[bandwidths.index(None)])
-        # Silverman's h underflows to 0.0 on a spread of a few subnormals,
-        # which CdfEstimate's check refuses.
-        if 0.0 in bandwidths:
-            message = _NOT_POSITIVE.format(name="bandwidth", double=0.0)
-            raise _named(InvalidBandwidthError(message), names[bandwidths.index(0.0)])
+        # CdfEstimate's check, which refuses the 0.0 that Silverman's h
+        # underflows to on a spread of a few subnormals.
+        for name, hj in zip(names, bandwidths):
+            try:
+                _check_positive_real(hj, "bandwidth", InvalidBandwidthError)
+            except InvalidBandwidthError as exc:
+                raise _named(exc, name) from None
         h = np.array(bandwidths)
     else:
         h = np.full(m, _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError))

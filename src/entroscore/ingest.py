@@ -181,20 +181,19 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str], str]]:
 
     Each record comes with its cells joined by commas.  lines must end
     where csv's lines do, at "\\n", "\\r" and "\\r\\n", as a text stream
-    opened with newline="" does.  A line with no '"', no NUL and no more
+    opened with newline="" does.  A line with no '"' and no more
     characters than csv.field_size_limit() is a record that csv reads as
     the line split at commas, so str.split reads it.  Any other line goes
     with the lines after it to a csv.reader, which reads its record and
     leaves the rest, so quoted line breaks, line numbers and csv's errors
-    stay the csv module's.  NUL is one of them because csv before Python
-    3.11 refuses a line that holds it.  A csv.Error is raised as
-    MalformedCsvError, naming the line csv stopped on.
+    stay the csv module's.  A csv.Error is raised as MalformedCsvError,
+    naming the line csv stopped on.
     """
     lines = iter(lines)
     limit = csv.field_size_limit()
     line_num = 0
     for line in lines:
-        if '"' in line or "\0" in line or len(line) > limit:
+        if '"' in line or len(line) > limit:
             reader = csv.reader(itertools.chain((line,), lines))
             try:
                 record = next(reader)  # csv reads a record from any line

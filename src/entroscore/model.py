@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -39,10 +38,6 @@ __all__ = [
 
 SCHEMA_FORMAT_VERSION = 1
 
-# Whether csv.writer can write a field holding NUL, which every report
-# CSV would then carry from a name or category: from Python 3.11 on.
-_CSV_NUL = sys.version_info >= (3, 11)
-
 WEIGHT_SUM_TOLERANCE = 1e-12
 
 
@@ -69,10 +64,6 @@ def _check_count(value, name: str) -> None:
         raise InvariantError(f"{name} must be an integer, got {value!r}")
 
 
-# _check_positive_real's message for a value that is not above 0 and finite.
-_NOT_POSITIVE = "{name} must be positive and finite as a double, got {double!r}"
-
-
 def _check_positive_real(value, name: str, error: type[EntroscoreError] = InvariantError) -> float:
     """value as a double, checked to be a real number above 0 and finite as a double.
 
@@ -87,7 +78,7 @@ def _check_positive_real(value, name: str, error: type[EntroscoreError] = Invari
     except OverflowError:
         double = math.inf if value > 0 else -math.inf
     if not 0.0 < double < math.inf:
-        raise error(_NOT_POSITIVE.format(name=name, double=double))
+        raise error(f"{name} must be positive and finite as a double, got {double!r}")
     return double
 
 
@@ -117,7 +108,6 @@ class IndicatorSpec:
     """Name, category, and direction of one indicator column.
 
     The category is free-form grouping metadata, never used in computation.
-    Before Python 3.11 a name or category holding NUL raises InvariantError.
     """
 
     name: str
@@ -129,8 +119,6 @@ class IndicatorSpec:
             raise InvariantError("indicator name must be a non-empty string")
         if not isinstance(self.category, str) or not self.category:
             raise InvariantError("indicator category must be a non-empty string")
-        if not _CSV_NUL and "\0" in self.name + self.category:
-            raise InvariantError(f"indicator {self.name!r}: csv before Python 3.11 cannot write a NUL")
         # Accept plain strings for convenience when parsing config files.
         try:
             object.__setattr__(self, "direction", Direction(self.direction))

@@ -119,8 +119,8 @@ def stats_block(stats: DescriptiveStats) -> str:
     return "\n".join(f"{label.ljust(width)}  {value}" for label, value in entries) + "\n"
 
 
-# Characters that make csv.writer quote a field, and NUL, which it handles
-# differently before Python 3.11.
+# Characters that make csv.writer quote a field, and NUL, which is left
+# to csv.writer too, so its handling stays the csv module's.
 _QUOTED = ',"\r\n\0'
 
 

@@ -22,7 +22,7 @@ from .entropy import (
     continuous_entropy,
     discrete_entropy,
 )
-from .errors import DimensionMismatchError, EntroscoreError, InvariantError, NonFiniteInputError, _named
+from .errors import DimensionMismatchError, InvariantError, NonFiniteInputError
 
 # Not called: normalize_matrix holds the pipeline's one column check, and
 # density._setup picks the bandwidths and builds the estimates.  These
@@ -57,7 +57,7 @@ METHODS = ("continuous", "discrete")
 # _pool_pays starts the continuous-column pool where rows + points /
 # _POOL_POINTS_PER_ROW reaches _POOL_ROWS: from 550 rows at 10001 points,
 # 730 at 1001, and at any length from 37501 points.  Fitted to the
-# break-even points of the README's 2-core table.
+# break-even points of an earlier form of the README's 2-core table.
 _POOL_POINTS_PER_ROW = 50
 _POOL_ROWS = 750
 
@@ -220,8 +220,8 @@ def _pool_pays(rows: int, points: int, bandwidths: tuple[float, ...]) -> bool:
     loops are long: for long columns, fine grids, or a bandwidth below
     the fast kernel CDF's reach, whose exact sum runs O(points * rows)
     in ndtr.  Where the calls are short, workers contend for the lock
-    and one worker is faster.  The constants are fitted to the 2-core
-    measurement table in the README.
+    and one worker is faster.  The constants are fitted to an earlier
+    form of the 2-core measurement table in the README.
     """
     if rows + points / _POOL_POINTS_PER_ROW >= _POOL_ROWS:
         return True
@@ -239,38 +239,28 @@ def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) 
     worker for their length, grid and bandwidths.  Results are assembled
     in column order and are bit-identical to a sequential run, and to
     select_bandwidth, estimate_cdf and continuous_entropy on each column.
-    A column that cannot be normalized raises the error normalize_matrix
-    names it with; any later fault names its indicator too.
+    A fault names its indicator: normalize_matrix names a column it
+    cannot normalize, and _setup one it cannot estimate.  A normalized
+    column is finite, with min 0 and max 1, so no entropy of it can fail.
     """
     options = options or EvaluationOptions()
     normalized = normalize_matrix(dataset)
     names = dataset.schema.names
     m = len(names)
-
-    def named(j: int, job, *args):
-        """job(*args), with any fault naming indicator j."""
-        try:
-            return job(*args)
-        except EntroscoreError as exc:
-            raise _named(exc, names[j]) from None
-
     if options.method == "discrete":
-        values = [named(j, discrete_entropy, normalized.values[:, j]) for j in range(m)]
+        values = [discrete_entropy(normalized.values[:, j]) for j in range(m)]
         bandwidths = cdfs = None
     else:
         points = options.quadrature.points
         cdfs = _setup(normalized.values, names, options.bandwidth, options.boundary_correction, points)
         bandwidths = tuple(cdf.bandwidth for cdf in cdfs)
-
-        def column_job(j: int) -> float:
-            return named(j, continuous_entropy, cdfs[j], options.quadrature)
-
+        configs = [options.quadrature] * m
         rows = normalized.values.shape[0]
         if options.threads > 1 and m > 1 and _pool_pays(rows, points, bandwidths):
             with ThreadPoolExecutor(max_workers=options.threads) as pool:
-                values = list(pool.map(column_job, range(m)))
+                values = list(pool.map(continuous_entropy, cdfs, configs))
         else:
-            values = [column_job(j) for j in range(m)]
+            values = list(map(continuous_entropy, cdfs, configs))
 
     entropies = EntropyVector(np.array(values, dtype=np.float64))
     weights = compute_weights(entropies, options.weight_rule)

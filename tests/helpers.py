@@ -10,14 +10,11 @@ from pathlib import Path
 import numpy as np
 
 import entroscore as es
-from entroscore import density, model, scoring
+from entroscore import density, scoring
 
 # Text drawn for a CSV file holds the characters that make csv quote a
-# field, and a NUL where csv carries one: from Python 3.11 on.  Before
-# that csv's reader refuses a line holding a NUL and its writer a field.
-CSV_NUL = model._CSV_NUL
-CSV_SPECIALS = ',"\r\n\0' if CSV_NUL else ',"\r\n'
-NOT_IN_CSV = "" if CSV_NUL else "\0"
+# field, and a NUL.
+CSV_SPECIALS = ',"\r\n\0'
 
 
 def simple_schema(m: int, inverse: tuple[int, ...] = ()) -> es.Schema:

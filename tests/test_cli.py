@@ -23,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
-from entroscore import cli, model
+from entroscore import cli
 from entroscore.cli import run
 from entroscore.report import CDF_GRID_POINTS
-from helpers import CSV_NUL, CSV_SPECIALS, NOT_IN_CSV, csv_bytes, read_records
+from helpers import CSV_SPECIALS, csv_bytes, read_records
 
 
 @pytest.fixture
@@ -164,19 +164,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: schema file {schema_path} is not valid JSON: ")
 
-    def test_a_nul_in_the_schema_is_a_data_error_where_csv_cannot_write_it(
-        self, small_csv, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(model, "_CSV_NUL", False)
-        _, schema_path = small_csv
-        schema_path.write_text(schema_path.read_text().replace('"speed"', '"sp\\u0000eed"'))
-        out_dir = tmp_path / "out"
-        assert run(["evaluate", *base_args(small_csv), "--out-dir", str(out_dir)]) == 1
-        assert capsys.readouterr().err == (
-            "error: indicator 'sp\\x00eed': csv before Python 3.11 cannot write a NUL\n"
-        )
-        assert not out_dir.exists()
-
     def test_non_utf8_config_is_a_usage_error(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"method": "discr\xe9te"}')
@@ -309,8 +296,7 @@ class TestEvaluate:
         assert "discrete" in captured.err
         assert not [p for p in out_dir.iterdir() if p.name.startswith("cdf_")]
 
-    # Before Python 3.11 a schema cannot hold a NUL name at all.
-    @pytest.mark.parametrize("name", [*(["a\0b"] if CSV_NUL else []), "a/b", ".", ".."])
+    @pytest.mark.parametrize("name", ["a\0b", "a/b", ".", ".."])
     def test_dump_cdf_refuses_a_name_no_file_can_carry(self, tmp_path, capsys, name):
         schema_path = tmp_path / "schema.json"
         es.save_schema(
@@ -437,13 +423,13 @@ class TestCsvRoundTrip:
     """Every CSV of `evaluate` reads back with csv.reader as the run's ids, names and values.
 
     Ids and categories hold the characters that make csv quote a field and
-    a NUL where csv carries one; a name names its cdf_<name>.csv too, so it
-    holds no NUL or '/' and is not '.' or '..', which --dump-cdf refuses.
+    a NUL; a name names its cdf_<name>.csv too, so it holds no NUL or '/'
+    and is not '.' or '..', which --dump-cdf refuses.
     """
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(
-        st.lists(_text(CSV_SPECIALS, forbidden=NOT_IN_CSV), min_size=3, max_size=6, unique=True),
+        st.lists(_text(CSV_SPECIALS), min_size=3, max_size=6, unique=True),
         st.lists(
             _text(',"\r\n', forbidden="\0/").filter(lambda name: name not in (".", "..")),
             min_size=1, max_size=3, unique=True,
@@ -452,7 +438,7 @@ class TestCsvRoundTrip:
     )
     def test_every_csv_reads_back(self, tmp_path_factory, ids, names, data):
         categories = data.draw(st.lists(
-            _text(CSV_SPECIALS, forbidden=NOT_IN_CSV), min_size=len(names), max_size=len(names)
+            _text(CSV_SPECIALS), min_size=len(names), max_size=len(names)
         ))
         values = np.array(data.draw(st.lists(
             st.lists(st.floats(0.0, 100.0), min_size=len(names), max_size=len(names)),

@@ -176,6 +176,7 @@ class TestCdfEstimate:
         assert cdf.boundary_correction is False
         np.testing.assert_array_equal(cdf.support_samples, [0.1, 0.5, 0.9])
         assert not cdf.support_samples.flags.writeable
+        assert repr(cdf) == "CdfEstimate(n=3, bandwidth=0.2, boundary_correction=False)"
 
 
 class TestCdfErrors:

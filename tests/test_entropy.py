@@ -278,6 +278,16 @@ class TestComputeWeights:
         with pytest.raises(es.InvariantError):
             es.compute_weights(np.array([0.5]), rule="softmax")
 
+    @pytest.mark.parametrize("entropies,message", [
+        ([], "non-empty 1-D vector"),
+        ([[0.5, 0.5]], "non-empty 1-D vector"),
+        ([0.5, math.nan], "must be finite"),
+        ([0.5, -0.1], "must be non-negative"),
+    ])
+    def test_rejects_what_is_not_a_vector_of_entropies(self, entropies, message):
+        with pytest.raises(es.InvariantError, match=message):
+            es.compute_weights(np.array(entropies))
+
     def test_weights_always_sum_to_one(self):
         rng = np.random.default_rng(22)
         for _ in range(50):

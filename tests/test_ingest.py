@@ -46,6 +46,10 @@ class TestHappyPath:
         assert report.rows_dropped == 0
         assert report.rows_retained == 2
 
+    def test_a_report_cannot_drop_more_rows_than_it_read(self):
+        with pytest.raises(es.InvariantError, match="cannot drop more rows than were read"):
+            es.IngestReport(1, ("a", "b"))
+
     def test_columns_matched_by_name_not_position(self):
         data = csv_bytes(
             ["entity_id", "ind_01", "ind_00"],
@@ -416,13 +420,13 @@ class TestRecordReader:
         finally:
             csv.field_size_limit(saved)
         assert (got, got_error) == (want, want_error)
-        # Every record that starts on a line holding a quote or a NUL, or
-        # on one longer than the field limit, is csv's to read, and no other.
+        # Every record that starts on a line holding a quote, or on one
+        # longer than the field limit, is csv's to read, and no other.
         with _text_stream(text) as stream:
             lines = list(stream)
         starts = [0, *(line_num for line_num, _ in want)][: len(want) + (want_error is not None)]
         assert handed == [
-            lines[i] for i in starts if '"' in lines[i] or "\0" in lines[i] or len(lines[i]) > limit
+            lines[i] for i in starts if '"' in lines[i] or len(lines[i]) > limit
         ]
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
-from entroscore import model
 from helpers import simple_schema
 
 
@@ -47,15 +46,6 @@ class TestIndicatorSpec:
     def test_rejects_empty_name(self):
         with pytest.raises(es.InvariantError):
             es.IndicatorSpec("", "solvency", "positive")
-
-    @pytest.mark.parametrize("name,category", [("a\0b", "solvency"), ("x", "sol\0vency")])
-    def test_a_nul_is_refused_where_csv_cannot_write_it(self, monkeypatch, name, category):
-        monkeypatch.setattr(model, "_CSV_NUL", False)
-        message = r"^indicator '.*': csv before Python 3.11 cannot write a NUL$"
-        with pytest.raises(es.InvariantError, match=message):
-            es.IndicatorSpec(name, category, "positive")
-        monkeypatch.setattr(model, "_CSV_NUL", True)
-        assert es.IndicatorSpec(name, category, "positive").category == category
 
     def test_label_is_readable(self):
         spec = es.IndicatorSpec("rate_of_cost_profit", "operation", "positive")
@@ -117,7 +107,10 @@ class TestSchemaFiles:
     def test_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text('{"version": 1}')
-        with pytest.raises(es.InvariantError):
+        with pytest.raises(es.InvariantError, match="lacks an 'indicators' list"):
+            es.load_schema(path)
+        path.write_text('{"version": 1, "indicators": [{"name": "x", "category": "c"}]}')
+        with pytest.raises(es.InvariantError, match="malformed record: 'direction'"):
             es.load_schema(path)
 
 

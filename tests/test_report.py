@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import report as rep
-from helpers import CSV_SPECIALS, NOT_IN_CSV, read_records
+from helpers import CSV_SPECIALS, read_records
 
 
 def two_indicator_fixture():
@@ -111,10 +111,9 @@ def aligned_reference(headers, rows, numeric):
 
 # Entity ids as parse_csv leaves them, and schema names and categories:
 # non-blank, possibly long, non-ASCII, holding the characters that make csv
-# quote a field, a NUL where csv carries one, or braces that a format string
-# would read as a field.
+# quote a field, a NUL, or braces that a format string would read as a field.
 IDS = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters=NOT_IN_CSV)
+    st.characters(blacklist_categories=("Cs",))
     | st.sampled_from(CSV_SPECIALS + " {}"),
     min_size=1,
     max_size=40,

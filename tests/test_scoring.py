@@ -146,7 +146,7 @@ class TestDescribe:
         np.testing.assert_allclose(d.mean, 50.0, atol=0.5)
         np.testing.assert_allclose(d.std_dev, 10.0, atol=0.3)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e100, 1e200, 1.7e308])
+    @pytest.mark.parametrize("scale", [1e-200, 1e80, 1e100, 1e200, 1.7e308])
     def test_huge_scale_gives_the_scaled_stats_quietly(self, scale):
         # Fourth powers of deviations overflow past about 1e77, squared
         # ones underflow below about 1e-154, and a sum of scores near the
@@ -203,6 +203,11 @@ class TestDescribe:
             warnings.simplefilter("error")
             with pytest.raises(es.NonFiniteInputError, match="finite scores"):
                 es.describe([1.0, bad, 2.0, 3.0])
+
+    @pytest.mark.parametrize("scores", [[], [[1.0, 2.0]]])
+    def test_an_empty_or_nested_score_list_is_refused(self, scores):
+        with pytest.raises(es.InvariantError, match="non-empty 1-D score list"):
+            es.describe(scores)
 
 
 class TestEvaluationOptions:
