@@ -116,7 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="odd Simpson grid size on [0, 1] (default 10001)",
     )
-    pipeline.add_argument("--threads", type=int, metavar="N", help="max worker threads")
+    pipeline.add_argument(
+        "--threads",
+        type=int,
+        metavar="N",
+        help="a positive integer, accepted for existing command lines; has no effect",
+    )
     pipeline.add_argument("--out-dir", metavar="DIR", help="directory for machine-readable CSVs")
 
     p_eval = sub.add_parser(
@@ -181,13 +186,6 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     return payload
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def resolve_config(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[RunPaths, EvaluationOptions]:
@@ -224,7 +222,7 @@ def resolve_config(
             boundary_correction=boundary_correction,
             quadrature=QuadratureConfig(points=pick("quadrature_points", defaults.quadrature.points)),
             scale=pick("scale", defaults.scale),
-            threads=pick("threads", _usable_cpus()),
+            threads=pick("threads", defaults.threads),
         )
     except InvariantError as exc:
         parser.error(str(exc))

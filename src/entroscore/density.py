@@ -37,22 +37,21 @@ from .model import _check_count, _check_flag, _check_positive_real, _sample_arra
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
 # Cap on elements of the (grid x samples) kernel block that the exact sum
-# fills and reuses: 65536 doubles, 512 KiB of scratch per call (per pool
-# worker), which stays in a core's L2 cache.  Each grid value's mean is
-# taken within one row, so the cap never changes a bit.  The old cap of
-# 4_000_000 held 64 MB once n >= 400 and was no faster on any shape
-# measured (2-core VM, 2 MiB L2 per core).
+# fills and reuses: 65536 doubles, 512 KiB of scratch per call, which
+# stays in a core's L2 cache.  Each grid value's mean is taken within one
+# row, so the cap never changes a bit.  The old cap of 4_000_000 held
+# 64 MB once n >= 400 and was no faster on any shape measured (2-core VM,
+# 2 MiB L2 per core).
 _BLOCK_ELEMENTS = 65_536
 
 # The largest grid that grid_values, and so QuadratureConfig, takes.  A
 # column's scratch grows with the grid: about 16 bytes a point at a
 # Silverman bandwidth, 24 on the exact path, and up to about 610 where the
 # bandwidth is under three grid steps and the FFTs run on the full grid
-# with eleven or twelve orders; a pool multiplies it by its workers.  At
-# this cap that is at most about 0.6 GB a worker.  Simpson's error on H,
-# an h^2 term of up to 2e-8 at 10001 points, is about 2e-12 here, below
-# the 1.5e-10 that the kernel CDF's own error may move H by, so a finer
-# grid would not make H more accurate.
+# with eleven or twelve orders.  At this cap that is at most about 0.6 GB.
+# Simpson's error on H, an h^2 term of up to 2e-8 at 10001 points, is
+# about 2e-12 here, below the 1.5e-10 that the kernel CDF's own error may
+# move H by, so a finer grid would not make H more accurate.
 _MAX_POINTS = 1_000_001
 
 # grid_values keeps |grid_values(points) - self(grid)| within this on
@@ -285,8 +284,7 @@ class CdfEstimate:
         (Higham 2002, section 3.1), about the value, half Horner's bound.
         The norm is a numpy reduction, not a BLAS dot:
         OpenBLAS hands a dot of more than 10000 values to its worker
-        threads, which stalls a column while other threads keep the cores
-        busy, and the dot's bits would depend on the BLAS thread count.
+        threads, so the dot's bits would depend on the BLAS thread count.
         c is the largest factor in _COARSENING, below points, for which
         some P <= 12 meets the budget.  If none does, the exact self(grid)
         is returned instead: for h below about 1.7 grid steps, where
@@ -330,7 +328,7 @@ class CdfEstimate:
             z = np.arange(nodes) * (c * u)
             step_free = -ndtr(-z)
             step_free[0] = 0.0
-            # Not np.dot, which can wait on OpenBLAS threads: see the docstring.
+            # Not np.dot, whose bits can depend on OpenBLAS threads: see the docstring.
             norm = math.sqrt(2.0 * np.add.reduce(step_free * step_free))
             rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
             # A smaller budget needs an order at least as high.
@@ -400,17 +398,6 @@ def _checked_nodes(points: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.linspace(0.0, 1.0, points)[check]
     check.flags.writeable = nodes.flags.writeable = False
     return check, nodes
-
-
-def _below_fast_path(bandwidth: float, points: int) -> bool:
-    """Whether grid_values(points) sums exactly whatever the samples are.
-
-    It does where even c = 1, whose radius u/2 (u = d/h) is the least,
-    misses the error budget at the widest span, 1: for h below about
-    1.7 grid steps.  The exact sum costs O(points * n) in ndtr, which
-    runs without the interpreter lock.
-    """
-    return not _least_order(0.5 / ((points - 1) * bandwidth), _GRID_ERROR)
 
 
 def _least_order(radius: float, budget: float, start: int = 1) -> int:

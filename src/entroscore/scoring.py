@@ -8,12 +8,11 @@ so scores read as percentages).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _EPS, CdfEstimate, _below_fast_path, _sample_std, _setup
+from .density import _EPS, CdfEstimate, _sample_std, _setup
 from .entropy import (
     QuadratureConfig,
     _check_quadrature,
@@ -54,13 +53,6 @@ __all__ = [
 
 METHODS = ("continuous", "discrete")
 
-# _pool_pays starts the continuous-column pool where rows + points /
-# _POOL_POINTS_PER_ROW reaches _POOL_ROWS: from 550 rows at 10001 points,
-# 730 at 1001, and at any length from 37501 points.  Fitted to the
-# break-even points of an earlier form of the README's 2-core table.
-_POOL_POINTS_PER_ROW = 50
-_POOL_ROWS = 750
-
 # Where max|score| lies outside this band, describe takes the moments on
 # scores / max|score|.  Inside it n * (2 * max)**4 cannot overflow, and
 # deviations down to eps * mean keep normal fourth powers.
@@ -76,14 +68,10 @@ class EvaluationOptions:
     must be real numbers, not bools, above 0 and finite as a double, and
     boundary_correction a bool or numpy bool: model's checks, which every
     taker of these arguments shares, raise InvariantError otherwise, as
-    does a quadrature that is not a QuadratureConfig.  threads, an int,
-    caps the number of continuous indicator columns processed concurrently.
-    The columns' set-up (bandwidths and CDF estimates) runs once, on the
-    calling thread, before any pool.  run_pipeline then starts a pool of
-    that size only where it pays: for long columns, fine quadrature grids
-    or bandwidths on the exact kernel-CDF path, and otherwise runs the
-    columns one after another, as it always does discrete ones.  Results
-    are identical for any thread count.
+    does a quadrature that is not a QuadratureConfig.  threads must be an
+    int of at least 1 and has no effect: every column runs on the calling
+    thread.  It stays accepted so that existing callers and command lines
+    keep working.
     """
 
     method: str = "continuous"
@@ -212,32 +200,13 @@ class PipelineRun:
     cdfs: tuple[CdfEstimate, ...] | None
 
 
-def _pool_pays(rows: int, points: int, bandwidths: tuple[float, ...]) -> bool:
-    """Whether continuous columns of this shape finish sooner on a thread pool.
-
-    A column's work is numpy calls, which release the interpreter lock
-    only inside their loops, so two columns overlap only where those
-    loops are long: for long columns, fine grids, or a bandwidth below
-    the fast kernel CDF's reach, whose exact sum runs O(points * rows)
-    in ndtr.  Where the calls are short, workers contend for the lock
-    and one worker is faster.  The constants are fitted to an earlier
-    form of the 2-core measurement table in the README.
-    """
-    if rows + points / _POOL_POINTS_PER_ROW >= _POOL_ROWS:
-        return True
-    return any(_below_fast_path(h, points) for h in bandwidths)
-
-
 def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) -> PipelineRun:
     """Normalize, estimate, weigh, and score a dataset, keeping intermediates.
 
-    Indicator columns are independent.  Continuous columns are first set
-    up together, once, on the calling thread and before any pool starts:
-    their bandwidths and CDF estimates (density._setup).  Only
-    continuous_entropy runs per column, on a pool of at most
-    options.threads workers where _pool_pays finds that a pool beats one
-    worker for their length, grid and bandwidths.  Results are assembled
-    in column order and are bit-identical to a sequential run, and to
+    Every column runs on the calling thread, whatever options.threads
+    says.  Continuous columns are first set up together, once: their
+    bandwidths and CDF estimates (density._setup).  Then continuous_entropy
+    runs on each column in turn, and the results are bit-identical to
     select_bandwidth, estimate_cdf and continuous_entropy on each column.
     A fault names its indicator: normalize_matrix names a column it
     cannot normalize, and _setup one it cannot estimate.  A normalized
@@ -254,13 +223,7 @@ def run_pipeline(dataset: RawDataset, options: EvaluationOptions | None = None) 
         points = options.quadrature.points
         cdfs = _setup(normalized.values, names, options.bandwidth, options.boundary_correction, points)
         bandwidths = tuple(cdf.bandwidth for cdf in cdfs)
-        configs = [options.quadrature] * m
-        rows = normalized.values.shape[0]
-        if options.threads > 1 and m > 1 and _pool_pays(rows, points, bandwidths):
-            with ThreadPoolExecutor(max_workers=options.threads) as pool:
-                values = list(pool.map(continuous_entropy, cdfs, configs))
-        else:
-            values = list(map(continuous_entropy, cdfs, configs))
+        values = [continuous_entropy(cdf, options.quadrature) for cdf in cdfs]
 
     entropies = EntropyVector(np.array(values, dtype=np.float64))
     weights = compute_weights(entropies, options.weight_rule)

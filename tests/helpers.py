@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import entroscore as es
-from entroscore import density, scoring
+from entroscore import density
 
 # Text drawn for a CSV file holds the characters that make csv quote a
 # field, and a NUL.
@@ -51,19 +51,6 @@ def bench_dataset(rows: int, seed: int) -> es.RawDataset:
         for name, category, inverse in zip(inputs.names, inputs.categories, inputs.inverse)
     )
     return es.RawDataset(inputs.kept_ids, inputs.clean, es.Schema(specs))
-
-
-def record_pool_starts(monkeypatch) -> list:
-    """Make scoring's thread pools log their max_workers into the returned list."""
-    started = []
-
-    class Recording(scoring.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(scoring, "ThreadPoolExecutor", Recording)
-    return started
 
 
 def record_spectra(monkeypatch) -> list:

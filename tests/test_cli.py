@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
-from entroscore import cli
 from entroscore.cli import run
 from entroscore.report import CDF_GRID_POINTS
 from helpers import CSV_SPECIALS, csv_bytes, read_records
@@ -625,32 +624,6 @@ class TestConfigPrecedence:
         assert capsys.readouterr().out == from_config
 
 
-class TestDefaultThreads:
-    @staticmethod
-    def default_threads(small_csv):
-        parser = cli.build_parser()
-        args = parser.parse_args(["weights", *base_args(small_csv)])
-        return cli.resolve_config(args, parser)[1].threads
-
-    def test_default_threads_count_the_cpus_this_process_may_use(self, small_csv, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert self.default_threads(small_csv) == 3
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
-        assert self.default_threads(small_csv) == 1
-
-    def test_default_threads_fall_back_to_the_cpu_count(self, small_csv, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert self.default_threads(small_csv) == 6
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert self.default_threads(small_csv) == 1
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this OS")
-    def test_default_threads_match_the_real_affinity(self, small_csv):
-        assert self.default_threads(small_csv) == len(os.sched_getaffinity(0))
-
-
 class TestDeterminism:
     def test_repeat_runs_print_identical_reports(self, small_csv, capsys):
         args = ["evaluate", *base_args(small_csv)]
@@ -677,5 +650,5 @@ class TestDeterminism:
         assert run(["evaluate", *base_args(small_csv), "--threads", "1"]) == 0
         single = capsys.readouterr().out
         assert run(["evaluate", *base_args(small_csv), "--threads", "8"]) == 0
-        pooled = capsys.readouterr().out
-        assert single == pooled
+        eight = capsys.readouterr().out
+        assert single == eight

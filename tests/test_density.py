@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -177,6 +179,33 @@ class TestCdfEstimate:
         np.testing.assert_array_equal(cdf.support_samples, [0.1, 0.5, 0.9])
         assert not cdf.support_samples.flags.writeable
         assert repr(cdf) == "CdfEstimate(n=3, bandwidth=0.2, boundary_correction=False)"
+
+    def test_two_threads_on_one_estimate_get_the_sequential_bytes(self):
+        # The class promises that one estimate may be evaluated from
+        # several threads; the pipeline itself calls it from one.
+        rng = np.random.default_rng(22)
+        x = rng.lognormal(0.0, 0.8, size=300)
+        cdf = es.estimate_cdf((x - x.min()) / (x.max() - x.min()), 0.03)
+        grid = np.linspace(0.0, 1.0, 2001)
+        expected = (cdf.grid_values(10001).tobytes(), cdf(grid).tobytes())
+        results = ([], [])
+
+        def work(out):
+            for _ in range(5):
+                out.append((cdf.grid_values(10001).tobytes(), cdf(grid).tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == ([expected] * 5, [expected] * 5)
 
 
 class TestCdfErrors:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import density, scoring
-from helpers import bench_dataset, random_dataset, record_pool_starts, record_spectra, simple_schema
+from helpers import bench_dataset, random_dataset, record_spectra, simple_schema
 
 
 class TestCompositeScores:
@@ -381,46 +382,6 @@ class TestRunPipeline:
         assert run.bandwidths is None
         assert run.cdfs is None
 
-    def test_only_continuous_columns_use_the_thread_pool(self, monkeypatch):
-        # The pool starts only where it beats one worker: discrete columns
-        # and short continuous ones on the default grid never start it;
-        # long columns, a fine grid and an exact-path bandwidth do.
-        started = record_pool_starts(monkeypatch)
-        rng = np.random.default_rng(37)
-        short = random_dataset(rng, 20, 3)
-        paper_shape = random_dataset(rng, 105, 17)
-        long = random_dataset(rng, 3000, 2)
-        fine = es.QuadratureConfig(points=100001)
-        for ds, options in [
-            (long, es.EvaluationOptions(method="discrete", threads=4)),
-            (short, es.EvaluationOptions(threads=4)),
-            (paper_shape, es.EvaluationOptions(threads=4)),
-        ]:
-            es.run_pipeline(ds, options)
-            assert started == []
-        for ds, options in [
-            (long, es.EvaluationOptions(threads=4)),
-            (short, es.EvaluationOptions(threads=4, quadrature=fine)),
-            (short, es.EvaluationOptions(threads=4, bandwidth=1e-5)),
-        ]:
-            es.run_pipeline(ds, options)
-            assert started == [4]
-            started.clear()
-        es.run_pipeline(long, es.EvaluationOptions(threads=1))
-        assert started == []
-
-    def test_an_exact_path_bandwidth_starts_the_pool(self, monkeypatch):
-        # Silverman's rule gives the first column a bandwidth below three
-        # grid steps, so grid_values sums it exactly, without the lock.
-        started = record_pool_starts(monkeypatch)
-        rng = np.random.default_rng(39)
-        values = rng.uniform(0.0, 10.0, size=(40, 3))
-        values[:, 0] = np.where(np.arange(40) < 35, 5.0 + rng.uniform(0, 1e-4, 40), values[:, 0])
-        ds = es.RawDataset(tuple(f"e{i}" for i in range(40)), values, simple_schema(3))
-        run = es.run_pipeline(ds, es.EvaluationOptions(threads=2))
-        assert run.bandwidths[0] * 10000 < 3.0 < run.bandwidths[1] * 10000
-        assert started == [2]
-
     @pytest.mark.parametrize(
         "shape,options",
         [
@@ -430,23 +391,32 @@ class TestRunPipeline:
         ],
         ids=["long-columns", "fine-grid", "exact-path"],
     )
-    def test_thread_count_never_changes_results_on_the_pool(self, monkeypatch, shape, options):
-        started = record_pool_starts(monkeypatch)
+    def test_every_column_runs_on_the_calling_thread(self, monkeypatch, shape, options):
+        # threads has no effect: long columns, a fine grid and an
+        # exact-path bandwidth, where a column pool once started, run
+        # every column here and give the bytes of threads=1.
+        idents = []
+        entropy = scoring.continuous_entropy
+
+        def recorded(cdf, config):
+            idents.append(threading.get_ident())
+            return entropy(cdf, config)
+
+        monkeypatch.setattr(scoring, "continuous_entropy", recorded)
         ds = random_dataset(np.random.default_rng(40), *shape)
         base = es.run_pipeline(ds, es.EvaluationOptions(threads=1, **options))
-        for threads in (2, 8):
-            again = es.run_pipeline(ds, es.EvaluationOptions(threads=threads, **options))
-            assert again.report.scores.tobytes() == base.report.scores.tobytes()
-            assert again.report.entropies.entropies.tobytes() == base.report.entropies.entropies.tobytes()
-            assert again.report.weights.weights.tobytes() == base.report.weights.weights.tobytes()
-            assert again.bandwidths == base.bandwidths
-        assert started == [2, 8]
+        again = es.run_pipeline(ds, es.EvaluationOptions(threads=8, **options))
+        assert idents == [threading.get_ident()] * (2 * shape[1])
+        assert again.report.scores.tobytes() == base.report.scores.tobytes()
+        assert again.report.entropies.entropies.tobytes() == base.report.entropies.entropies.tobytes()
+        assert again.report.weights.weights.tobytes() == base.report.weights.weights.tobytes()
+        assert again.bandwidths == base.bandwidths
 
     def test_bandwidth_fault_is_named_before_any_column_runs(self, monkeypatch):
         # Every bandwidth is picked, in one step for all columns, before
         # any column's CDF, so a fault in the third column's bandwidth
-        # stops the run before a pool starts, under that indicator's name.
-        started = record_pool_starts(monkeypatch)
+        # stops the run before any estimate is built, under that
+        # indicator's name.
         picked, built = [], []
         silverman = density._silverman
 
@@ -464,12 +434,12 @@ class TestRunPipeline:
         assert str(info.value) == (
             "indicator 'ind_02': sample standard deviation and IQR are both zero; no bandwidth exists"
         )
-        assert picked == [(4, 3000)] and built == [] and started == []
+        assert picked == [(4, 3000)] and built == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_continuous_columns_make_no_blas_call(self, monkeypatch, threads):
-        # OpenBLAS hands a long dot product to its own worker threads, which
-        # stalls a column whenever the pool keeps the cores busy.
+        # OpenBLAS hands a long dot product to its own worker threads, so
+        # its bits could depend on the BLAS thread count.
         def no_blas(*args, **kwargs):
             raise AssertionError("BLAS call")
 
