@@ -105,35 +105,44 @@ def select_bandwidth(samples) -> float:
     The standard deviation is the sample form (n - 1 denominator).  If one
     of the two spread measures is zero the other is used; if both are zero
     DegenerateColumnError is raised.  That happens when max equals min, and
-    also when the spread underflows to zero in float64.
+    also when the spread underflows to zero in float64.  Where the spread
+    is a few subnormals and the rule's h rounds to 0.0, InvalidBandwidthError
+    is raised, as estimate_cdf raises it for a bandwidth of 0.0.
     """
     # Sort so the reduction order, and hence the result bit pattern, does
     # not depend on how the caller happened to order the samples.
     x = np.sort(_sample_array(samples, "bandwidth selection"))
-    [h] = _silverman(x[np.newaxis])
-    if h is None:
-        raise DegenerateColumnError(_NO_BANDWIDTH)
+    [h] = _silverman(x[np.newaxis], (None,))
     return h
 
 
-def _silverman(x: np.ndarray) -> list[float | None]:
-    """select_bandwidth of each row of a C-contiguous, row-sorted (m, n) x,
-    or None for a row where it raises DegenerateColumnError.
+def _silverman(x: np.ndarray, names) -> list[float]:
+    """select_bandwidth of each row of a C-contiguous, row-sorted (m, n) x;
+    names[j] is row j's indicator, or None for a column with no name.
 
     Every sum runs along the contiguous last axis, where numpy adds one
     row at a time in its 1-D pairwise order, so each row gets the bits of
     its own select_bandwidth.  The choice of spread is Python float
-    arithmetic, a few operations a row.
+    arithmetic, a few operations a row.  The first row without a
+    bandwidth raises select_bandwidth's error, named after its indicator.
     """
     shrink = x.shape[-1] ** (-0.2)
     std = _sample_std(x).tolist()
     iqr = ((_sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)) / 1.34).tolist()
     bandwidths = []
-    for s, q in zip(std, iqr):
+    for name, s, q in zip(names, std, iqr):
         spread = min(s, q)
         if spread == 0.0:
             spread = max(s, q)
-        bandwidths.append(None if spread == 0.0 else 0.9 * spread * shrink)
+        if spread == 0.0:
+            raise _named(DegenerateColumnError(_NO_BANDWIDTH), name)
+        # CdfEstimate's check, which refuses the 0.0 that h underflows to
+        # on a spread of a few subnormals.
+        h = 0.9 * spread * shrink
+        try:
+            bandwidths.append(_check_positive_real(h, "bandwidth", InvalidBandwidthError))
+        except InvalidBandwidthError as exc:
+            raise _named(exc, name) from None
     return bandwidths
 
 
@@ -468,17 +477,7 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
     x.flags.writeable = False
     m, n = x.shape
     if bandwidth is None:
-        bandwidths = tuple(_silverman(x))
-        if None in bandwidths:
-            raise _named(DegenerateColumnError(_NO_BANDWIDTH), names[bandwidths.index(None)])
-        # CdfEstimate's check, which refuses the 0.0 that Silverman's h
-        # underflows to on a spread of a few subnormals.
-        for name, hj in zip(names, bandwidths):
-            try:
-                _check_positive_real(hj, "bandwidth", InvalidBandwidthError)
-            except InvalidBandwidthError as exc:
-                raise _named(exc, name) from None
-        h = np.array(bandwidths)
+        h = np.array(_silverman(x, names))
     else:
         h = np.full(m, _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError))
     if correct:

@@ -82,6 +82,7 @@ class OutputNameError(EntroscoreError):
     or a path separator, or is . or .."""
 
 
-def _named(exc: EntroscoreError, indicator: str) -> EntroscoreError:
-    """An error of exc's type whose message names the indicator it is about."""
-    return type(exc)(f"indicator '{indicator}': {exc}")
+def _named(exc: EntroscoreError, indicator: str | None) -> EntroscoreError:
+    """An error of exc's type whose message names the indicator it is about;
+    exc itself where there is no indicator."""
+    return exc if indicator is None else type(exc)(f"indicator '{indicator}': {exc}")

@@ -119,9 +119,9 @@ def stats_block(stats: DescriptiveStats) -> str:
     return "\n".join(f"{label.ljust(width)}  {value}" for label, value in entries) + "\n"
 
 
-# Characters that make csv.writer quote a field, and NUL, which is left
-# to csv.writer too, so its handling stays the csv module's.
-_QUOTED = ',"\r\n\0'
+# Characters that make csv.writer quote a field.  It writes a NUL bare,
+# as the one-format-call path does.
+_QUOTED = ',"\r\n'
 
 
 def _write_csv(
@@ -131,11 +131,12 @@ def _write_csv(
 
     A float prints as its shortest round-trip decimal, an int as an int.
     Where no text cell, header included, holds a character of _QUOTED and
-    no float is NaN, each row is written with one format call; csv.writer
-    writes any other file, NaN as NA.  csv quotes a field that holds the
-    line terminator but not one that holds a lone carriage return, which a
-    reader splits the row at, so when some text cell holds one, every field
-    of the file is quoted.
+    no float is NaN, each row is written with one format call, which
+    writes a NUL bare, as csv.writer does; csv.writer writes any other
+    file, NaN as NA.  csv quotes a field that holds the line terminator
+    but not one that holds a lone carriage return, which a reader splits
+    the row at, so when some text cell holds one, every field of the file
+    is quoted.
     """
     cells = "".join(map("".join, (header, *text)))
     floats = [column.dtype.kind == "f" for column in numbers]

@@ -652,3 +652,15 @@ class TestDeterminism:
         assert run(["evaluate", *base_args(small_csv), "--threads", "8"]) == 0
         eight = capsys.readouterr().out
         assert single == eight
+
+
+class TestReadme:
+    def test_library_quick_start_runs_without_a_warning(self):
+        # The README's quick start, as a reader would paste it, in a new
+        # interpreter where every warning is an error.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library quick start", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        proc = fresh_python(["-W", "error", "-c", code])
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
+        assert len(proc.stdout.decode().splitlines()) == 3

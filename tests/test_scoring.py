@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
-from entroscore import density, scoring
+from entroscore import density, model, scoring
 from helpers import bench_dataset, random_dataset, record_spectra, simple_schema
 
 
@@ -416,15 +416,16 @@ class TestRunPipeline:
         # Every bandwidth is picked, in one step for all columns, before
         # any column's CDF, so a fault in the third column's bandwidth
         # stops the run before any estimate is built, under that
-        # indicator's name.
+        # indicator's name.  The third row is made constant, which no
+        # normalized column is.
         picked, built = [], []
         silverman = density._silverman
 
-        def faulty(x):
+        def faulty(x, names):
             picked.append(x.shape)
-            bandwidths = silverman(x)
-            bandwidths[2] = None
-            return bandwidths
+            x = x.copy()
+            x[2] = 0.5
+            return silverman(x, names)
 
         monkeypatch.setattr(density, "_silverman", faulty)
         monkeypatch.setattr(density, "_kernel_means", lambda *args: built.append(args))
@@ -584,8 +585,8 @@ class TestBatchedSetup:
 
         silverman = density._silverman
 
-        def mixed(x):
-            return [1e-5 if j in exact else h for j, h in enumerate(silverman(x))]
+        def mixed(x, names):
+            return [1e-5 if j in exact else h for j, h in enumerate(silverman(x, names))]
 
         def skewed(*args):
             out = spectra(*args)
@@ -608,14 +609,51 @@ class TestBatchedSetup:
     def test_an_underflowing_bandwidth_is_refused_as_the_estimate_refuses_it(self):
         # IQR one subnormal, so Silverman's h rounds to 0.0 at 2000 rows.
         column = np.array([0.0] * 1000 + [5e-324] * 999 + [1.0])
-        assert es.select_bandwidth(column) == 0.0
         with pytest.raises(es.InvalidBandwidthError) as one:
             es.estimate_cdf(column, 0.0)
+        with pytest.raises(es.InvalidBandwidthError) as picked:
+            es.select_bandwidth(column)
+        assert str(picked.value) == str(one.value)
         values = np.column_stack([np.linspace(0.0, 1.0, 2000), column])
         ds = es.RawDataset(tuple(f"e{i}" for i in range(2000)), values, simple_schema(2))
         with pytest.raises(es.InvalidBandwidthError) as info:
             es.run_pipeline(ds)
         assert str(info.value) == f"indicator 'ind_01': {one.value}"
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        counts=st.lists(st.integers(0, 700), min_size=4, max_size=4),
+        scale=st.sampled_from([0.0, 5e-324, 1e-323, 2.5e-323, 1e-320, 1e-310, 1e-300])
+        | st.floats(0.0, 0.25),
+    )
+    @example(counts=[999, 999, 0, 0], scale=5e-324)
+    def test_a_silverman_bandwidth_is_a_checked_double_or_refused(self, counts, scale):
+        # Values 0, scale, 2 * scale and 3 * scale, so the spread runs from
+        # 0 through a few subnormals to normal values.
+        column = np.repeat(np.arange(4) * scale, counts)
+        assume(column.size >= 2)
+        with pytest.raises(es.InvalidBandwidthError) as zero:
+            es.estimate_cdf(column, 0.0)
+        refusals = {es.DegenerateColumnError: density._NO_BANDWIDTH, es.InvalidBandwidthError: str(zero.value)}
+        for column in (column, np.concatenate([column, [0.0, 1.0]])):
+            try:
+                h = es.select_bandwidth(column)
+            except (es.DegenerateColumnError, es.InvalidBandwidthError) as exc:
+                refused = exc
+                assert str(exc) == refusals[type(exc)]
+            else:
+                refused = None
+                assert model._check_positive_real(h, "bandwidth", es.InvalidBandwidthError) == h
+        # The last column holds 0 and 1, so normalizing leaves it as it is.
+        n = column.size
+        values = np.column_stack([np.linspace(0.0, 1.0, n), column])
+        ds = es.RawDataset(tuple(f"e{i}" for i in range(n)), values, simple_schema(2))
+        if refused is None:
+            assert np.array(es.run_pipeline(ds).bandwidths[1]).tobytes() == np.array(h).tobytes()
+        else:
+            with pytest.raises(type(refused)) as info:
+                es.run_pipeline(ds)
+            assert str(info.value) == f"indicator 'ind_01': {refused}"
 
     def test_a_flat_estimate_is_named_before_any_grid_work(self, monkeypatch):
         built = []
