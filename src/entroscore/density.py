@@ -295,12 +295,13 @@ class CdfEstimate:
         OpenBLAS hands a dot of more than 10000 values to its worker
         threads, so the dot's bits would depend on the BLAS thread count.
         c is the largest factor in _COARSENING, below points, for which
-        some P <= 12 meets the budget.  If none does, the exact self(grid)
-        is returned instead: for h below about 1.7 grid steps, where
-        even c = 1 misses the budget and no coarse row is formed, and,
-        with boundary correction on, for h above about 2.5, where dividing
-        by the small span magnifies rounding.  The z = j*U and K_0 rows
-        of the rounding estimate are the ones the kernel rows start from.
+        some P <= 12 meets the budget; a rung whose radius is 1 or more is
+        skipped before any array is formed.  If none does, the exact
+        self(grid) is returned instead: for h below about 1.7 grid steps,
+        where even c = 1 misses the budget, and, with boundary correction
+        on, for h above about 2.5, where dividing by the small span
+        magnifies rounding.  The z = j*U and K_0 rows of the rounding
+        estimate are the ones the kernel rows start from.
 
         The scratch is the larger of three (P, size/2 + 1) complex
         blocks, while the transforms are formed (the products that
@@ -326,8 +327,7 @@ class CdfEstimate:
         allowed = _GRID_ERROR * self._span
         for c in _COARSENING:
             radius = c * u if c > 1 else u / 2.0
-            least = _least_order(radius, allowed) if c < points else 0
-            if not least:
+            if c >= points or radius >= 1.0:  # every bound is at least 2.4e-6; z may overflow
                 continue
             nodes = (points - 1 + c // 2) // c + 1
             size = _fft_size(2 * nodes - 1)
@@ -340,9 +340,7 @@ class CdfEstimate:
             # Not np.dot, whose bits can depend on OpenBLAS threads: see the docstring.
             norm = math.sqrt(2.0 * np.add.reduce(step_free * step_free))
             rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
-            # A smaller budget needs an order at least as high.
-            order = _least_order(radius, allowed - rounding, least)
-            if order:
+            if order := _least_order(radius, allowed - rounding):
                 break
         else:
             return self(np.linspace(0.0, 1.0, points))
@@ -409,12 +407,9 @@ def _checked_nodes(points: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     return check, nodes
 
 
-def _least_order(radius: float, budget: float, start: int = 1) -> int:
-    """Least Taylor order P, from start to 12, with radius**P/P! * max|ndtr^(P)| <= budget, else 0."""
-    # Every bound is then at least 2.4e-6 (P = 12), and radius**P can overflow.
-    if radius >= 1.0:
-        return 0
-    for order in range(start, len(_NDTR_DERIVATIVE_MAX) + 1):
+def _least_order(radius: float, budget: float) -> int:
+    """Least Taylor order P <= 12 with radius**P/P! * max|ndtr^(P)| <= budget, else 0; radius < 1."""
+    for order in range(1, len(_NDTR_DERIVATIVE_MAX) + 1):
         if radius**order / math.factorial(order) * _NDTR_DERIVATIVE_MAX[order - 1] <= budget:
             return order
     return 0

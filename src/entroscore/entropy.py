@@ -197,7 +197,10 @@ def compute_weights(entropies, rule: str = "paper") -> WeightVector:
     mass = values if rule == "paper" else 1.0 - values
     if rule == "classic" and np.any(mass < 0.0):
         raise InvariantError("classic rule needs entropies within [0, 1]")
-    total = float(np.sum(mass))
+    with np.errstate(over="ignore"):  # entropies near the largest double, refused below
+        total = float(np.sum(mass))
+    if total == math.inf:
+        raise InvariantError("entropies sum past the largest double")
     if total <= 0.0:
         raise AllZeroEntropyError(
             "entropy mass sums to zero; no indicator carries information under this rule"

@@ -8,6 +8,7 @@ so scores read as percentages).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,25 +102,53 @@ def composite_scores(matrix, weights, scale: float = 100.0) -> np.ndarray:
 
     matrix may be a NormalizedMatrix or a bare 2-D array; weights a
     WeightVector or a bare vector; scale a real number, not a bool, above
-    0 and finite as a double, else InvariantError.  Scores are clipped
-    into [0, scale] to absorb last-ulp rounding of the weight sum.
+    0 and finite as a double, else InvariantError.  A bare matrix or
+    vector holding NaN or inf raises NonFiniteInputError, as do bare ones
+    with a weighted sum past the largest double.  Scores are clipped into
+    [0, scale] to absorb last-ulp rounding of the weight sum, and a scale
+    times a sum above 1 that overflows.
     """
     scale = _check_positive_real(scale, "scale")
-    values = matrix.values if isinstance(matrix, NormalizedMatrix) else np.asarray(matrix, dtype=np.float64)
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
+    values = matrix.values if isinstance(matrix, NormalizedMatrix) else _finite(matrix, "matrix")
+    w = weights.weights if isinstance(weights, WeightVector) else _finite(weights, "weight vector")
     if values.ndim != 2 or w.ndim != 1 or values.shape[1] != w.size:
         raise DimensionMismatchError(
             f"matrix has {values.shape[1] if values.ndim == 2 else '?'} columns "
             f"but weight vector has {w.size}"
         )
-    scores = scale * np.sum(values * w, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.sum(values * w, axis=1)
+        scores = scale * sums
+    if not np.isfinite(sums).all():
+        raise NonFiniteInputError("a weighted sum of the matrix is past the largest double")
     return np.clip(scores, 0.0, scale)
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """values as a float64 array, or NonFiniteInputError if one is NaN or infinite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise NonFiniteInputError(f"the {what} must be finite, got NaN or infinite entries")
+    return arr
+
+
 def rank(scores) -> np.ndarray:
-    """Indices sorted by score descending; ties keep input order."""
+    """Indices sorted by score descending; ties keep input order.
+
+    scores must be a 1-D list, else InvariantError, of finite numbers,
+    else NonFiniteInputError: describe's checks.
+    """
+    return np.argsort(-_score_list(scores, "rank", 0), kind="stable")
+
+
+def _score_list(scores, caller: str, least: int) -> np.ndarray:
+    """scores as a 1-D float64 array of at least least finite values, or caller's named error."""
     arr = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-arr, kind="stable")
+    if arr.ndim != 1 or arr.size < least:
+        raise InvariantError(f"{caller} needs a {'non-empty ' if least else ''}1-D score list")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInputError(f"{caller} needs finite scores, got NaN or infinite ones")
+    return arr
 
 
 def describe(scores) -> DescriptiveStats:
@@ -133,13 +162,11 @@ def describe(scores) -> DescriptiveStats:
     nonzero max|score| lies outside [1e-60, 1e60], where fourth powers can
     overflow or squared deviations underflow, the moments are taken on
     scores / max|score| and the mean and standard deviation scaled back.
-    A NaN or infinite score raises NonFiniteInputError.
+    A NaN or infinite score raises NonFiniteInputError, as does a standard
+    deviation past the largest double (scores of both signs near it); a
+    list that is not 1-D, or is empty, raises InvariantError.
     """
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvariantError("describe needs a non-empty 1-D score list")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInputError("describe needs finite scores, got NaN or infinite ones")
+    arr = _score_list(scores, "describe", 1)
     n = arr.size
     unit = arr
     magnitude = float(np.abs(arr).max())
@@ -167,6 +194,8 @@ def describe(scores) -> DescriptiveStats:
     if unit is not arr:
         mean *= magnitude
         std_dev *= magnitude
+        if math.isinf(std_dev):
+            raise NonFiniteInputError("describe needs scores whose standard deviation is a finite double")
     return DescriptiveStats(
         mean=float(mean),
         median=_median(arr),
@@ -182,11 +211,16 @@ def describe(scores) -> DescriptiveStats:
 def _median(arr: np.ndarray) -> float:
     """np.median of a 1-D array of finite doubles, to the bit: its
     partition, with the last index that np.median checks for NaN, and
-    np.mean's sum of the middle one or two values over their count."""
+    np.mean's sum of the middle one or two values over their count.
+    Where that sum overflows, np.median's inf, the midpoint is taken as
+    the sum of their halves."""
     half = arr.size // 2
     kth = [half, -1] if arr.size % 2 else [half - 1, half, -1]
-    part = np.partition(arr, kth)
-    return float(np.add.reduce(part[kth[0] : half + 1]) / (half + 1 - kth[0]))
+    middle = np.partition(arr, kth)[kth[0] : half + 1]
+    with np.errstate(over="ignore"):
+        median = float(np.add.reduce(middle) / middle.size)
+    # Two middle values whose sum overflows: halve them first, which is exact.
+    return float(np.add.reduce(middle / middle.size)) if math.isinf(median) else median
 
 
 @dataclass(frozen=True, eq=False)

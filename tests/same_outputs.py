@@ -1,0 +1,180 @@
+"""Compare this checkout's outputs with a git revision's, byte for byte.
+
+Usage, from anywhere in the repository:
+
+    python tests/same_outputs.py REF
+
+REF is any revision git names (HEAD, a branch, a commit); its tree is
+extracted with `git archive` into a temporary directory, so a run leaves
+nothing behind in the repository.  Both trees run the same inputs, which
+this checkout's bench/workloads.py generates:
+
+- `entroscore evaluate ... --out-dir --dump-normalized --dump-cdf`, through
+  cli.run, on the cli_kde and cli_ingest inputs of seeds 1-3, at --threads 1
+  and 2: stdout, stderr, the exit code and every file the run writes;
+- run_pipeline, default options, on the lib_wide datasets of seeds 1-3: the
+  normalized values, bandwidths, entropies, weights, scores, ranking and
+  statistics.
+
+Each tree runs in its own interpreter with its own src/ first on sys.path,
+and writes to the same paths, so no output differs by where it was written.
+Every output is hashed; each that differs is printed with how much (an
+array's largest absolute difference, a text's count of differing lines).
+The exit code is 1 on any difference, else 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
+CLI_WORKLOADS = ("cli_kde", "cli_ingest")
+THREADS = (1, 2)
+
+
+def _jobs(inputs: Path) -> list[dict]:
+    """Write every job's inputs under inputs; return the jobs, JSON-able."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    jobs = []
+    for name in (*CLI_WORKLOADS, "lib_wide"):
+        spec = workloads.WORKLOADS[name]
+        for seed in SEEDS:
+            where = inputs / f"{name}-{seed}"
+            desc = workloads.write_inputs(spec, workloads.generate(spec, seed), where)
+            if desc["kind"] == "lib":
+                jobs.append({"name": f"{name}-{seed}", "kind": "lib", "desc": desc})
+                continue
+            for threads in THREADS:
+                argv = [
+                    "evaluate",
+                    "--input", str(where / "input.csv"),
+                    "--schema", str(where / "schema.json"),
+                    "--method", spec.method,
+                    "--threads", str(threads),
+                    "--dump-normalized",
+                    "--dump-cdf",
+                ]
+                jobs.append({"name": f"{name}-{seed}-t{threads}", "kind": "cli", "argv": argv})
+    return jobs
+
+
+def _run_jobs(src: str, jobs_file: str, out: str) -> None:
+    """Run every job on the entroscore under src, writing its outputs under out."""
+    sys.path.insert(0, src)
+    sys.path.insert(1, str(ROOT / "bench"))
+    import numpy as np
+
+    import workloads
+    from entroscore import cli, run_pipeline
+
+    for job in json.loads(Path(jobs_file).read_text()):
+        where = Path(out) / job["name"]
+        where.mkdir(parents=True)
+        if job["kind"] == "cli":
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.run([*job["argv"], "--out-dir", str(where / "files")])
+            (where / "stdout.txt").write_text(stdout.getvalue())
+            (where / "stderr.txt").write_text(stderr.getvalue())
+            (where / "exit_code.txt").write_text(f"{code}\n")
+            continue
+        run = run_pipeline(workloads.make_op(job["desc"]).dataset)
+        report = run.report
+        stats = report.stats
+        arrays = {
+            "normalized": run.normalized.values,
+            "bandwidths": np.array(run.bandwidths),
+            "entropies": report.entropies.entropies,
+            "weights": report.weights.weights,
+            "scores": report.scores,
+            "ranking": report.ranking,
+            "stats": np.array([getattr(stats, f) for f in stats.__dataclass_fields__], dtype=np.float64),
+        }
+        for name, array in arrays.items():
+            np.save(where / f"{name}.npy", np.ascontiguousarray(array))
+
+
+def _outputs(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _how_much(name: str, ref: bytes, new: bytes) -> str:
+    """What differs between two versions of one output, in a few words."""
+    if name.endswith(".npy"):
+        import numpy as np
+
+        a, b = (np.load(io.BytesIO(data)) for data in (ref, new))
+        if a.shape != b.shape or a.dtype != b.dtype:
+            return f"shape/dtype {a.shape} {a.dtype} -> {b.shape} {b.dtype}"
+        both = np.isfinite(a) & np.isfinite(b)
+        unequal = ~((a == b) | (np.isnan(a) & np.isnan(b))) if a.dtype.kind == "f" else a != b
+        gap = float(np.max(np.abs(a[both] - b[both]), initial=0.0))
+        return f"{int(unequal.sum())} of {a.size} values differ, by up to {gap:.3g}"
+    old_lines, new_lines = (data.decode(errors="replace").splitlines() for data in (ref, new))
+    changed = [i for i, pair in enumerate(zip(old_lines, new_lines)) if pair[0] != pair[1]]
+    summary = f"{len(changed)} of {len(old_lines)} lines differ, {len(new_lines) - len(old_lines):+d} lines"
+    if changed:
+        i = changed[0]
+        summary += f"; first at line {i + 1}: {old_lines[i]!r} -> {new_lines[i]!r}"
+    return summary
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--run":
+        _run_jobs(*argv[1:])
+        return 0
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    [ref] = argv
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref], capture_output=True, check=False)
+        if archive.returncode:
+            print(archive.stderr.decode(errors="replace"), file=sys.stderr, end="")
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "tree", filter="data")
+        jobs_file = tmp / "jobs.json"
+        jobs_file.write_text(json.dumps(_jobs(tmp / "inputs")))
+        results = {}
+        for side, src in (("ref", tmp / "tree" / "src"), ("this", ROOT / "src")):
+            # Both sides write to the same paths, then the outputs move aside.
+            subprocess.run(
+                [sys.executable, __file__, "--run", str(src), str(jobs_file), str(tmp / "out")], check=True
+            )
+            shutil.move(tmp / "out", tmp / f"out-{side}")
+            results[side] = _outputs(tmp / f"out-{side}")
+
+    ref_out, new_out = results["ref"], results["this"]
+    differ = 0
+    for name in sorted(ref_out.keys() | new_out.keys()):
+        old, new = ref_out.get(name), new_out.get(name)
+        if old == new:
+            continue
+        differ += 1
+        if old is None or new is None:
+            print(f"{name}: only in {'this checkout' if old is None else ref}")
+        else:
+            digests = " -> ".join(hashlib.sha256(data).hexdigest()[:12] for data in (old, new))
+            print(f"{name}: sha256 {digests}: {_how_much(name, old, new)}")
+    digest = hashlib.sha256(b"".join(k.encode() + b"\0" + v for k, v in sorted(new_out.items())))
+    compared = len(ref_out.keys() | new_out.keys())
+    print(f"{compared} outputs compared with {ref}, {differ} differ; sha256 of all {digest.hexdigest()[:16]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -498,6 +498,51 @@ class TestGridValues:
         assert rows == order + 1 and length == self._length(10001, 32)
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
 
+    @pytest.mark.parametrize("steps,c", [(None, 32), (80, 16), (12, 2), (4, 1)])
+    def test_ndtr_runs_on_each_rung_below_radius_1_and_the_checked_nodes(self, monkeypatch, steps, c):
+        # A rung whose radius is 1 or more is skipped before z = j*U is
+        # formed (at a tiny h, z would leave the doubles); each rung tried,
+        # down to the chosen c, takes one ndtr over its coarse nodes for
+        # the rounding estimate, and the check takes one more.
+        import scipy.special
+
+        x = _column("normal", 70, np.random.default_rng(42))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x) if steps is None else steps / 10000.0)
+        calls = []
+        ndtr = scipy.special.ndtr
+
+        def counted(z, *args, **kwargs):
+            calls.append(np.shape(z))
+            return ndtr(z, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.special, "ndtr", counted)
+        fast = cdf.grid_values(10001)
+        monkeypatch.undo()
+        u = 1.0 / (10000 * cdf.bandwidth)
+        tried = [k for k in density._COARSENING if k >= c and (k * u if k > 1 else u / 2.0) < 1.0]
+        assert calls == [((10000 + k // 2) // k + 1,) for k in tried] + [(1, 17, x.size)]
+        assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
+
+    @pytest.mark.parametrize(
+        "h,points,correct",
+        [(h, 10001, correct) for h in (5e-324, 1e-310, 1e-300, 1e6, 1e300) for correct in (True, False)]
+        + [(1e306, 10001, False), (1e303, 1_000_001, False)],
+    )
+    def test_extreme_bandwidths_warn_nothing(self, h, points, correct):
+        # u overflows to inf at the tiny ones and is 0 where (points - 1)*h
+        # overflows; at h = 1e300 the correction span is 0, which the
+        # estimate refuses.
+        x = _column("uniform", 50, np.random.default_rng(43))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if correct and h == 1e300:
+                with pytest.raises(es.InvalidBandwidthError):
+                    es.estimate_cdf(x, h, correct)
+                return
+            cdf = es.estimate_cdf(x, h, correct)
+            fast = cdf.grid_values(points)
+            assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, points)))) <= density._GRID_ERROR
+
 
 def _spectra_reference(moments, kernels, rows):
     """_spectra's rows by broadcast products, added one order p at a time."""
@@ -670,19 +715,6 @@ class TestSameBits:
             misaligned[:] = rows
             assert not misaligned.flags.aligned
             assert density._fine_values(misaligned, c, 10001).tobytes() == expected
-
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(radius=st.floats(1e-6, 2.0), budget=st.floats(1e-16, 1e-11), share=st.floats(0.0, 1.0))
-    def test_least_order_from_the_order_a_larger_budget_needs(self, radius, budget, share):
-        # grid_values searches the budget less rounding from the order the
-        # whole budget needs; the order must be the search from 1's.
-        def bound(p):
-            return radius**p / math.factorial(p) * density._NDTR_DERIVATIVE_MAX[p - 1]
-
-        smaller = budget * share
-        expected = next((p for p in _ORDERS if bound(p) <= smaller), 0)
-        start = density._least_order(radius, budget) or 1
-        assert density._least_order(radius, smaller, start) == expected
 
     @pytest.mark.parametrize("rows", _ORDERS)
     def test_spectra_matches_the_broadcast_formula(self, rows):

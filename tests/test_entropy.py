@@ -288,6 +288,12 @@ class TestComputeWeights:
         with pytest.raises(es.InvariantError, match=message):
             es.compute_weights(np.array(entropies))
 
+    def test_entropies_summing_past_the_largest_double_are_refused_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(es.InvariantError, match="^entropies sum past the largest double$"):
+                es.compute_weights([1e308, 1e308])
+
     def test_weights_always_sum_to_one(self):
         rng = np.random.default_rng(22)
         for _ in range(50):

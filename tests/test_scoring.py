@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import entroscore as es
 from entroscore import density, model, scoring
@@ -65,6 +66,36 @@ class TestCompositeScores:
         with pytest.raises(es.DimensionMismatchError):
             es.composite_scores(np.ones((3, 2)), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bare_inputs_are_refused_quietly(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(es.NonFiniteInputError, match="^the matrix must be finite"):
+                es.composite_scores([[bad, 0.5], [1.0, 1.0]], [0.5, 0.5])
+            with pytest.raises(es.NonFiniteInputError, match="^the weight vector must be finite"):
+                es.composite_scores([[0.0, 0.5], [1.0, 1.0]], [bad, 0.5])
+
+    @pytest.mark.parametrize(
+        "matrix,weights",
+        [
+            ([[1e308, 1e308]], [1.0, 1.0]),
+            ([[1e308, -1e308]], [1e308, 1e308]),
+            ([[1e308] * 2 + [-1e308] * 3], [1.0] * 5),
+        ],
+    )
+    def test_weighted_sums_past_the_largest_double_are_refused_quietly(self, matrix, weights):
+        # The last sum is -1e308, but its first two terms overflow to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(es.NonFiniteInputError, match="past the largest double"):
+                es.composite_scores(matrix, weights)
+
+    def test_a_scale_times_a_sum_that_overflows_clips_to_the_scale_quietly(self):
+        top = np.finfo(np.float64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert es.composite_scores([[1.0, 1.0], [0.0, 0.0]], [0.6, 0.6], top).tolist() == [top, 0.0]
+
 
 class TestRank:
     def test_descending_order(self):
@@ -80,6 +111,21 @@ class TestRank:
         order = es.rank(scores)
         assert sorted(order) == list(range(200))
         assert np.all(np.diff(scores[order]) <= 0.0)
+
+    @pytest.mark.parametrize("scores", [np.ones((2, 2)) * [[0.0, 1.0]], [[1.0]], 3.0])
+    def test_a_score_list_that_is_not_1d_is_refused(self, scores):
+        with pytest.raises(es.InvariantError, match="^rank needs a 1-D score list$"):
+            es.rank(scores)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_are_refused_quietly(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(es.NonFiniteInputError, match="^rank needs finite scores"):
+                es.rank([0.1, bad])
+
+    def test_an_empty_score_list_ranks_to_nothing(self):
+        assert es.rank([]).tolist() == []
 
 
 class TestDescribe:
@@ -209,6 +255,93 @@ class TestDescribe:
     def test_an_empty_or_nested_score_list_is_refused(self, scores):
         with pytest.raises(es.InvariantError, match="non-empty 1-D score list"):
             es.describe(scores)
+
+    def test_scores_near_the_largest_double_warn_nothing(self):
+        # The two middle values' sum overflows, and so would a standard
+        # deviation of scores of both signs near the largest double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = es.describe([1.7e308, 1.7e308, 1.7e308, 1.6e308])
+            assert d.median == 1.7e308 and math.isfinite(d.std_dev)
+            assert es.describe([1.6e308, 1.7e308]).median == pytest.approx(1.65e308, rel=1e-15)
+            with pytest.raises(es.NonFiniteInputError, match="standard deviation"):
+                es.describe([1.7e308, -1.7e308])
+
+
+# Arrays of 0, 1 or 2 dimensions, empty ones too, all finite or with NaN
+# and +-inf among their entries; finite ones run up to the largest double.
+_ARRAYS = st.one_of(
+    *(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+            elements=st.floats(allow_nan=not finite, allow_infinity=not finite),
+        )
+        for finite in (True, False)
+    )
+)
+
+
+@st.composite
+def _matrix_and_weights(draw):
+    """Two arrays of any shapes, or an (n, m) matrix and m weights."""
+    if draw(st.booleans()):
+        return draw(_ARRAYS), draw(_ARRAYS)
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    elements = st.floats(allow_nan=draw(st.booleans()), allow_infinity=draw(st.booleans()))
+    matrix = draw(hnp.arrays(np.float64, (n, m), elements=elements))
+    return matrix, draw(hnp.arrays(np.float64, m, elements=elements))
+
+
+def _quiet_or_named(call):
+    """call()'s result with every warning an error, or None if it raised an EntroscoreError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except es.EntroscoreError:
+            return None
+
+
+class TestLibraryInputs:
+    """scoring's bare-array entry points, and compute_weights, on any float array:
+    finite results or a named error, and never a warning."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(scores=_ARRAYS)
+    def test_rank(self, scores):
+        order = _quiet_or_named(lambda: es.rank(scores))
+        if order is not None:
+            assert sorted(order.tolist()) == list(range(scores.size))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(pair=_matrix_and_weights())
+    def test_composite_scores(self, pair):
+        scores = _quiet_or_named(lambda: es.composite_scores(*pair))
+        if scores is not None:
+            assert np.all((scores >= 0.0) & (scores <= 100.0))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(scores=_ARRAYS)
+    @example(scores=np.array([1.7e308, 1.6e308]))
+    @example(scores=np.array([1.7e308, -1.7e308]))
+    def test_describe(self, scores):
+        d = _quiet_or_named(lambda: es.describe(scores))
+        if d is not None:
+            for name in ("mean", "median", "smallest", "largest"):
+                assert math.isfinite(getattr(d, name))
+            # NaN only where describe documents it: std_dev at n = 1, the
+            # shape moments at n < 4 or a zero variance.
+            assert math.isfinite(d.std_dev) or d.obs == 1
+            assert not math.isinf(d.skewness) and not math.isinf(d.kurtosis)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(entropies=_ARRAYS, rule=st.sampled_from(["paper", "classic"]))
+    @example(entropies=np.array([1e308, 1e308]), rule="paper")
+    def test_compute_weights(self, entropies, rule):
+        weights = _quiet_or_named(lambda: es.compute_weights(entropies, rule))
+        if weights is not None:
+            assert np.isfinite(weights.weights).all()
 
 
 class TestEvaluationOptions:
