@@ -41,17 +41,21 @@ __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 # stays in a core's L2 cache.  Each grid value's mean is taken within one
 # row, so the cap never changes a bit.  The old cap of 4_000_000 held
 # 64 MB once n >= 400 and was no faster on any shape measured (2-core VM,
-# 2 MiB L2 per core).
+# 2 MiB L2 per core).  _row_blocks caps the matrix-sized temporaries of
+# _sample_std and composite_scores at it too.
 _BLOCK_ELEMENTS = 65_536
 
 # The largest grid that grid_values, and so QuadratureConfig, takes.  A
 # column's scratch grows with the grid: about 16 bytes a point at a
-# Silverman bandwidth, 24 on the exact path, and up to about 610 where the
-# bandwidth is under three grid steps and the FFTs run on the full grid
-# with eleven or twelve orders.  At this cap that is at most about 0.6 GB.
-# Simpson's error on H, an h^2 term of up to 2e-8 at 10001 points, is
-# about 2e-12 here, below the 1.5e-10 that the kernel CDF's own error may
-# move H by, so a finer grid would not make H more accurate.
+# Silverman bandwidth, 24 on the exact path, about 125-140 where the
+# bandwidth is under about seven grid steps and the FFTs run on the full
+# grid one order at a time, and up to about 250-300 from seven to fourteen
+# steps, where they run on every second node with ten to twelve orders.
+# At this cap that is at most about 0.25 GB.
+# Simpson's error on H, an h^2 term of up to 3e-8 at 10001 points on the
+# benchmark's 70-row columns, is about 3e-12 here, below the 1.5e-10 that
+# the kernel CDF's own error may move H by, so a finer grid would not make
+# H more accurate.
 _MAX_POINTS = 1_000_001
 
 # grid_values keeps |grid_values(points) - self(grid)| within this on
@@ -147,17 +151,39 @@ def _silverman(x: np.ndarray, names) -> list[float]:
 
 
 def _sample_std(x: np.ndarray) -> np.ndarray:
-    """np.std(x, ddof=1, axis=-1) of float64 rows of two or more values, to the bit.
+    """np.std(x, ddof=1, axis=-1) of a 1-D or 2-D float64 x, rows of two or more values, to the bit.
 
     This is np.std's own arithmetic: the pairwise sum of a row over n, the
     pairwise sum of its squared deviations over n - 1, and the square
     root.  np.std's Python wrapper costs twice that on a column of a few
-    dozen values.
+    dozen values.  The deviations are formed on _row_blocks, so no
+    temporary is as large as x once x holds more than one block.
     """
     n = x.shape[-1]
-    dev = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    dev *= dev
-    return np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1))
+    rows = x.reshape(-1, n)
+    sums = np.empty(len(rows))
+    for block in _row_blocks(rows):
+        part = rows[block]
+        dev = part - np.add.reduce(part, axis=-1, keepdims=True) / n
+        dev *= dev
+        np.add.reduce(dev, axis=-1, out=sums[block])
+    return np.sqrt(sums / (n - 1)).reshape(x.shape[:-1])
+
+
+def _row_blocks(x: np.ndarray) -> list[slice]:
+    """Slices of whole rows of a 2-D x, of at most _BLOCK_ELEMENTS values
+    (one row at least), in order; one slice of every row unless x is
+    C-contiguous.
+
+    In a C-contiguous x each row's reduction runs along its own contiguous
+    values, numpy's 1-D pairwise sum, whatever rows are next to it, so a
+    sum over a block's rows has the bits of the sum over all of them.  In
+    any other layout numpy may order a row's sum by its neighbours, so
+    such an x is taken whole.
+    """
+    rows, width = x.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, width)) if x.flags.c_contiguous else max(1, rows)
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _sorted_quantile(x: np.ndarray, q: float) -> np.ndarray:
@@ -303,11 +329,17 @@ class CdfEstimate:
         magnifies rounding.  The z = j*U and K_0 rows of the rounding
         estimate are the ones the kernel rows start from.
 
-        The scratch is the larger of three (P, size/2 + 1) complex
-        blocks, while the transforms are formed (the products that
-        multiply them take at most 1024 frequencies a row), and two (c,
-        nodes) blocks of doubles with the coarse rows, while the fine
-        values are formed and copied out in grid order.
+        For c > 1 the scratch is the larger of three (P, size/2 + 1)
+        complex blocks, while the transforms are formed (the products
+        that multiply them take at most 1024 frequencies a row), and one
+        (nodes, c) block of doubles with the coarse rows, while the fine
+        values are formed: they are a view of that block, in grid order.
+        At c = 1 the orders are taken one at a time (_binned_spectrum):
+        one kernel row of size doubles, three rows of size/2 + 1 complex
+        values (its transform, the moment row's and their running sum)
+        and seven rows of nodes doubles (z, K_0, phi, two He rows, the
+        counts and a moment row), about 140 bytes a grid point at 100001
+        points where all P rows at once took 607.
 
         As the rounding share is only estimated, the values on every
         ((points - 1) // 16)-th node (17 nodes at 10001 points) are
@@ -349,20 +381,25 @@ class CdfEstimate:
         # into the moments, p! into the kernels, 1/a! into the rows.  Each
         # array is dropped once used (run_pipeline holds every column's
         # samples throughout, and this keeps its peak below what one
-        # column at a time held), and the kernels' transform is taken
-        # before the moments' real rows exist, so at most three (P, size/2
-        # + 1) complex blocks are held at once; _spectra writes its rows
-        # over the kernels' transform.
-        spectra = _kernel_spectra(z, step_free, c * u, order, size)
-        del z, step_free
+        # column at a time held).  For c > 1 the kernels' transform is
+        # taken before the moments' real rows exist, so at most three (P,
+        # size/2 + 1) complex blocks are held at once; _spectra writes its
+        # rows over the kernels' transform.  At c = 1 only row 0 is
+        # needed, and _binned_spectrum forms it one order at a time.
         offset = self._samples * ((points - 1) / c)
         node = np.rint(offset).astype(np.intp)  # k
         offset -= node  # f
         counts = np.bincount(node, minlength=nodes).astype(np.float64)
-        moments = _moment_spectra(node, offset, counts, order, size)
-        del node, offset
-        spectra = _spectra(moments, spectra, order if c > 1 else 1)
-        del moments
+        if c > 1:
+            spectra = _kernel_spectra(z, step_free, c * u, order, size)
+            del z, step_free
+            moments = _moment_spectra(node, offset, counts, order, size)
+            del node, offset
+            spectra = _spectra(moments, spectra)
+            del moments
+        else:
+            spectra = _binned_spectrum(z, step_free, u, node, offset, counts, order, size)
+            del z, step_free, node, offset
         rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
         del spectra
         rows[0] += np.cumsum(counts) - 0.5 * counts
@@ -527,31 +564,81 @@ def _kernel_spectra(z, step_free, step, order, size) -> np.ndarray:
     return np.fft.rfft(kernels, axis=1)
 
 
+def _binned_spectrum(z, step_free, step, node, offset, counts, order, size) -> np.ndarray:
+    """Row 0 of _spectra on the blocks of _kernel_spectra and _moment_spectra,
+    sum_p moments[p] * kernels[p], formed one order p at a time: the one
+    row that grid_values needs at c = 1, as a (1, size/2 + 1) block.
+
+    Kernel row p and moment row p take the operations of their rows in the
+    blocks, the He recurrence written into the kernel row's place; each is
+    transformed on its own, which gives the batched rfft's bits, and the
+    products are added from p = 0 on, as _spectra adds them.  So the row
+    has the blocks' bits, while one kernel row, one moment row, their two
+    transforms and the sum are held rather than three (P, size/2 + 1)
+    complex blocks.
+    """
+    nodes = z.size
+    kernel = np.zeros(size)
+    half = kernel[:nodes]
+    half[...] = step_free
+    moment = counts
+    if order > 1:
+        phi = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+        he_prev, he = np.zeros(nodes), np.ones(nodes)  # He_{-1}, He_0
+        power = np.ones(offset.size)
+        scale = 1.0  # step**p as the products step * step * ..., left to right
+    total = None
+    for p in range(order):
+        if p:
+            if p > 1:  # He_{p-1} = z He_{p-2} - (p-2) He_{p-3}
+                np.multiply(z, he, out=half)
+                he_prev *= p - 2
+                np.subtract(half, he_prev, out=he_prev)
+                he, he_prev = he_prev, he
+            scale *= step
+            np.multiply(he, -scale, out=half)
+            half *= phi
+            power *= offset
+            power /= p
+            moment = np.bincount(node, weights=power, minlength=nodes)
+        _place(kernel[np.newaxis], nodes, p)
+        product = np.fft.rfft(kernel)
+        np.multiply(np.fft.rfft(moment, size), product, out=product)
+        if total is None:
+            total = product[np.newaxis]
+        else:
+            total[0] += product
+    return total
+
+
 def _fine_values(rows: np.ndarray, c: int, points: int) -> np.ndarray:
     """The grid values sum_a (-s)^a * rows[a] from grid_values' finished coarse rows.
 
     Grid node m = c*M - c//2 + q, q < c, has offset s = (q - c//2)/c, so
-    the values are the (M, q) product of rows with _powers(c, P), raveled:
-    numpy's own einsum loop, without BLAS, adds its terms from a = 0 on.
-    At c = 1, with its one row, the table is [[1.0]]: each value is rows[0, M].
+    the values are the (M, q) product of rows with _powers(c, P): numpy's
+    own einsum loop, without BLAS, adds its terms from a = 0 on.  It
+    writes them into one C-ordered (nodes, c) block, which holds them in
+    grid order, so the values are a view of it and no copy is made.  At
+    c = 1, with its one row, the table is [[1.0]]: each value is rows[0, M].
     """
-    fine = np.einsum("am,qa->mq", rows, _powers(c, len(rows)))
-    return fine.ravel()[c // 2 : c // 2 + points]
+    fine = np.empty((rows.shape[1], c))
+    np.einsum("am,aq->mq", rows, _powers(c, len(rows)), out=fine)
+    return fine.reshape(-1)[c // 2 : c // 2 + points]
 
 
 @functools.lru_cache(maxsize=64)
 def _powers(c: int, order: int) -> np.ndarray:
-    """The read-only (c, order) table of (-s)^a, exact: k**a / c**a with |k|**a <= 16**11."""
-    table = np.vander((c // 2 - np.arange(c)) / c, order, increasing=True)
+    """The read-only, C-ordered (order, c) table of (-s)^a, exact: k**a / c**a with |k|**a <= 16**11."""
+    table = np.vander((c // 2 - np.arange(c)) / c, order, increasing=True).T.copy()
     table.flags.writeable = False
     return table
 
 
-def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
-    """Row a < rows is sum_{p>=a} moments[p - a] * kernels[p].
+def _spectra(moments: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Row a is sum_{p>=a} moments[p - a] * kernels[p], for every a < P.
 
     Row a is written over kernels[a], which no later row reads, and
-    kernels[:rows] is returned, so no output block is allocated.  The
+    kernels is returned, so no output block is allocated.  The
     rows are formed on near-equal runs of at most _FREQUENCIES
     frequencies, so the product, the one temporary, holds at most that
     many a row rather than a third (P, size/2 + 1) block.
@@ -559,7 +646,7 @@ def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
     order, length = kernels.shape
     runs = -(-length // _FREQUENCIES)
     bounds = [length * r // runs for r in range(runs + 1)]
-    for a in range(rows):
+    for a in range(order):
         for lo, hi in zip(bounds, bounds[1:]):
             # Same-shape operands, so the product is the only temporary (a
             # broadcast one allocates buffers too), and the sum down axis 0
@@ -568,18 +655,19 @@ def _spectra(moments: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
             np.add.reduce(
                 moments[: order - a, lo:hi] * kernels[a:, lo:hi], axis=0, out=kernels[a, lo:hi]
             )
-    return kernels[:rows]
+    return kernels
 
 
-def _place(kernels: np.ndarray, nodes: int) -> None:
+def _place(kernels: np.ndarray, nodes: int, first: int = 0) -> None:
     """Mirror each kernel row, given for j = 0..nodes-1, into the negative j
-    that wrap to the row's end: K_p(-j) = parity * K_p(j).
+    that wrap to the row's end: K_p(-j) = parity * K_p(j), where kernels
+    holds the rows p = first, first + 1, ...
 
     The one multiply reads and writes disjoint columns of every row.
     """
     np.multiply(
         kernels[:, nodes - 1 : 0 : -1],
-        _PARITY[: len(kernels)],
+        _PARITY[first : first + len(kernels)],
         out=kernels[:, kernels.shape[1] - nodes + 1 :],
     )
 

@@ -20,6 +20,7 @@ from .errors import (
     AllZeroEntropyError,
     DegenerateColumnError,
     InvariantError,
+    NonFiniteInputError,
     QuadratureOutOfRangeError,
 )
 from .model import EntropyVector, WeightVector, _check_count, _sample_array
@@ -47,7 +48,7 @@ class QuadratureConfig:
     """Uniform-grid composite Simpson settings.
 
     points must be an odd int (Simpson pairs intervals) from 3 to
-    1000001; each grid point costs a column 16 to about 610 bytes of
+    1000001; each grid point costs a column 16 to about 300 bytes of
     scratch.
     """
 
@@ -189,7 +190,7 @@ def compute_weights(entropies, rule: str = "paper") -> WeightVector:
     if values.ndim != 1 or values.size < 1:
         raise InvariantError("entropies must be a non-empty 1-D vector")
     if not np.all(np.isfinite(values)):
-        raise InvariantError("entropies must be finite")
+        raise NonFiniteInputError("entropies must be finite")
     if np.any(values < 0.0):
         raise InvariantError("entropies must be non-negative")
     _check_weight_rule(rule)

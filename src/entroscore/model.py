@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EntroscoreError, InvariantError
+from .errors import EntroscoreError, InvariantError, NonFiniteInputError
 
 __all__ = [
     "Direction",
@@ -292,7 +292,8 @@ class NormalizedMatrix:
     """Dimensionless matrix with every entry in [0, 1].
 
     Each column is the min-max image of a raw indicator column, so it
-    attains both endpoints 0 and 1 exactly.
+    attains both endpoints 0 and 1 exactly.  The constructor keeps a
+    read-only copy of values.
     """
 
     values: np.ndarray
@@ -300,6 +301,21 @@ class NormalizedMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen_array(self.values))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, schema: Schema) -> NormalizedMatrix:
+        """The matrix of a float64 array that no one else holds, without the
+        constructor's copy: values is made read-only and checked as the
+        constructor checks its copy."""
+        self = cls.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "schema", schema)
+        self._check()
+        return self
+
+    def _check(self) -> None:
         if self.values.ndim != 2:
             raise InvariantError("normalized values must form a 2-D grid")
         if self.values.shape[1] != len(self.schema):
@@ -323,7 +339,7 @@ class EntropyVector:
         if self.entropies.ndim != 1 or self.entropies.size < 1:
             raise InvariantError("entropy vector must be 1-D and non-empty")
         if not np.all(np.isfinite(self.entropies)):
-            raise InvariantError("entropies must be finite")
+            raise NonFiniteInputError("entropies must be finite")
         if np.any(self.entropies < 0.0) or np.any(self.entropies > 1.0):
             raise InvariantError("entropies must lie in [0, 1]")
 
@@ -342,7 +358,7 @@ class WeightVector:
         if self.weights.ndim != 1 or self.weights.size < 1:
             raise InvariantError("weight vector must be 1-D and non-empty")
         if not np.all(np.isfinite(self.weights)):
-            raise InvariantError("weights must be finite")
+            raise NonFiniteInputError("weights must be finite")
         if np.any(self.weights < 0.0):
             raise InvariantError("weights must be non-negative")
         total = float(np.sum(self.weights))

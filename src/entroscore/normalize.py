@@ -96,4 +96,4 @@ def normalize_matrix(dataset: RawDataset) -> NormalizedMatrix:
     inverse = [j for j, spec in enumerate(dataset.schema) if spec.direction is Direction.INVERSE]
     out[:, inverse] = hi[inverse] - values[:, inverse]
     out /= span
-    return NormalizedMatrix(out, dataset.schema)
+    return NormalizedMatrix._adopt(out, dataset.schema)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _EPS, CdfEstimate, _sample_std, _setup
+from .density import _EPS, CdfEstimate, _row_blocks, _sample_std, _setup
 from .entropy import (
     QuadratureConfig,
     _check_quadrature,
@@ -116,8 +116,12 @@ def composite_scores(matrix, weights, scale: float = 100.0) -> np.ndarray:
             f"matrix has {values.shape[1] if values.ndim == 2 else '?'} columns "
             f"but weight vector has {w.size}"
         )
+    # np.sum(values * w, axis=1), whose product block is as large as the
+    # matrix, on _row_blocks.  Not values @ w: BLAS orders its sums.
+    sums = np.empty(len(values))
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.sum(values * w, axis=1)
+        for block in _row_blocks(values):
+            np.add.reduce(values[block] * w, axis=1, out=sums[block])
         scores = scale * sums
     if not np.isfinite(sums).all():
         raise NonFiniteInputError("a weighted sum of the matrix is past the largest double")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -53,17 +55,36 @@ def bench_dataset(rows: int, seed: int) -> es.RawDataset:
     return es.RawDataset(inputs.kept_ids, inputs.clean, es.Schema(specs))
 
 
+# The builders of a column's coarse spectrum: _spectra's P rows at c > 1,
+# _binned_spectrum's one row at c = 1.  Each returns a (rows, length) block.
+SPECTRUM_BUILDERS = ("_spectra", "_binned_spectrum")
+
+
 def record_spectra(monkeypatch) -> list:
-    """Make density._spectra log (rows, spectrum length) of every call into the returned list."""
+    """Make density log (rows, spectrum length) of every coarse spectrum it
+    builds, at c = 1 too, into the returned list."""
     calls = []
-    spectra = density._spectra
 
-    def recorded(moments, kernels, rows):
-        calls.append((rows, kernels.shape[1]))
-        return spectra(moments, kernels, rows)
+    def logged(build):
+        def call(*args):
+            out = build(*args)
+            calls.append(out.shape)
+            return out
 
-    monkeypatch.setattr(density, "_spectra", recorded)
+        return call
+
+    for name in SPECTRUM_BUILDERS:
+        monkeypatch.setattr(density, name, logged(getattr(density, name)))
     return calls
+
+
+@contextlib.contextmanager
+def wrapped_spectra(wrap):
+    """Within the block, density builds every coarse spectrum by wrap(builder)."""
+    with contextlib.ExitStack() as stack:
+        for name in SPECTRUM_BUILDERS:
+            stack.enter_context(mock.patch.object(density, name, wrap(getattr(density, name))))
+        yield
 
 
 def csv_bytes(header, rows) -> bytes:

@@ -7,8 +7,10 @@ budgets are part of the contract and are asserted, not just reported.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,11 +317,24 @@ def test_c8_thread_count_byte_determinism(capsys, tmp_path):
 # slower host.
 LARGE_RUN_BUDGET_S = 5.0
 
+# C9's memory bound, as a multiple of the raw matrix's bytes.  The run
+# holds two matrix-sized arrays throughout, the normalized matrix and the
+# estimates' sorted copy of it; the set-up's and the scores' blocks and a
+# column's scratch must fit in the other half matrix.  A run that copied
+# the normalized matrix again, or formed a matrix-sized temporary, peaked
+# at 3.06 times the data (41.6 MB).
+LARGE_RUN_PEAK_RATIO = 2.5
 
-def test_c9_large_run_finishes_in_seconds(capsys):
+
+@functools.lru_cache(maxsize=1)
+def _large_dataset() -> es.RawDataset:
     # bench/workloads.generate's column shapes at 100000 x 17, where three
     # lognormal columns have a Silverman h of about two grid steps.
-    ds = bench_dataset(100_000, 11)
+    return bench_dataset(100_000, 11)
+
+
+def test_c9_large_run_finishes_in_seconds(capsys):
+    ds = _large_dataset()
     es.run_pipeline(bench_dataset(70, 11))  # imports and caches out of the timed run
     t0 = time.perf_counter()
     run = es.run_pipeline(ds, es.EvaluationOptions(threads=1))
@@ -331,4 +346,24 @@ def test_c9_large_run_finishes_in_seconds(capsys):
         "100000 x 17 continuous run on one thread",
         ok,
         f"{elapsed:.2f} s (< {LARGE_RUN_BUDGET_S:g} s), weight sum {float(weights.sum())!r}",
+    )
+
+
+def test_c9_large_run_holds_few_copies_of_its_data(capsys):
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing; its peak is not this test's")
+    ds = _large_dataset()
+    es.run_pipeline(bench_dataset(70, 11))  # imports and caches out of the measured run
+    tracemalloc.start()
+    try:
+        es.run_pipeline(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / ds.values.nbytes
+    check(
+        capsys,
+        "100000 x 17 continuous run's peak memory",
+        ratio <= LARGE_RUN_PEAK_RATIO,
+        f"{peak / 1e6:.1f} MB, {ratio:.2f} times the data (<= {LARGE_RUN_PEAK_RATIO:g})",
     )

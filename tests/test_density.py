@@ -385,8 +385,8 @@ class TestGridValues:
         # between coarse nodes can see these rows go wrong.
         spectra = density._spectra
 
-        def skewed(moments, kernels, rows):
-            out = spectra(moments, kernels, rows)
+        def skewed(moments, kernels):
+            out = spectra(moments, kernels)
             out[1:] *= 1.0 + 1e-9
             return out
 
@@ -716,13 +716,35 @@ class TestSameBits:
             assert not misaligned.flags.aligned
             assert density._fine_values(misaligned, c, 10001).tobytes() == expected
 
+    @pytest.mark.parametrize("points,n", [(1001, 70), (4097, 3), (20001, 500)])
+    @pytest.mark.parametrize("order", _ORDERS)
+    def test_binned_spectrum_is_row_0_of_the_batched_blocks(self, points, n, order):
+        # c = 1, h of two grid steps: one order at a time, the kernel and
+        # moment rows each transformed on their own, against _spectra's row
+        # 0 of the (P, size/2 + 1) blocks.
+        from scipy.special import ndtr
+
+        nodes, size, step, z = _coarse_grid(points, 1, 2.0 / (points - 1))
+        step_free = -ndtr(-z)
+        step_free[0] = 0.0
+        t = np.random.default_rng(order).uniform(size=n) * (points - 1)
+        node = np.rint(t).astype(np.intp)
+        counts = np.bincount(node, minlength=nodes).astype(np.float64)
+        kernels = density._kernel_spectra(z, step_free, step, order, size)
+        moments = density._moment_spectra(node, t - node, counts, order, size)
+        expected = density._spectra(moments, kernels)[:1]
+        got = density._binned_spectrum(z, step_free, step, node, t - node, counts, order, size)
+        assert got.shape == expected.shape == (1, size // 2 + 1)
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("rows", _ORDERS)
     def test_spectra_matches_the_broadcast_formula(self, rows):
+        # Every row of blocks of each order P = rows.
         rng = np.random.default_rng(rows)
-        shape = (len(_ORDERS), 97)
+        shape = (rows, 97)
         moments, kernels = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
         expected = _spectra_reference(moments, kernels, rows)
-        assert density._spectra(moments, kernels.copy(), rows).tobytes() == expected.tobytes()
+        assert density._spectra(moments, kernels.copy()).tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -772,10 +794,23 @@ class TestScratchMemory:
         # c > 1) and _spectra's product, plus the zero-padded copy that
         # numpy 1.x's rfft makes.
         transforms = 4 * rows * length * 16
-        # The fine values: the einsum's (nodes, c) values and their copy
-        # in grid order, and the coarse rows.
-        fine = (2 * c * nodes + rows * nodes) * 8
+        # The fine values: the einsum's one (nodes, c) block, which holds
+        # them in grid order, and the coarse rows.
+        fine = (c * nodes + rows * nodes) * 8
         assert peak <= max(transforms, fine) + 64 * 1024
+
+    def test_the_full_grid_ffts_hold_one_order_at_a_time(self, monkeypatch):
+        # h of two grid steps at 100001 points plans c = 1 at order 12.  Its
+        # rows were three (12, size/2 + 1) complex blocks, 607 bytes a grid
+        # point; one order at a time holds one kernel row, two transforms
+        # and their sum, and seven grid-sized rows of doubles: about 140.
+        calls = record_spectra(monkeypatch)
+        points = 100_001
+        x = _column("lognormal", 69, np.random.default_rng(1))
+        cdf = es.estimate_cdf(x, 2.0 / (points - 1))
+        peak = self._peak(lambda: cdf.grid_values(points))
+        assert calls == [(1, TestGridValues._length(points, 1))]
+        assert peak <= 200 * points
 
     def test_the_exact_sum_holds_one_small_block(self):
         # h = 1e-5 is below the fast path at 10001 points.

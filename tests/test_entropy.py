@@ -285,8 +285,12 @@ class TestComputeWeights:
         ([0.5, -0.1], "must be non-negative"),
     ])
     def test_rejects_what_is_not_a_vector_of_entropies(self, entropies, message):
-        with pytest.raises(es.InvariantError, match=message):
+        # A NaN is a non-finite input, as describe and the normalizers call
+        # it; the other vectors break an invariant.
+        error = es.NonFiniteInputError if message == "must be finite" else es.InvariantError
+        with pytest.raises(error, match=message) as info:
             es.compute_weights(np.array(entropies))
+        assert isinstance(info.value, ValueError) == (error is es.InvariantError)
 
     def test_entropies_summing_past_the_largest_double_are_refused_quietly(self):
         with warnings.catch_warnings():

@@ -185,6 +185,16 @@ class TestRawDataset:
         assert ds.values[0, 0] == 1.0
 
 
+# NormalizedMatrix's two ways in: the public constructor, which copies,
+# and normalize_matrix's hand-over of the array it filled.
+MATRIX_MAKERS = {
+    "constructor": es.NormalizedMatrix,
+    "adopted": lambda values, schema: es.NormalizedMatrix._adopt(
+        np.array(values, dtype=np.float64), schema
+    ),
+}
+
+
 class TestNormalizedMatrix:
     def test_accepts_unit_spanning_columns(self):
         m = es.NormalizedMatrix(
@@ -200,6 +210,48 @@ class TestNormalizedMatrix:
         with pytest.raises(es.InvariantError):
             es.NormalizedMatrix(np.array([[0.1], [0.9]]), simple_schema(1))
 
+    @pytest.mark.parametrize("make", MATRIX_MAKERS)
+    @pytest.mark.parametrize(
+        "values,width,message",
+        [
+            ([0.0, 1.0], 1, r"^normalized values must form a 2-D grid$"),
+            ([[[0.0]], [[1.0]]], 1, r"^normalized values must form a 2-D grid$"),
+            ([[0.0, 1.0], [1.0, 0.0]], 3, r"^normalized grid width does not match schema$"),
+            ([[0.0], [1.5]], 1, r"^normalized entries must lie in \[0, 1\]$"),
+            ([[-0.0], [-1e-300], [1.0]], 1, r"^normalized entries must lie in \[0, 1\]$"),
+            ([[0.0], [math.nan], [1.0]], 1, r"^normalized entries must lie in \[0, 1\]$"),
+            ([[0.1], [0.9]], 1, r"^every normalized column must attain 0 and 1$"),
+            ([[0.0, 0.0], [1.0, 0.5]], 2, r"^every normalized column must attain 0 and 1$"),
+        ],
+    )
+    def test_every_guard_on_both_ways_in(self, make, values, width, message):
+        with pytest.raises(es.InvariantError, match=message):
+            MATRIX_MAKERS[make](values, simple_schema(width))
+
+    def test_the_constructor_keeps_a_read_only_copy(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for given in (values, values.copy()):
+            given.flags.writeable = False
+            m = es.NormalizedMatrix(given, simple_schema(2))
+            assert m.values is not given and not np.shares_memory(m.values, given)
+            assert not m.values.flags.writeable
+
+    def test_normalize_matrix_hands_its_array_over_read_only(self, monkeypatch):
+        handed = []
+        adopt = es.NormalizedMatrix._adopt.__func__
+
+        def recorded(cls, values, schema):
+            handed.append(values)
+            return adopt(cls, values, schema)
+
+        monkeypatch.setattr(es.NormalizedMatrix, "_adopt", classmethod(recorded))
+        ds = es.RawDataset(("a", "b", "c"), np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 9.0]]), simple_schema(2, (1,)))
+        m = es.normalize_matrix(ds)
+        [values] = handed
+        assert m.values is values and not values.flags.writeable
+        assert not np.shares_memory(m.values, ds.values)
+        assert m.values.tolist() == [[0.0, 4 / 7], [1.0, 1.0], [0.5, 0.0]]
+
 
 class TestVectors:
     def test_entropy_vector_bounds(self):
@@ -208,8 +260,51 @@ class TestVectors:
             es.EntropyVector(np.array([0.5, 1.0 + 1e-9]))
         with pytest.raises(es.InvariantError):
             es.EntropyVector(np.array([-1e-9]))
-        with pytest.raises(es.InvariantError):
+        with pytest.raises(es.NonFiniteInputError):
             es.EntropyVector(np.array([math.nan]))
+
+    @pytest.mark.parametrize(
+        "entropies,error,message",
+        [
+            ([], es.InvariantError, r"^entropy vector must be 1-D and non-empty$"),
+            ([[0.5, 0.5]], es.InvariantError, r"^entropy vector must be 1-D and non-empty$"),
+            (0.5, es.InvariantError, r"^entropy vector must be 1-D and non-empty$"),
+            ([0.5, math.nan], es.NonFiniteInputError, r"^entropies must be finite$"),
+            ([0.5, math.inf], es.NonFiniteInputError, r"^entropies must be finite$"),
+            ([0.5, -math.inf], es.NonFiniteInputError, r"^entropies must be finite$"),
+            ([0.5, 1.0 + 1e-9], es.InvariantError, r"^entropies must lie in \[0, 1\]$"),
+            ([-1e-300, 0.5], es.InvariantError, r"^entropies must lie in \[0, 1\]$"),
+        ],
+    )
+    def test_every_entropy_vector_guard(self, entropies, error, message):
+        with pytest.raises(error, match=message):
+            es.EntropyVector(np.array(entropies))
+
+    @pytest.mark.parametrize(
+        "weights,error,message",
+        [
+            ([0.5, math.nan], es.NonFiniteInputError, r"^weights must be finite$"),
+            ([math.inf, 0.0], es.NonFiniteInputError, r"^weights must be finite$"),
+            ([], es.InvariantError, r"^weight vector must be 1-D and non-empty$"),
+            ([[0.5, 0.5]], es.InvariantError, r"^weight vector must be 1-D and non-empty$"),
+            (1.0, es.InvariantError, r"^weight vector must be 1-D and non-empty$"),
+            ([-0.1, 1.1], es.InvariantError, r"^weights must be non-negative$"),
+            ([-1e-300, 1.0], es.InvariantError, r"^weights must be non-negative$"),
+            ([0.25, 0.75 + 1e-9], es.InvariantError, r"^weights sum to 1\.000000001, not 1$"),
+            ([0.25, 0.25], es.InvariantError, r"^weights sum to 0\.5, not 1$"),
+        ],
+    )
+    def test_every_weight_vector_guard(self, weights, error, message):
+        with pytest.raises(error, match=message):
+            es.WeightVector(np.array(weights))
+
+    def test_a_non_finite_vector_is_not_a_value_error(self):
+        # NonFiniteInputError, unlike InvariantError, is no ValueError.
+        for make, values in ((es.EntropyVector, [math.nan]), (es.WeightVector, [math.nan])):
+            with pytest.raises(es.EntroscoreError) as info:
+                make(np.array(values))
+            assert type(info.value) is es.NonFiniteInputError
+            assert not isinstance(info.value, ValueError)
 
     def test_weight_vector_must_sum_to_one(self):
         es.WeightVector(np.array([0.25, 0.75]))
@@ -225,6 +320,14 @@ class TestDescriptiveStats:
             es.DescriptiveStats(
                 mean=1.0, median=5.0, std_dev=1.0, kurtosis=0.0,
                 skewness=0.0, smallest=2.0, largest=3.0, obs=10,
+            )
+
+    @pytest.mark.parametrize("obs", [0, -1])
+    def test_needs_a_positive_count(self, obs):
+        with pytest.raises(es.InvariantError, match="^obs must be positive$"):
+            es.DescriptiveStats(
+                mean=1.0, median=1.0, std_dev=0.0, kurtosis=math.nan,
+                skewness=math.nan, smallest=1.0, largest=1.0, obs=obs,
             )
 
     def test_nan_moments_allowed(self):
@@ -260,6 +363,22 @@ class TestEvaluationReport:
         # A 0-d ranking raised a bare TypeError before.
         with pytest.raises(es.InvariantError, match="^ranking must be a permutation of row indices$"):
             _report(100.0, ranking=ranking)
+
+    @pytest.mark.parametrize("scores", [[[0.0, 0.0]], 0.0, [[0.0], [0.0]]])
+    def test_rejects_scores_that_are_not_1d(self, scores):
+        with pytest.raises(es.InvariantError, match="^scores must be 1-D$"):
+            _report(100.0, scores=scores)
+
+    @pytest.mark.parametrize("scores,ranking", [((0.0, 50.0), (0, 1)), ((50.0, 50.0 + 1e-12), (0, 1))])
+    def test_rejects_a_ranking_that_raises_its_scores(self, scores, ranking):
+        with pytest.raises(es.InvariantError, match="^scores along the ranking must be non-increasing$"):
+            _report(100.0, scores=scores, ranking=ranking)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_stats_of_another_count(self, n):
+        scores = np.zeros(n)
+        with pytest.raises(es.InvariantError, match="^stats.obs must equal the number of scores$"):
+            _report(100.0, scores=scores, ranking=np.arange(n))
 
     @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
     def test_rejects_a_score_that_is_not_finite(self, bad):

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import entroscore as es
 from entroscore import density, model, scoring
-from helpers import bench_dataset, random_dataset, record_spectra, simple_schema
+from helpers import bench_dataset, random_dataset, record_spectra, simple_schema, wrapped_spectra
 
 
 class TestCompositeScores:
@@ -688,16 +688,18 @@ class TestBatchedSetup:
         )
 
         # The reference, noting which columns take the FFTs.
-        spectra = density._spectra
         calls = []
 
-        def counted(*args):
-            calls.append(None)
-            return spectra(*args)
+        def counted(build):
+            def call(*args):
+                calls.append(None)
+                return build(*args)
+
+            return call
 
         normalized = es.normalize_matrix(ds)
         hs, entropies, fft_columns = [], [], []
-        with mock.patch.object(density, "_spectra", counted):
+        with wrapped_spectra(counted):
             for j in range(m):
                 column = normalized.values[:, j]
                 h = bandwidth or (1e-5 if j in exact else es.select_bandwidth(column))
@@ -721,16 +723,19 @@ class TestBatchedSetup:
         def mixed(x, names):
             return [1e-5 if j in exact else h for j, h in enumerate(silverman(x, names))]
 
-        def skewed(*args):
-            out = spectra(*args)
-            calls.append(None)
-            if len(calls) - 1 == fft_columns.index(skew):
-                out *= 1.0 + 1e-3
-            return out
+        def skewed(build):
+            def call(*args):
+                out = build(*args)
+                calls.append(None)
+                if len(calls) - 1 == fft_columns.index(skew):
+                    out *= 1.0 + 1e-3
+                return out
+
+            return call
 
         calls.clear()
-        with mock.patch.object(density, "_silverman", mixed), mock.patch.object(
-            density, "_spectra", skewed if skew is not None else spectra
+        with mock.patch.object(density, "_silverman", mixed), wrapped_spectra(
+            skewed if skew is not None else lambda build: build
         ):
             run = es.run_pipeline(ds, options)
         assert np.array(run.bandwidths).tobytes() == np.array(hs, dtype=np.float64).tobytes()
