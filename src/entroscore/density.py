@@ -27,12 +27,13 @@ runs them for all of a pipeline run's columns, with the same bits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError, _named
-from .model import _check_count, _check_flag, _check_positive_real, _sample_array
+from .model import _check_count, _check_flag, _check_positive_real, _real_array, _sample_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
@@ -86,11 +87,6 @@ _NDTR_DERIVATIVE_MAX = (
 # with one has the bits of the product with the int.
 _FACTORIALS = np.array([math.factorial(a) for a in range(len(_NDTR_DERIVATIVE_MAX))], dtype=np.float64)
 _FACTORIALS.flags.writeable = False
-
-# K_p(-j) = parity * K_p(j) down the kernel rows p = 0..11: K_0 is odd, and
-# K_p, a multiple of He_{p-1} phi, has the parity of p - 1.
-_PARITY = np.array([(-1.0) ** (p + 1) for p in range(len(_NDTR_DERIVATIVE_MAX))])[:, np.newaxis]
-_PARITY.flags.writeable = False
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(np.float64).eps)
@@ -213,7 +209,8 @@ class CdfEstimate:
     bandwidth must be a real number, not a bool, above 0 and finite as a
     double, else InvalidBandwidthError, and is kept as that double;
     boundary_correction a bool or numpy bool, else InvariantError.  These
-    are model's checks, which EvaluationOptions shares.
+    are model's checks, which EvaluationOptions shares.  A call takes
+    bool, integer or floating values, else raises InvariantError.
     """
 
     def __init__(self, samples, bandwidth: float, boundary_correction: bool = True):
@@ -260,7 +257,7 @@ class CdfEstimate:
         return _kernel_means(self._samples[np.newaxis], h, x.reshape(1, -1), 1).reshape(x.shape)
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
+        arr = _real_array(x, "CDF arguments")
         scalar = arr.ndim == 0
         values = self._raw(np.atleast_1d(arr))
         if self._correct:
@@ -334,12 +331,13 @@ class CdfEstimate:
         that multiply them take at most 1024 frequencies a row), and one
         (nodes, c) block of doubles with the coarse rows, while the fine
         values are formed: they are a view of that block, in grid order.
-        At c = 1 the orders are taken one at a time (_binned_spectrum):
-        one kernel row of size doubles, three rows of size/2 + 1 complex
-        values (its transform, the moment row's and their running sum)
-        and seven rows of nodes doubles (z, K_0, phi, two He rows, the
-        counts and a moment row), about 140 bytes a grid point at 100001
-        points where all P rows at once took 607.
+        At c = 1 each order's kernel and moment rows, which fill those
+        blocks for c > 1, are transformed as they are written
+        (_binned_spectrum): one kernel row of size doubles, three rows of
+        size/2 + 1 complex values (its transform, the moment row's and
+        their running sum) and seven rows of nodes doubles (z, K_0, phi,
+        two He rows, the counts and a moment row), about 140 bytes a grid
+        point at 100001 points where all P rows at once took 607.
 
         As the rounding share is only estimated, the values on every
         ((points - 1) // 16)-th node (17 nodes at 10001 points) are
@@ -363,9 +361,8 @@ class CdfEstimate:
                 continue
             nodes = (points - 1 + c // 2) // c + 1
             size = _fft_size(2 * nodes - 1)
-            # Each K_p is odd or even in j, so it is computed for j >= 0
-            # only; _place mirrors it into the negative j that wrap to a
-            # row's end.
+            # z and K_0 for j >= 0 only: _kernel_rows mirrors each row
+            # into the negative j that wrap to its end.
             z = np.arange(nodes) * (c * u)
             step_free = -ndtr(-z)
             step_free[0] = 0.0
@@ -526,41 +523,63 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
     )
 
 
-def _moment_spectra(node, offset, counts, order, size) -> np.ndarray:
-    """rfft, at length size, of the moment rows: row q sums f^q/q! per coarse node."""
-    moments = np.empty((order, counts.size))
-    moments[0] = counts
+def _moment_rows(node, offset, counts, order):
+    """Yield moment row q, f^q/q! summed per coarse node, for q = 0..order-1."""
+    yield counts
     power = np.ones(offset.size)
-    for p in range(1, order):
+    for q in range(1, order):
         power *= offset
-        power /= p
-        moments[p] = np.bincount(node, weights=power, minlength=counts.size)
+        power /= q
+        yield np.bincount(node, weights=power, minlength=counts.size)
+
+
+def _kernel_rows(z, step_free, step, rows):
+    """Write kernel row p, K_p * p! at z = j*U, into the p-th of rows (circular
+    rows of length size, zero between their two halves) and yield it.
+
+    Row 0 is step_free; row p >= 1 is (-step**p * He_{p-1}(z)) * phi(z),
+    He_{p-1} by its recurrence and step**p as step * step * ..., left to
+    right.  K_0 is odd in j, and K_p, a multiple of He_{p-1} phi, has the
+    parity of p - 1, so each row is formed for j >= 0 and mirrored into
+    the negative j that wrap to its end.  A yielded row is not read again,
+    so the caller may change it or pass the same row back.
+    """
+    nodes = z.size
+    for p, row in enumerate(rows):
+        half = row[:nodes]
+        if p == 0:
+            half[...] = step_free
+        else:
+            if p == 1:
+                phi = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+                he_prev, he = np.zeros(nodes), np.ones(nodes)  # He_{-1}, He_0
+                scale = 1.0
+            else:  # He_{p-1} = z He_{p-2} - (p-2) He_{p-3}
+                np.multiply(z, he, out=half)
+                he_prev *= p - 2
+                np.subtract(half, he_prev, out=he_prev)
+                he, he_prev = he_prev, he
+            scale *= step
+            np.multiply(he, -scale, out=half)
+            half *= phi
+        np.multiply(half[:0:-1], (-1.0) ** (p + 1), out=row[row.size - nodes + 1 :])
+        yield row
+
+
+def _moment_spectra(node, offset, counts, order, size) -> np.ndarray:
+    """rfft, at length size, of the (P, nodes) block of _moment_rows."""
+    moments = np.empty((order, counts.size))
+    for q, moment in enumerate(_moment_rows(node, offset, counts, order)):
+        moments[q] = moment
+    del moment  # not held through the transform
     return np.fft.rfft(moments, size, axis=1)
 
 
 def _kernel_spectra(z, step_free, step, order, size) -> np.ndarray:
-    """rfft of the kernel rows K_p * p! at z = j*U, laid into circular rows of length size.
-
-    Row p >= 1 is (-step**p * He_{p-1}(z)) * phi(z).  The rows take the
-    He_{p-1} from their recurrence first, then -step**p and phi(z) in one
-    pass each over all rows, which gives the bits of scaling each row on
-    its own.
-    """
-    nodes = z.size
+    """rfft of the (P, size) block of _kernel_rows."""
     kernels = np.zeros((order, size))
-    half = kernels[:, :nodes]
-    half[0] = step_free
-    if order > 1:
-        half[1] = 1.0  # He_0
-    if order > 2:
-        half[2] = z  # He_1 = z * 1 - 0 * 0, to the bit
-    for p in range(3, order):  # He_{p-1} = z He_{p-2} - (p-2) He_{p-3}
-        np.multiply(z, half[p - 1], out=half[p])
-        half[p] -= (p - 2) * half[p - 2]
-    # step**p as the products step * step * ..., left to right.
-    half[1:] *= -np.cumprod(np.full(order - 1, step))[:, np.newaxis]
-    half[1:] *= np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    _place(kernels, nodes)
+    for _ in _kernel_rows(z, step_free, step, kernels):
+        pass
     return np.fft.rfft(kernels, axis=1)
 
 
@@ -569,39 +588,15 @@ def _binned_spectrum(z, step_free, step, node, offset, counts, order, size) -> n
     sum_p moments[p] * kernels[p], formed one order p at a time: the one
     row that grid_values needs at c = 1, as a (1, size/2 + 1) block.
 
-    Kernel row p and moment row p take the operations of their rows in the
-    blocks, the He recurrence written into the kernel row's place; each is
-    transformed on its own, which gives the batched rfft's bits, and the
-    products are added from p = 0 on, as _spectra adds them.  So the row
-    has the blocks' bits, while one kernel row, one moment row, their two
-    transforms and the sum are held rather than three (P, size/2 + 1)
-    complex blocks.
+    The blocks' rows p come from their writers, the kernel row into one
+    reused row, and each is transformed on its own, which gives the
+    batched rfft's bits; the products are added from p = 0 on, as _spectra
+    adds them.  So one kernel row, one moment row, their two transforms
+    and the sum are held rather than three (P, size/2 + 1) complex blocks.
     """
-    nodes = z.size
-    kernel = np.zeros(size)
-    half = kernel[:nodes]
-    half[...] = step_free
-    moment = counts
-    if order > 1:
-        phi = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-        he_prev, he = np.zeros(nodes), np.ones(nodes)  # He_{-1}, He_0
-        power = np.ones(offset.size)
-        scale = 1.0  # step**p as the products step * step * ..., left to right
+    kernels = _kernel_rows(z, step_free, step, itertools.repeat(np.zeros(size), order))
     total = None
-    for p in range(order):
-        if p:
-            if p > 1:  # He_{p-1} = z He_{p-2} - (p-2) He_{p-3}
-                np.multiply(z, he, out=half)
-                he_prev *= p - 2
-                np.subtract(half, he_prev, out=he_prev)
-                he, he_prev = he_prev, he
-            scale *= step
-            np.multiply(he, -scale, out=half)
-            half *= phi
-            power *= offset
-            power /= p
-            moment = np.bincount(node, weights=power, minlength=nodes)
-        _place(kernel[np.newaxis], nodes, p)
+    for kernel, moment in zip(kernels, _moment_rows(node, offset, counts, order)):
         product = np.fft.rfft(kernel)
         np.multiply(np.fft.rfft(moment, size), product, out=product)
         if total is None:
@@ -656,20 +651,6 @@ def _spectra(moments: np.ndarray, kernels: np.ndarray) -> np.ndarray:
                 moments[: order - a, lo:hi] * kernels[a:, lo:hi], axis=0, out=kernels[a, lo:hi]
             )
     return kernels
-
-
-def _place(kernels: np.ndarray, nodes: int, first: int = 0) -> None:
-    """Mirror each kernel row, given for j = 0..nodes-1, into the negative j
-    that wrap to the row's end: K_p(-j) = parity * K_p(j), where kernels
-    holds the rows p = first, first + 1, ...
-
-    The one multiply reads and writes disjoint columns of every row.
-    """
-    np.multiply(
-        kernels[:, nodes - 1 : 0 : -1],
-        _PARITY[first : first + len(kernels)],
-        out=kernels[:, kernels.shape[1] - nodes + 1 :],
-    )
 
 
 def _fft_size(minimum: int) -> int:

@@ -23,7 +23,7 @@ from .errors import (
     NonFiniteInputError,
     QuadratureOutOfRangeError,
 )
-from .model import EntropyVector, WeightVector, _check_count, _sample_array
+from .model import EntropyVector, WeightVector, _check_count, _real_array, _sample_array
 
 __all__ = [
     "QuadratureConfig",
@@ -103,7 +103,8 @@ def continuous_entropy(
     it.  The rounding of the two quadrature sums, below 1e-15, fits in
     the slack that rounding -ln F - 1 and -F ln F up leaves.
 
-    config must be a QuadratureConfig, else InvariantError.
+    config must be a QuadratureConfig, and the values cdf returns bool,
+    integer or floating numbers, one per grid point, else InvariantError.
     """
     _check_quadrature(config)
     if isinstance(cdf, CdfEstimate):
@@ -111,7 +112,7 @@ def continuous_entropy(
     else:
         # A copy: the integrand is formed in place, and the callable may
         # hand back an array it keeps.
-        phi = np.array(cdf(np.linspace(0.0, 1.0, config.points)), dtype=np.float64)
+        phi = np.array(_real_array(cdf(np.linspace(0.0, 1.0, config.points)), "cdf values"))
     if phi.shape != (config.points,):
         raise InvariantError("cdf must return one value per grid point")
     if not np.isfinite(phi).all():

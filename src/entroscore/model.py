@@ -89,6 +89,20 @@ def _check_flag(value, name: str) -> bool:
     return bool(value)
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """values as float64, checked to be an array of bool, integer or floating
+    values: strings, complex numbers, objects and ragged sequences raise
+    InvariantError, named by what.
+    """
+    try:
+        x = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        raise InvariantError(f"{what} must be an array of real numbers") from None
+    if x.dtype.kind not in "biuf":
+        raise InvariantError(f"{what} must be real numbers, got dtype {x.dtype}")
+    return x.astype(np.float64, copy=False)
+
+
 def _sample_array(samples, user: str) -> np.ndarray:
     """samples as float64, checked to be 1-D, at least two long and finite.
 

@@ -12,6 +12,11 @@ this checkout's bench/workloads.py generates:
 - `entroscore evaluate ... --out-dir --dump-normalized --dump-cdf`, through
   cli.run, on the cli_kde and cli_ingest inputs of seeds 1-3, at --threads 1
   and 2: stdout, stderr, the exit code and every file the run writes;
+- the same on the cli_kde seed-1 input at fixed bandwidths, one for each
+  rung of CdfEstimate.grid_values' ladder (the Silverman bandwidths above
+  all take its coarsest, c = 32): --bandwidth 1.5e-4 (the exact sum), 4e-4
+  (c = 1, with and without --no-boundary-correction), 1.2e-3 (c = 2) and
+  8e-3 (c = 16);
 - run_pipeline, default options, on the lib_wide datasets of seeds 1-3: the
   normalized values, bandwidths, entropies, weights, scores, ranking and
   statistics.
@@ -40,6 +45,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 CLI_WORKLOADS = ("cli_kde", "cli_ingest")
 THREADS = (1, 2)
+# (job name suffix, extra evaluate options) on the cli_kde seed-1 input.
+RUNGS = (
+    ("exact", ("--bandwidth", "1.5e-4")),
+    ("c1", ("--bandwidth", "4e-4")),
+    ("c1-raw", ("--bandwidth", "4e-4", "--no-boundary-correction")),
+    ("c2", ("--bandwidth", "1.2e-3")),
+    ("c16", ("--bandwidth", "8e-3")),
+)
 
 
 def _jobs(inputs: Path) -> list[dict]:
@@ -56,17 +69,19 @@ def _jobs(inputs: Path) -> list[dict]:
             if desc["kind"] == "lib":
                 jobs.append({"name": f"{name}-{seed}", "kind": "lib", "desc": desc})
                 continue
-            for threads in THREADS:
-                argv = [
-                    "evaluate",
-                    "--input", str(where / "input.csv"),
-                    "--schema", str(where / "schema.json"),
-                    "--method", spec.method,
-                    "--threads", str(threads),
-                    "--dump-normalized",
-                    "--dump-cdf",
-                ]
-                jobs.append({"name": f"{name}-{seed}-t{threads}", "kind": "cli", "argv": argv})
+            argv = [
+                "evaluate",
+                "--input", str(where / "input.csv"),
+                "--schema", str(where / "schema.json"),
+                "--method", spec.method,
+                "--dump-normalized",
+                "--dump-cdf",
+            ]
+            runs = [(f"t{threads}", ("--threads", str(threads))) for threads in THREADS]
+            if name == "cli_kde" and seed == 1:
+                runs += RUNGS
+            for suffix, extra in runs:
+                jobs.append({"name": f"{name}-{seed}-{suffix}", "kind": "cli", "argv": [*argv, *extra]})
     return jobs
 
 

@@ -366,17 +366,39 @@ class TestGridValues:
         es.estimate_cdf(x, 1e-5).grid_values(10001)  # below the threshold
         assert calls[-1] == 10001
 
-    def test_values_off_on_a_checked_node_fall_back_to_the_exact_sum(self, monkeypatch):
-        place = density._place
+    @pytest.mark.parametrize("steps,c", [(None, 32), (4, 1)], ids=["silverman-c32", "4-steps-c1"])
+    def test_values_off_on_a_checked_node_fall_back_to_the_exact_sum(self, monkeypatch, steps, c):
+        # Every kernel row the writer yields is skewed: the batched blocks
+        # at a Silverman bandwidth, _binned_spectrum's rows at 4 grid steps.
+        # At c = 1 the skew moves only the values within a few bandwidths
+        # of a sample, so a sparse column can leave all 17 checked nodes
+        # within 1e-12 (see CHANGES.md); the skewed values are asserted off
+        # on a checked node here, so the fallback is what is tested.
+        rows, fine_values = density._kernel_rows, density._fine_values
+        fine = []
 
-        def skewed(kernels, nodes):
-            kernels[:, :nodes] *= 1.0 + 1e-9
-            place(kernels, nodes)
+        def skewed(*args):
+            for row in rows(*args):
+                row *= 1.0 + 1e-9
+                yield row
 
-        monkeypatch.setattr(density, "_place", skewed)
-        x = _column("uniform", 100, np.random.default_rng(34))
-        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
-        assert np.array_equal(cdf.grid_values(10001), cdf(np.linspace(0.0, 1.0, 10001)))
+        def kept(*args):
+            fine.append(fine_values(*args))
+            return fine[-1]
+
+        x = _column("normal", 100, np.random.default_rng(34))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x) if steps is None else steps / 10000.0)
+        grid = np.linspace(0.0, 1.0, 10001)
+        assert not np.array_equal(cdf.grid_values(10001), cdf(grid))
+        monkeypatch.setattr(density, "_kernel_rows", skewed)
+        monkeypatch.setattr(density, "_fine_values", kept)
+        calls = record_spectra(monkeypatch)
+        assert np.array_equal(cdf.grid_values(10001), cdf(grid))
+        [(_, length)] = calls
+        assert length == self._length(10001, c)
+        [values] = fine  # clipped in place, as the check saw them
+        check, nodes = density._checked_nodes(10001, c)
+        assert np.abs(values[check] - cdf(nodes)).max() > density._GRID_ERROR
 
     @pytest.mark.parametrize("points", [10001, 4097])
     def test_values_off_between_coarse_nodes_fall_back_to_the_exact_sum(self, monkeypatch, points):

@@ -195,6 +195,25 @@ class TestContinuousEntropyErrors:
         with pytest.raises(es.InvariantError):
             es.continuous_entropy(lambda x: np.array([0.5]), es.QuadratureConfig())
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: es.continuous_entropy(lambda g: "abc"),
+            lambda: es.continuous_entropy(lambda g: [object()] * g.size),
+            lambda: es.continuous_entropy(lambda g: g + 0j),
+            lambda: es.continuous_entropy(lambda g: g.astype(str)),
+            lambda: es.continuous_entropy(lambda g: [g[:2], g[:3]]),
+            lambda: es.estimate_cdf([0.0, 1.0], 0.1)("abc"),
+            lambda: es.estimate_cdf([0.0, 1.0], 0.1)(0.5 + 0j),
+        ],
+        ids=["str", "objects", "complex", "numeric-str", "ragged", "call-str", "call-complex"],
+    )
+    def test_values_that_are_not_real_numbers_are_refused(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(es.InvariantError, match="real numbers"):
+                call()
+
     def test_config_must_be_a_quadrature_config(self):
         cdf = es.estimate_cdf([0.0, 0.5, 1.0], 0.2)
         with pytest.raises(es.InvariantError, match="quadrature must be a QuadratureConfig"):
