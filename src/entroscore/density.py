@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,12 +277,12 @@ class CdfEstimate:
         does not depend on sample order.
 
         The FFTs run on a coarse grid of step D = c*d, where d = 1/(points
-        - 1) is the grid step and c comes from _COARSENING.  Each sample
-        x sits at its nearest coarse node k with offset f = x/D - k in
-        [-1/2, 1/2], and each grid node m at its nearest coarse node M
-        with offset s = m/c - M in [-1/2, 1/2).  With U = D/h and j = M -
-        k, (m*d - x)/h = (j - (f - s))*U, and Taylor's theorem in f - s
-        gives
+        - 1) is the grid step, and c and the order P come from _plan, which
+        may plan the exact self(grid) instead.  Each sample x sits at its
+        nearest coarse node k with offset f = x/D - k in [-1/2, 1/2], and
+        each grid node m at its nearest coarse node M with offset s = m/c -
+        M in [-1/2, 1/2).  With U = D/h and j = M - k, (m*d - x)/h = (j -
+        (f - s))*U, and Taylor's theorem in f - s gives
 
             ndtr((j - (f - s))*U) = sum_{p<P} (f - s)^p * K_p(j) + R,
             K_p(j) = (-U)^p/p! * ndtr^(p)(j*U),
@@ -307,25 +308,6 @@ class CdfEstimate:
         step's share is the exact running count of samples, added to row
         0.
 
-        P is the least order whose remainder, plus an estimate of the
-        rounding, is at most 1e-12 of the correction span.  The rounding
-        estimate is eps*log2(size)*||K_0||_2 for the transforms (Higham
-        2002, section 24.1), on the coarse K_0, plus 2*eps for each of at
-        most 12 orders: a grid value, a sum of P products with exact
-        powers, rounds by about P*eps times its terms' summed magnitudes
-        (Higham 2002, section 3.1), about the value, half Horner's bound.
-        The norm is a numpy reduction, not a BLAS dot:
-        OpenBLAS hands a dot of more than 10000 values to its worker
-        threads, so the dot's bits would depend on the BLAS thread count.
-        c is the largest factor in _COARSENING, below points, for which
-        some P <= 12 meets the budget; a rung whose radius is 1 or more is
-        skipped before any array is formed.  If none does, the exact
-        self(grid) is returned instead: for h below about 1.7 grid steps,
-        where even c = 1 misses the budget, and, with boundary correction
-        on, for h above about 2.5, where dividing by the small span
-        magnifies rounding.  The z = j*U and K_0 rows of the rounding
-        estimate are the ones the kernel rows start from.
-
         For c > 1 the scratch is the larger of three (P, size/2 + 1)
         complex blocks, while the transforms are formed (the products
         that multiply them take at most 1024 frequencies a row), and one
@@ -346,83 +328,118 @@ class CdfEstimate:
         row 0 drops out, so every other checked node is moved to a
         midpoint between coarse nodes (s = -1/2): otherwise, when c
         divides the check stride (points = 4097 and c = 16 or 32), no
-        checked node would see rows 1 and up.
+        checked node would see rows 1 and up.  It is a spot check: it can
+        miss an error that stays near the samples at c = 1 (a 1e-9 skew of
+        every kernel row at 4 grid steps passed it on 9 of 40 uniform
+        columns).
         """
         _check_count(points, "grid points")
         if not 2 <= points <= _MAX_POINTS:
             raise InvariantError(f"grid points must be from 2 to {_MAX_POINTS}, got {points}")
-        u = 1.0 / ((points - 1) * self._bandwidth)
-        from scipy.special import ndtr  # only continuous runs pay its import
-
-        allowed = _GRID_ERROR * self._span
-        for c in _COARSENING:
-            radius = c * u if c > 1 else u / 2.0
-            if c >= points or radius >= 1.0:  # every bound is at least 2.4e-6; z may overflow
-                continue
-            nodes = (points - 1 + c // 2) // c + 1
-            size = _fft_size(2 * nodes - 1)
-            # z and K_0 for j >= 0 only: _kernel_rows mirrors each row
-            # into the negative j that wrap to its end.
-            z = np.arange(nodes) * (c * u)
-            step_free = -ndtr(-z)
-            step_free[0] = 0.0
-            # Not np.dot, whose bits can depend on OpenBLAS threads: see the docstring.
-            norm = math.sqrt(2.0 * np.add.reduce(step_free * step_free))
-            rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
-            if order := _least_order(radius, allowed - rounding):
-                break
-        else:
-            return self(np.linspace(0.0, 1.0, points))
-
         # The factorials of C(p, a) = p!/(a! (p-a)!) are folded in: f^q/q!
-        # into the moments, p! into the kernels, 1/a! into the rows.  Each
-        # array is dropped once used (run_pipeline holds every column's
-        # samples throughout, and this keeps its peak below what one
-        # column at a time held).  For c > 1 the kernels' transform is
-        # taken before the moments' real rows exist, so at most three (P,
-        # size/2 + 1) complex blocks are held at once; _spectra writes its
-        # rows over the kernels' transform.  At c = 1 only row 0 is
-        # needed, and _binned_spectrum forms it one order at a time.
-        offset = self._samples * ((points - 1) / c)
-        node = np.rint(offset).astype(np.intp)  # k
-        offset -= node  # f
-        counts = np.bincount(node, minlength=nodes).astype(np.float64)
-        if c > 1:
-            spectra = _kernel_spectra(z, step_free, c * u, order, size)
-            del z, step_free
-            moments = _moment_spectra(node, offset, counts, order, size)
-            del node, offset
-            spectra = _spectra(moments, spectra)
-            del moments
-        else:
-            spectra = _binned_spectrum(z, step_free, u, node, offset, counts, order, size)
-            del z, step_free, node, offset
-        rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
-        del spectra
-        rows[0] += np.cumsum(counts) - 0.5 * counts
-        del counts
-        n = self._samples.size
-        # Finish the rows, not the grid: row a carries 1/(n * a! * span),
-        # and row 0, the constant term, the correction's offset.
-        span = self._span
-        rows /= ((n * span) * _FACTORIALS[: len(rows)])[:, np.newaxis]
-        if self._correct:
-            rows[0] -= self._raw_lo / span
-        values = _fine_values(rows, c, points)
-        del rows
-        values.clip(0.0, 1.0, out=values)
-        check, checked = _checked_nodes(points, c)
-        off = values[check]
-        off -= self(checked)
-        if np.abs(off, out=off).max() > _GRID_ERROR:
-            return self(np.linspace(0.0, 1.0, points))
-        return values
+        # into the moments, p! into the kernels, 1/a! into the rows.  The
+        # plan is unpacked, not held, and each array is dropped once used
+        # (run_pipeline holds every column's samples throughout, and this
+        # keeps its peak below what one column at a time held); for c > 1
+        # the kernels' transform is taken before the moments' rows exist.
+        kind, c, order, nodes, size, step, _, _, z, step_free = _plan(points, self._bandwidth, self._span)
+        if kind == "fft":
+            offset = self._samples * ((points - 1) / c)
+            node = np.rint(offset).astype(np.intp)  # k
+            offset -= node  # f
+            counts = np.bincount(node, minlength=nodes).astype(np.float64)
+            if c > 1:
+                spectra = _kernel_spectra(z, step_free, step, order, size)
+                del z, step_free
+                moments = _moment_spectra(node, offset, counts, order, size)
+                del node, offset
+                spectra = _spectra(moments, spectra)
+                del moments
+            else:
+                spectra = _binned_spectrum(z, step_free, step, node, offset, counts, order, size)
+                del z, step_free, node, offset
+            rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
+            del spectra
+            rows[0] += np.cumsum(counts) - 0.5 * counts
+            del counts
+            n = self._samples.size
+            # Finish the rows, not the grid: row a carries 1/(n * a! * span),
+            # and row 0, the constant term, the correction's offset.
+            span = self._span
+            rows /= ((n * span) * _FACTORIALS[: len(rows)])[:, np.newaxis]
+            if self._correct:
+                rows[0] -= self._raw_lo / span
+            values = _fine_values(rows, c, points)
+            del rows
+            values.clip(0.0, 1.0, out=values)
+            check, checked = _checked_nodes(points, c)
+            off = values[check]
+            off -= self(checked)
+            if np.abs(off, out=off).max() <= _GRID_ERROR:
+                return values
+        return self(np.linspace(0.0, 1.0, points))
 
     def __repr__(self) -> str:
         return (
             f"CdfEstimate(n={self._samples.size}, bandwidth={self._bandwidth:.6g}, "
             f"boundary_correction={self._correct})"
         )
+
+
+class _Plan(NamedTuple):
+    """How grid_values finds a column's values: by FFTs at coarsening c and
+    Taylor order P (kind "fft"), or by the exact sum ("exact", all else default)."""
+
+    kind: str
+    c: int = 0
+    order: int = 0
+    nodes: int = 0
+    size: int = 0  # the FFT length
+    step: float = 0.0  # U = c*u, the coarse step in bandwidths
+    truncation: float = 0.0  # the remainder's bound at this order
+    rounding: float = 0.0  # the estimate that the order met too
+    z: np.ndarray | None = None  # j*U for j = 0..nodes-1
+    step_free: np.ndarray | None = None  # K_0 at z
+
+
+def _plan(points: int, bandwidth: float, span: float) -> _Plan:
+    """grid_values' plan for points nodes, bandwidth and correction span (1.0 if off).
+
+    c is the largest factor in _COARSENING below points, and P <= 12 the
+    least order, whose remainder bound plus a rounding estimate is at most
+    1e-12 of the span; a rung whose radius is 1 or more is skipped before
+    any array is formed.  Where no rung has such an order, the plan is the
+    exact sum: for h below about 1.7 grid steps, and, with the correction
+    on, above about 2.5, where dividing by the small span magnifies
+    rounding.  The estimate is eps*log2(size)*||K_0||_2 for the transforms
+    (Higham 2002, section 24.1), on the z = j*U and K_0 rows the kernel
+    rows start from, plus 2*eps for each of 12 orders: a grid value, a sum
+    of P products with exact powers, rounds by about P*eps times its
+    terms' summed magnitudes (Higham 2002, section 3.1), about the value.
+    The norm is a numpy reduction: OpenBLAS hands a dot of over 10000
+    values to its worker threads, so a dot's bits depend on their count.
+    """
+    from scipy.special import ndtr  # only continuous runs pay its import
+
+    u = 1.0 / ((points - 1) * bandwidth)
+    allowed = _GRID_ERROR * span
+    for c in _COARSENING:
+        radius = c * u if c > 1 else u / 2.0
+        if c >= points or radius >= 1.0:  # every bound is at least 2.4e-6; z may overflow
+            continue
+        nodes = (points - 1 + c // 2) // c + 1
+        size = _fft_size(2 * nodes - 1)
+        # j >= 0 only: _kernel_rows mirrors each row into the negative j.
+        z = np.arange(nodes) * (c * u)
+        step_free = -ndtr(-z)
+        step_free[0] = 0.0
+        norm = math.sqrt(2.0 * np.add.reduce(step_free * step_free))  # not np.dot: see above
+        rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
+        for order, peak in enumerate(_NDTR_DERIVATIVE_MAX, start=1):
+            truncation = radius**order / math.factorial(order) * peak  # the remainder's bound
+            if truncation <= allowed - rounding:
+                return _Plan("fft", c, order, nodes, size, c * u, truncation, rounding, z, step_free)
+    return _Plan("exact")
 
 
 @functools.lru_cache(maxsize=64)
@@ -439,14 +456,6 @@ def _checked_nodes(points: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.linspace(0.0, 1.0, points)[check]
     check.flags.writeable = nodes.flags.writeable = False
     return check, nodes
-
-
-def _least_order(radius: float, budget: float) -> int:
-    """Least Taylor order P <= 12 with radius**P/P! * max|ndtr^(P)| <= budget, else 0; radius < 1."""
-    for order in range(1, len(_NDTR_DERIVATIVE_MAX) + 1):
-        if radius**order / math.factorial(order) * _NDTR_DERIVATIVE_MAX[order - 1] <= budget:
-            return order
-    return 0
 
 
 def _kernel_means(x: np.ndarray, bandwidths: np.ndarray, nodes: np.ndarray, depth: int):

@@ -104,16 +104,17 @@ def _real_array(values, what: str) -> np.ndarray:
 
 
 def _sample_array(samples, user: str) -> np.ndarray:
-    """samples as float64, checked to be 1-D, at least two long and finite.
+    """samples as float64, checked to be real numbers, 1-D and at least two
+    long (else InvariantError), and finite (else NonFiniteInputError).
 
     The one home of this check for the stages below normalization; user
-    names the caller in the InvariantError message.
+    names the caller in the message.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    x = _real_array(samples, f"samples for {user}")
     if x.ndim != 1 or x.size < 2:
         raise InvariantError(f"{user} needs a 1-D array of at least two samples")
     if not np.isfinite(x).all():
-        raise InvariantError(f"{user} needs finite samples")
+        raise NonFiniteInputError(f"{user} needs finite samples")
     return x
 
 

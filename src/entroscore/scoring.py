@@ -39,6 +39,7 @@ from .model import (
     _check_count,
     _check_flag,
     _check_positive_real,
+    _real_array,
 )
 from .normalize import normalize_matrix
 
@@ -129,8 +130,9 @@ def composite_scores(matrix, weights, scale: float = 100.0) -> np.ndarray:
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """values as a float64 array, or NonFiniteInputError if one is NaN or infinite."""
-    arr = np.asarray(values, dtype=np.float64)
+    """values as a float64 array of real numbers (else InvariantError), or
+    NonFiniteInputError if one is NaN or infinite."""
+    arr = _real_array(values, f"the {what}")
     if not np.isfinite(arr).all():
         raise NonFiniteInputError(f"the {what} must be finite, got NaN or infinite entries")
     return arr
@@ -146,8 +148,8 @@ def rank(scores) -> np.ndarray:
 
 
 def _score_list(scores, caller: str, least: int) -> np.ndarray:
-    """scores as a 1-D float64 array of at least least finite values, or caller's named error."""
-    arr = np.asarray(scores, dtype=np.float64)
+    """scores as a 1-D float64 array of at least least finite real numbers, or caller's named error."""
+    arr = _real_array(scores, "scores")
     if arr.ndim != 1 or arr.size < least:
         raise InvariantError(f"{caller} needs a {'non-empty ' if least else ''}1-D score list")
     if not np.isfinite(arr).all():

@@ -16,7 +16,10 @@ this checkout's bench/workloads.py generates:
   rung of CdfEstimate.grid_values' ladder (the Silverman bandwidths above
   all take its coarsest, c = 32): --bandwidth 1.5e-4 (the exact sum), 4e-4
   (c = 1, with and without --no-boundary-correction), 1.2e-3 (c = 2) and
-  8e-3 (c = 16);
+  8e-3 (c = 16); and --bandwidth 100 for the ladder's other two exits,
+  where the correction's small span sends every column to the exact sum,
+  and with --no-boundary-correction, where every column takes c = 32 at
+  order 3;
 - run_pipeline, default options, on the lib_wide datasets of seeds 1-3: the
   normalized values, bandwidths, entropies, weights, scores, ranking and
   statistics.
@@ -52,6 +55,8 @@ RUNGS = (
     ("c1-raw", ("--bandwidth", "4e-4", "--no-boundary-correction")),
     ("c2", ("--bandwidth", "1.2e-3")),
     ("c16", ("--bandwidth", "8e-3")),
+    ("wide-exact", ("--bandwidth", "100")),
+    ("wide-raw-c32", ("--bandwidth", "100", "--no-boundary-correction")),
 )
 
 

@@ -65,9 +65,21 @@ class TestSelectBandwidth:
         big = np.concatenate([small, rng.uniform(size=1950)])
         assert es.select_bandwidth(big) < es.select_bandwidth(small)
 
-    @pytest.mark.parametrize("bad", [[0.5], [[0.1, 0.2]], [0.1, np.nan]])
-    def test_invalid_inputs(self, bad):
-        with pytest.raises(es.InvariantError):
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            pytest.param([0.5], es.InvariantError, id="bad0"),
+            pytest.param([[0.1, 0.2]], es.InvariantError, id="bad1"),
+            pytest.param([0.1, np.nan], es.NonFiniteInputError, id="bad2"),
+        ],
+    )
+    def test_invalid_inputs(self, bad, error):
+        with pytest.raises(error):
+            es.select_bandwidth(bad)
+
+    @pytest.mark.parametrize("bad", [["0", "0.5", "1"], [0, 10**30, 1]], ids=["strings", "huge-int"])
+    def test_samples_that_are_not_real_numbers(self, bad):
+        with pytest.raises(es.InvariantError, match="^samples for bandwidth selection must be real numbers"):
             es.select_bandwidth(bad)
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -241,8 +253,15 @@ class TestCdfErrors:
     def test_too_few_or_non_finite_samples(self):
         with pytest.raises(es.InvariantError):
             es.estimate_cdf([0.5], 0.1)
-        with pytest.raises(es.InvariantError):
+        with pytest.raises(es.NonFiniteInputError):
             es.estimate_cdf([0.5, np.nan], 0.1)
+
+    @pytest.mark.parametrize(
+        "bad", [["0", "1"], "abc", [0, 10**30], [0.5, 1j]], ids=["strings", "text", "huge-int", "complex"]
+    )
+    def test_samples_that_are_not_real_numbers(self, bad):
+        with pytest.raises(es.InvariantError, match="^samples for a CDF estimate must be real numbers"):
+            es.estimate_cdf(bad, 0.1)
 
 
 class TestFidelity:
@@ -281,6 +300,16 @@ def _column(shape: str, n: int, rng) -> np.ndarray:
         x = np.r_[np.full(n, 0.3), 0.0, 1.0]
     x = np.r_[x, x.min() + 1.0]  # never all equal
     return (x - x.min()) / (x.max() - x.min())
+
+
+def _plan_of(cdf, points):
+    """The plan grid_values makes for cdf on points nodes."""
+    return density._plan(points, cdf.bandwidth, cdf._span)
+
+
+def _remainder(radius, order):
+    """The Taylor remainder's bound at this order: radius**P/P! * max|ndtr^(P)|."""
+    return radius**order / math.factorial(order) * density._NDTR_DERIVATIVE_MAX[order - 1]
 
 
 class TestGridValues:
@@ -425,29 +454,33 @@ class TestGridValues:
         nodes = (points - 1 + c // 2) // c + 1
         return density._fft_size(2 * nodes - 1) // 2 + 1
 
-    def test_a_silverman_bandwidth_runs_the_ffts_on_a_coarse_grid(self, monkeypatch):
-        calls = record_spectra(monkeypatch)
+    def test_a_silverman_bandwidth_runs_the_ffts_on_a_coarse_grid(self):
         x = _column("normal", 40, np.random.default_rng(36))
         cdf = es.estimate_cdf(x, es.select_bandwidth(x))
         fast = cdf.grid_values(10001)
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
-        [(rows, length)] = calls
-        assert rows > 1 and length == self._length(10001, density._COARSENING[0])
+        plan = _plan_of(cdf, 10001)
+        assert (plan.kind, plan.c) == ("fft", density._COARSENING[0]) and plan.order > 1
 
     @pytest.mark.parametrize("steps,c", [(12, 2), (4, 1), (2, 1), (1.5, None)])
     def test_a_bandwidth_of_a_few_grid_steps_steps_down_the_ladder(self, monkeypatch, steps, c):
         # At 12 grid steps only c = 2 meets the budget, at 4 and 2 only
         # c = 1, and at 1.5 no order does, so the exact sum comes back.
+        # The spectra grid_values builds are its plan's: P rows for c > 1,
+        # one at c = 1, none for the exact sum.
         calls = record_spectra(monkeypatch)
         x = _column("uniform", 60, np.random.default_rng(37))
         cdf = es.estimate_cdf(x, steps / 10000.0)
+        plan = _plan_of(cdf, 10001)
         fast = cdf.grid_values(10001)
         exact = cdf(np.linspace(0.0, 1.0, 10001))
         if c is None:
+            assert plan == density._Plan("exact")
             assert calls == [] and np.array_equal(fast, exact)
         else:
-            [(rows, length)] = calls
-            assert length == self._length(10001, c) and (rows == 1) == (c == 1)
+            assert (plan.kind, plan.c) == ("fft", c)
+            assert calls == [(plan.order if c > 1 else 1, plan.size // 2 + 1)]
+            assert plan.size // 2 + 1 == self._length(10001, c)
             assert np.max(np.abs(fast - exact)) <= density._GRID_ERROR
 
     @pytest.mark.parametrize("points", [-1, 0, 1])
@@ -466,16 +499,15 @@ class TestGridValues:
         with pytest.raises(es.InvariantError, match="^grid points must be from 2 to 1000001, got "):
             es.estimate_cdf([0.2, 0.8], 0.1).grid_values(points)
 
-    def test_three_points_run_the_ffts_on_the_full_grid(self, monkeypatch):
+    def test_three_points_run_the_ffts_on_the_full_grid(self):
         # At 3 points c is 2 or 1.  With h = 3 and no correction, c = 2
         # (radius 1/3) misses the budget at every order, and c = 1 (radius
-        # 1/12) meets it, so one coarse row comes back.
-        calls = record_spectra(monkeypatch)
+        # 1/12) meets it.
         x = _column("normal", 50, np.random.default_rng(40))
         cdf = es.estimate_cdf(x, 3.0, False)
         fast = cdf.grid_values(3)
-        [(rows, length)] = calls
-        assert rows == 1 and length == self._length(3, 1)
+        plan = _plan_of(cdf, 3)
+        assert (plan.kind, plan.c, plan.nodes) == ("fft", 1, 3)
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 3)))) <= density._GRID_ERROR
 
     def test_entropy_within_its_bound_of_the_exact_path(self):
@@ -504,20 +536,19 @@ class TestGridValues:
             assert peak <= entry <= 1.001 * peak
 
     @pytest.mark.parametrize("order", [4, 8, 11])
-    def test_the_rounding_estimate_can_raise_the_order(self, monkeypatch, order):
+    def test_the_rounding_estimate_can_raise_the_order(self, order):
         # h puts this order's truncation bound at c = 32 1e-15 inside the
         # 1e-12 budget, less than the rounding estimate's least share,
-        # 2 * eps for each of 12 orders, so grid_values must take one
-        # order more than the truncation alone needs.
-        calls = record_spectra(monkeypatch)
+        # 2 * eps for each of 12 orders, so the plan must take one order
+        # more than the truncation alone needs.
         top = density._GRID_ERROR * (1.0 - 1e-3)
         radius = (top * math.factorial(order) / density._NDTR_DERIVATIVE_MAX[order - 1]) ** (1 / order)
         h = 32 / (10000 * radius)
-        assert density._least_order(32 * (1.0 / (10000 * h)), density._GRID_ERROR) == order
         cdf = es.estimate_cdf(_column("uniform", 50, np.random.default_rng(41)), h, False)
+        plan = _plan_of(cdf, 10001)
+        assert _remainder(plan.step, order - 1) > density._GRID_ERROR >= _remainder(plan.step, order)
+        assert (plan.kind, plan.c, plan.order) == ("fft", 32, order + 1)
         fast = cdf.grid_values(10001)
-        [(rows, length)] = calls
-        assert rows == order + 1 and length == self._length(10001, 32)
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
 
     @pytest.mark.parametrize("steps,c", [(None, 32), (80, 16), (12, 2), (4, 1)])
@@ -564,6 +595,44 @@ class TestGridValues:
             cdf = es.estimate_cdf(x, h, correct)
             fast = cdf.grid_values(points)
             assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, points)))) <= density._GRID_ERROR
+
+
+class TestPlan:
+    """_plan's choice of rung and order, against the budget worked out rung by rung."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        points=st.integers(3, 100_001),
+        log_h=st.floats(-7.0, 6.0),
+        span=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_the_largest_rung_whose_least_order_meets_the_budget(self, points, log_h, span):
+        from scipy.special import ndtr
+
+        plan = density._plan(points, 10.0**log_h, span)
+        u = 1.0 / ((points - 1) * 10.0**log_h)
+        met = []  # (c, nodes, size, step, least order, its bound, rounding) of each rung that meets it
+        for c in density._COARSENING:
+            radius = c * u if c > 1 else u / 2.0
+            if c >= points or radius >= 1.0:
+                continue
+            nodes = (points - 1 + c // 2) // c + 1
+            size = density._fft_size(2 * nodes - 1)
+            k0 = ndtr(-np.arange(1, nodes) * (c * u))
+            rounding = density._EPS * (math.log2(size) * math.sqrt(2.0 * math.fsum(k0 * k0)) + 24.0)
+            budget = density._GRID_ERROR * span - rounding
+            orders = [p for p in _ORDERS if _remainder(radius, p) <= budget]
+            if orders:
+                met.append((c, nodes, size, c * u, orders[0], _remainder(radius, orders[0]), rounding))
+        if not met:
+            assert plan == density._Plan("exact")
+            return
+        c, nodes, size, step, order, truncation, rounding = met[0]
+        got = (plan.kind, plan.c, plan.order, plan.nodes, plan.size, plan.step, plan.truncation)
+        assert got == ("fft", c, order, nodes, size, step, truncation)
+        assert plan.rounding == pytest.approx(rounding, rel=1e-12, abs=0.0)
+        assert np.array_equal(plan.z, np.arange(nodes) * step)
+        assert np.array_equal(plan.step_free[1:], -ndtr(-plan.z[1:])) and plan.step_free[0] == 0.0
 
 
 def _spectra_reference(moments, kernels, rows):

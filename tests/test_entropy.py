@@ -258,8 +258,13 @@ class TestDiscreteEntropy:
     def test_rejects_short_or_non_finite(self):
         with pytest.raises(es.InvariantError):
             es.discrete_entropy([1.0])
-        with pytest.raises(es.InvariantError):
+        with pytest.raises(es.NonFiniteInputError):
             es.discrete_entropy([1.0, np.inf])
+
+    @pytest.mark.parametrize("column", [["1", "2"], [10**30, 1]], ids=["strings", "huge-int"])
+    def test_rejects_samples_that_are_not_real_numbers(self, column):
+        with pytest.raises(es.InvariantError, match="^samples for discrete entropy must be real numbers"):
+            es.discrete_entropy(column)
 
 
 class TestComputeWeights:

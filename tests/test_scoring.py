@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import entroscore as es
 from entroscore import density, model, scoring
-from helpers import bench_dataset, random_dataset, record_spectra, simple_schema, wrapped_spectra
+from helpers import bench_dataset, random_dataset, simple_schema, wrapped_spectra
 
 
 class TestCompositeScores:
@@ -90,6 +90,15 @@ class TestCompositeScores:
             with pytest.raises(es.NonFiniteInputError, match="past the largest double"):
                 es.composite_scores(matrix, weights)
 
+    def test_bare_inputs_that_are_not_real_numbers_are_refused(self):
+        # Strings, and ints past uint64 (an object array), are not numbers.
+        with pytest.raises(es.InvariantError, match="^the matrix must be real numbers"):
+            es.composite_scores([["1", "0"]], [0.5, 0.5])
+        with pytest.raises(es.InvariantError, match="^the weight vector must be real numbers"):
+            es.composite_scores([[1.0, 0.0]], ["0.5", "0.5"])
+        with pytest.raises(es.InvariantError, match="^the weight vector must be real numbers"):
+            es.composite_scores([[1.0, 0.0]], [10**30, 1])
+
     def test_a_scale_times_a_sum_that_overflows_clips_to_the_scale_quietly(self):
         top = np.finfo(np.float64).max
         with warnings.catch_warnings():
@@ -123,6 +132,13 @@ class TestRank:
             warnings.simplefilter("error")
             with pytest.raises(es.NonFiniteInputError, match="^rank needs finite scores"):
                 es.rank([0.1, bad])
+
+    @pytest.mark.parametrize("scores", [["3", "1"], [10**30, 1]], ids=["strings", "huge-int"])
+    def test_scores_that_are_not_real_numbers_are_refused(self, scores):
+        with pytest.raises(es.InvariantError, match="^scores must be real numbers"):
+            es.rank(scores)
+        with pytest.raises(es.InvariantError, match="^scores must be real numbers"):
+            es.describe(scores)
 
     def test_an_empty_score_list_ranks_to_nothing(self):
         assert es.rank([]).tolist() == []
@@ -611,25 +627,23 @@ class TestBenchPlans:
     """The grid plans that bench/workloads.generate's columns get."""
 
     @pytest.mark.parametrize("seed", range(1, 11))
-    def test_every_silverman_column_runs_on_the_coarsest_grid(self, monkeypatch, seed):
+    def test_every_silverman_column_runs_on_the_coarsest_grid(self, seed):
         # The heavy-tailed columns' Silverman h is 119-172 grid steps at
         # 10001 points; c = 32 needs about 109.
-        calls = record_spectra(monkeypatch)
-        es.run_pipeline(bench_dataset(70, seed))
-        nodes = (10000 + 16) // 32 + 1
-        length = density._fft_size(2 * nodes - 1) // 2 + 1
-        assert [got for _, got in calls] == [length] * 17
+        run = es.run_pipeline(bench_dataset(70, seed))
+        plans = [density._plan(10001, cdf.bandwidth, cdf._span) for cdf in run.cdfs]
+        assert [(plan.kind, plan.c) for plan in plans] == [("fft", 32)] * 17
 
-    def test_a_bandwidth_of_two_steps_takes_the_ffts_at_1001_points(self, monkeypatch):
+    def test_a_bandwidth_of_two_steps_takes_the_ffts_at_1001_points(self):
         # At 1000 rows one lognormal column's Silverman h is 2.29 steps of a
         # 1001-point grid, which c = 1 covers: the FFTs, not the exact sum.
-        calls = record_spectra(monkeypatch)
         ds = bench_dataset(1000, 11)
         column = es.normalize_matrix(ds).values[:, ds.schema.names.index("lognormal_008")]
         cdf = es.estimate_cdf(column, es.select_bandwidth(column))
         assert 2.0 < cdf.bandwidth * 1000 < 2.5
         fast = cdf.grid_values(1001)
-        assert calls == [(1, density._fft_size(2 * 1001 - 1) // 2 + 1)]
+        plan = density._plan(1001, cdf.bandwidth, cdf._span)
+        assert (plan.kind, plan.c, plan.nodes) == ("fft", 1, 1001)
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 1001)))) <= density._GRID_ERROR
 
 
