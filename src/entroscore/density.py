@@ -9,12 +9,13 @@ occupies exactly [0, 1].
 
 Calling a CdfEstimate evaluates every (point, sample) kernel exactly
 with ndtr, which costs O(points * n).  CdfEstimate.grid_values gives the
-same values on a uniform grid, whatever n is, by FFTs on a grid up to 32
+same values on a uniform grid, whatever n is, by FFTs on a grid up to 64
 times coarser: samples and grid nodes are each referred to their nearest
 coarse node, and the kernel CDF is Taylor-expanded in the difference of
 the two offsets, at most one coarse step.  The coarsening is the largest
-of 32, 16, 8, 4, 2 and 1 at which the truncation bound plus a rounding
-estimate is at most 1e-12, and the values are checked against the exact
+of 64, 32, 16, 8, 4, 2 and 1 at which the truncation bound plus a
+rounding estimate is at most 1e-12, at an order of at most 11 at c = 64
+and 12 below, and the values are checked against the exact
 ones on a few nodes, half of them between coarse nodes, where every term
 of the expansion shows.  Where no coarsening meets the bound, or a
 checked value is off by more, the exact values are returned.
@@ -65,8 +66,8 @@ _MAX_POINTS = 1_000_001
 _GRID_ERROR = 1e-12
 
 # _spectra forms its products on runs of at most this many frequencies:
-# 16 KiB a row.  At a Silverman bandwidth and 10001 points (c = 32, 321
-# frequencies) that is one run.
+# 16 KiB a row.  At a Silverman bandwidth and 10001 points (c = 64, 161
+# frequencies, or c = 32, 321, on a heavy-tailed column) that is one run.
 _FREQUENCIES = 1024
 
 # grid_values checks its values against self() on every
@@ -74,8 +75,11 @@ _FREQUENCIES = 1024
 _CHECK_INTERVALS = 16
 
 # grid_values runs its FFTs on every c-th grid node, for the largest c
-# here that meets its error budget.
-_COARSENING = (32, 16, 8, 4, 2, 1)
+# here that meets its error budget at an order of at most _TOP_ORDER[c]:
+# the most at which _powers(c, P) is exact (see there), and at most the 12
+# that _NDTR_DERIVATIVE_MAX covers.
+_COARSENING = (64, 32, 16, 8, 4, 2, 1)
+_TOP_ORDER = {64: 11, 32: 12, 16: 12, 8: 12, 4: 12, 2: 12, 1: 12}
 
 # max over z of |d^p/dz^p ndtr(z)| = |He_{p-1}(z) phi(z)| for p = 1..12,
 # found on a 1e-5 grid over [-12, 12], polished, and rounded up to four
@@ -88,6 +92,7 @@ _NDTR_DERIVATIVE_MAX = (
 # with one has the bits of the product with the int.
 _FACTORIALS = np.array([math.factorial(a) for a in range(len(_NDTR_DERIVATIVE_MAX))], dtype=np.float64)
 _FACTORIALS.flags.writeable = False
+
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(np.float64).eps)
@@ -327,7 +332,7 @@ class CdfEstimate:
         self(grid) is returned too.  On a node with s = 0 every row but
         row 0 drops out, so every other checked node is moved to a
         midpoint between coarse nodes (s = -1/2): otherwise, when c
-        divides the check stride (points = 4097 and c = 16 or 32), no
+        divides the check stride (points = 4097 and c = 16, 32 or 64), no
         checked node would see rows 1 and up.  It is a spot check: it can
         miss an error that stays near the samples at c = 1 (a 1e-9 skew of
         every kernel row at 4 grid steps passed it on 9 of 40 uniform
@@ -360,7 +365,7 @@ class CdfEstimate:
                 del z, step_free, node, offset
             rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
             del spectra
-            rows[0] += np.cumsum(counts) - 0.5 * counts
+            rows[0] += counts.cumsum() - 0.5 * counts
             del counts
             n = self._samples.size
             # Finish the rows, not the grid: row a carries 1/(n * a! * span),
@@ -405,41 +410,60 @@ class _Plan(NamedTuple):
 def _plan(points: int, bandwidth: float, span: float) -> _Plan:
     """grid_values' plan for points nodes, bandwidth and correction span (1.0 if off).
 
-    c is the largest factor in _COARSENING below points, and P <= 12 the
-    least order, whose remainder bound plus a rounding estimate is at most
-    1e-12 of the span; a rung whose radius is 1 or more is skipped before
-    any array is formed.  Where no rung has such an order, the plan is the
-    exact sum: for h below about 1.7 grid steps, and, with the correction
-    on, above about 2.5, where dividing by the small span magnifies
-    rounding.  The estimate is eps*log2(size)*||K_0||_2 for the transforms
-    (Higham 2002, section 24.1), on the z = j*U and K_0 rows the kernel
-    rows start from, plus 2*eps for each of 12 orders: a grid value, a sum
-    of P products with exact powers, rounds by about P*eps times its
-    terms' summed magnitudes (Higham 2002, section 3.1), about the value.
-    The norm is a numpy reduction: OpenBLAS hands a dot of over 10000
-    values to its worker threads, so a dot's bits depend on their count.
+    c is the largest factor in _COARSENING below points, and P <=
+    _TOP_ORDER[c] the least order, whose remainder bound plus a rounding
+    estimate is at most 1e-12 of the span.  A rung is skipped before any
+    array is formed where its radius is 1 or more, or where the bound at
+    its top order alone misses the budget: the bound falls with the order
+    below radius 1, and the estimate only adds to it.  Where no rung has
+    such an order, the plan is the exact sum: for h below about 1.7 grid
+    steps, and, with the correction on, above about 2.5, where dividing by
+    the small span magnifies rounding.  The estimate is
+    eps*log2(size)*||K_0||_2 for the transforms (Higham 2002, section
+    24.1), on the z = j*U and K_0 rows the kernel rows start from, plus
+    2*eps for each of 12 orders: a grid value, a sum of P products with
+    exact powers, rounds by about P*eps times its terms' summed magnitudes
+    (Higham 2002, section 3.1), about the value.  The norm is a numpy
+    reduction: OpenBLAS hands a dot of over 10000 values to its worker
+    threads, so a dot's bits depend on their count.
     """
-    from scipy.special import ndtr  # only continuous runs pay its import
-
     u = 1.0 / ((points - 1) * bandwidth)
     allowed = _GRID_ERROR * span
     for c in _COARSENING:
         radius = c * u if c > 1 else u / 2.0
-        if c >= points or radius >= 1.0:  # every bound is at least 2.4e-6; z may overflow
+        # First: at radius 1 every bound is at least 2.4e-6, and at a huge
+        # one z may overflow and radius**P raises OverflowError.
+        if c >= points or radius >= 1.0:
+            continue
+        top = _TOP_ORDER[c]
+        if _truncation(radius, top) > allowed:
             continue
         nodes = (points - 1 + c // 2) // c + 1
         size = _fft_size(2 * nodes - 1)
         # j >= 0 only: _kernel_rows mirrors each row into the negative j.
         z = np.arange(nodes) * (c * u)
-        step_free = -ndtr(-z)
+        step_free = -_ndtr()(-z)
         step_free[0] = 0.0
         norm = math.sqrt(2.0 * np.add.reduce(step_free * step_free))  # not np.dot: see above
         rounding = _EPS * (math.log2(size) * norm + 2.0 * len(_NDTR_DERIVATIVE_MAX))
-        for order, peak in enumerate(_NDTR_DERIVATIVE_MAX, start=1):
-            truncation = radius**order / math.factorial(order) * peak  # the remainder's bound
+        for order in range(1, top + 1):
+            truncation = _truncation(radius, order)
             if truncation <= allowed - rounding:
                 return _Plan("fft", c, order, nodes, size, c * u, truncation, rounding, z, step_free)
     return _Plan("exact")
+
+
+def _truncation(radius: float, order: int) -> float:
+    """The Taylor remainder's bound at this order: radius**P/P! * max|ndtr^(P)|."""
+    return radius**order / math.factorial(order) * _NDTR_DERIVATIVE_MAX[order - 1]
+
+
+@functools.cache
+def _ndtr():
+    """scipy.special.ndtr, imported on the first call: only continuous runs pay its import."""
+    from scipy.special import ndtr
+
+    return ndtr
 
 
 @functools.lru_cache(maxsize=64)
@@ -468,8 +492,7 @@ def _kernel_means(x: np.ndarray, bandwidths: np.ndarray, nodes: np.ndarray, dept
     allows.  Each mean is one row's sum along the contiguous last axis,
     numpy's 1-D pairwise sum, so neither the block nor m changes a bit.
     """
-    from scipy.special import ndtr  # only continuous runs pay its import
-
+    ndtr = _ndtr()
     m, n = x.shape
     k = nodes.shape[1]
     width = max(1, min(k, _BLOCK_ELEMENTS // n))
@@ -632,7 +655,14 @@ def _fine_values(rows: np.ndarray, c: int, points: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _powers(c: int, order: int) -> np.ndarray:
-    """The read-only, C-ordered (order, c) table of (-s)^a, exact: k**a / c**a with |k|**a <= 16**11."""
+    """The read-only, C-ordered (order, c) table of (-s)^a = k**a / c**a, |k| <= c/2.
+
+    _fine_values needs it exact.  Dividing by c, a power of two, is exact,
+    so an entry is exact where the odd part of k**a is below 2**53; the
+    largest odd |k| is c/2 - 1.  So the table is exact to order 12 for
+    c <= 32, and to order 11 at c = 64, where 29**11 and 31**11 round:
+    _TOP_ORDER caps _plan's orders there.
+    """
     table = np.vander((c // 2 - np.arange(c)) / c, order, increasing=True).T.copy()
     table.flags.writeable = False
     return table

@@ -14,12 +14,15 @@ this checkout's bench/workloads.py generates:
   and 2: stdout, stderr, the exit code and every file the run writes;
 - the same on the cli_kde seed-1 input at fixed bandwidths, one for each
   rung of CdfEstimate.grid_values' ladder (the Silverman bandwidths above
-  all take its coarsest, c = 32): --bandwidth 1.5e-4 (the exact sum), 4e-4
-  (c = 1, with and without --no-boundary-correction), 1.2e-3 (c = 2) and
-  8e-3 (c = 16); and --bandwidth 100 for the ladder's other two exits,
-  where the correction's small span sends every column to the exact sum,
-  and with --no-boundary-correction, where every column takes c = 32 at
-  order 3;
+  take its coarsest, c = 64, but on the lognormal columns, which take
+  c = 32): --bandwidth 1.5e-4 (the exact sum), 4e-4 (c = 1, with and
+  without --no-boundary-correction), 1.2e-3 (c = 2), 8e-3 (c = 16) and
+  2e-2 (c = 32 at order 10, where c = 64 would need an order above its
+  top, 11); --bandwidth 100 for the ladder's other two exits, where the
+  correction's small span sends every column to the exact sum, and with
+  --no-boundary-correction, where every column takes c = 64 at order 3;
+  and the Silverman bandwidths at --quadrature-points 100001, where every
+  column takes c = 64;
 - run_pipeline, default options, on the lib_wide datasets of seeds 1-3: the
   normalized values, bandwidths, entropies, weights, scores, ranking and
   statistics.
@@ -55,8 +58,10 @@ RUNGS = (
     ("c1-raw", ("--bandwidth", "4e-4", "--no-boundary-correction")),
     ("c2", ("--bandwidth", "1.2e-3")),
     ("c16", ("--bandwidth", "8e-3")),
+    ("c32", ("--bandwidth", "2e-2")),
     ("wide-exact", ("--bandwidth", "100")),
-    ("wide-raw-c32", ("--bandwidth", "100", "--no-boundary-correction")),
+    ("wide-raw-c64", ("--bandwidth", "100", "--no-boundary-correction")),
+    ("fine-c64", ("--quadrature-points", "100001")),
 )
 
 

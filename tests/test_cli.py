@@ -169,6 +169,11 @@ class TestExitCodes:
         assert run(["validate", *base_args(small_csv), "--config", str(cfg)]) == 2
         assert f"error: config {cfg} is not valid JSON: " in capsys.readouterr().err
 
+    def test_unreadable_config_is_a_usage_error(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "missing.json"
+        assert run(["validate", *base_args(small_csv), "--config", str(cfg)]) == 2
+        assert f"error: cannot read config {cfg}: " in capsys.readouterr().err
+
 
 class TestValidate:
     def test_clean_file(self, small_csv, capsys):
@@ -383,6 +388,14 @@ class TestEvaluate:
         grid = np.linspace(0.0, 1.0, options.quadrature.points)
         for cdf in es.run_pipeline(dataset, options).cdfs:
             assert np.array_equal(cdf.grid_values(grid.size), cdf(grid))
+
+    def test_silverman_bandwidth_flag_is_the_default(self, small_csv, capsys):
+        outputs = []
+        for extra in ([], ["--bandwidth", "silverman"]):
+            assert run(["evaluate", *base_args(small_csv), *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out
 
     def test_only_continuous_runs_import_scipy(self, small_csv):
         script = """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -312,6 +313,28 @@ def _remainder(radius, order):
     return radius**order / math.factorial(order) * density._NDTR_DERIVATIVE_MAX[order - 1]
 
 
+def _bandwidth_inside(c, order, points=10001):
+    """The h that puts this order's truncation bound at rung c 1e-15 inside
+    the 1e-12 budget: less than the rounding estimate's least share, 2 * eps
+    for each of 12 orders, so the rung needs one order more than that."""
+    top = density._GRID_ERROR * (1.0 - 1e-3)
+    radius = (top * math.factorial(order) / density._NDTR_DERIVATIVE_MAX[order - 1]) ** (1 / order)
+    return c / ((points - 1) * radius)
+
+
+def _count_ndtr(monkeypatch) -> list:
+    """Make density log the shape of every array it hands ndtr into the returned list."""
+    calls = []
+    ndtr = density._ndtr()
+
+    def counted(z, *args, **kwargs):
+        calls.append(np.shape(z))
+        return ndtr(z, *args, **kwargs)
+
+    monkeypatch.setattr(density, "_ndtr", lambda: counted)
+    return calls
+
+
 class TestGridValues:
     """grid_values against the exact kernel sum it stands in for."""
 
@@ -395,7 +418,7 @@ class TestGridValues:
         es.estimate_cdf(x, 1e-5).grid_values(10001)  # below the threshold
         assert calls[-1] == 10001
 
-    @pytest.mark.parametrize("steps,c", [(None, 32), (4, 1)], ids=["silverman-c32", "4-steps-c1"])
+    @pytest.mark.parametrize("steps,c", [(None, 64), (4, 1)], ids=["silverman-c64", "4-steps-c1"])
     def test_values_off_on_a_checked_node_fall_back_to_the_exact_sum(self, monkeypatch, steps, c):
         # Every kernel row the writer yields is skewed: the batched blocks
         # at a Silverman bandwidth, _binned_spectrum's rows at 4 grid steps.
@@ -537,44 +560,53 @@ class TestGridValues:
 
     @pytest.mark.parametrize("order", [4, 8, 11])
     def test_the_rounding_estimate_can_raise_the_order(self, order):
-        # h puts this order's truncation bound at c = 32 1e-15 inside the
-        # 1e-12 budget, less than the rounding estimate's least share,
-        # 2 * eps for each of 12 orders, so the plan must take one order
-        # more than the truncation alone needs.
-        top = density._GRID_ERROR * (1.0 - 1e-3)
-        radius = (top * math.factorial(order) / density._NDTR_DERIVATIVE_MAX[order - 1]) ** (1 / order)
-        h = 32 / (10000 * radius)
-        cdf = es.estimate_cdf(_column("uniform", 50, np.random.default_rng(41)), h, False)
+        # h puts this order's truncation bound 1e-15 inside the budget, at
+        # c = 64 for orders 4 and 8.  Order 11 is c = 64's top, so that one
+        # is put at c = 32, which c = 64 skips at twice the radius; the plan
+        # must take one order more than the truncation alone needs.
+        c = 64 if order < density._TOP_ORDER[64] else 32
+        x = _column("uniform", 50, np.random.default_rng(41))
+        cdf = es.estimate_cdf(x, _bandwidth_inside(c, order), False)
         plan = _plan_of(cdf, 10001)
         assert _remainder(plan.step, order - 1) > density._GRID_ERROR >= _remainder(plan.step, order)
-        assert (plan.kind, plan.c, plan.order) == ("fft", 32, order + 1)
+        assert (plan.kind, plan.c, plan.order) == ("fft", c, order + 1)
         fast = cdf.grid_values(10001)
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
 
-    @pytest.mark.parametrize("steps,c", [(None, 32), (80, 16), (12, 2), (4, 1)])
+    @pytest.mark.parametrize("steps,c", [(None, 64), (80, 16), (12, 2), (4, 1)])
     def test_ndtr_runs_on_each_rung_below_radius_1_and_the_checked_nodes(self, monkeypatch, steps, c):
         # A rung whose radius is 1 or more is skipped before z = j*U is
-        # formed (at a tiny h, z would leave the doubles); each rung tried,
+        # formed (at a tiny h, z would leave the doubles), and so is one
+        # whose bound at its top order misses the budget; each rung tried,
         # down to the chosen c, takes one ndtr over its coarse nodes for
         # the rounding estimate, and the check takes one more.
-        import scipy.special
-
         x = _column("normal", 70, np.random.default_rng(42))
         cdf = es.estimate_cdf(x, es.select_bandwidth(x) if steps is None else steps / 10000.0)
-        calls = []
-        ndtr = scipy.special.ndtr
-
-        def counted(z, *args, **kwargs):
-            calls.append(np.shape(z))
-            return ndtr(z, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.special, "ndtr", counted)
+        calls = _count_ndtr(monkeypatch)
         fast = cdf.grid_values(10001)
         monkeypatch.undo()
         u = 1.0 / (10000 * cdf.bandwidth)
-        tried = [k for k in density._COARSENING if k >= c and (k * u if k > 1 else u / 2.0) < 1.0]
+        radii = {k: k * u if k > 1 else u / 2.0 for k in density._COARSENING}
+        allowed = density._GRID_ERROR * cdf._span
+        tried = [
+            k
+            for k in density._COARSENING
+            if k >= c and radii[k] < 1.0 and _remainder(radii[k], _exact_top(k)) <= allowed
+        ]
+        assert tried[-1] == c
         assert calls == [((10000 + k // 2) // k + 1,) for k in tried] + [(1, 17, x.size)]
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 10001)))) <= density._GRID_ERROR
+
+    def test_a_rung_that_misses_only_by_the_rounding_estimate_is_tried(self, monkeypatch):
+        # h puts c = 64's bound at its top order, 11, 1e-15 inside the
+        # budget: its rounding estimate is then needed to see that it
+        # misses, so it takes its ndtr before the plan steps down to c = 32.
+        x = _column("uniform", 50, np.random.default_rng(41))
+        cdf = es.estimate_cdf(x, _bandwidth_inside(64, 11), False)
+        calls = _count_ndtr(monkeypatch)
+        plan = _plan_of(cdf, 10001)
+        assert (plan.kind, plan.c) == ("fft", 32)
+        assert calls == [(157,), (314,)]
 
     @pytest.mark.parametrize(
         "h,points,correct",
@@ -598,7 +630,8 @@ class TestGridValues:
 
 
 class TestPlan:
-    """_plan's choice of rung and order, against the budget worked out rung by rung."""
+    """_plan's choice of rung and order, against the budget worked out rung by rung,
+    each rung up to the highest order at which its power table is exact."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(
@@ -621,7 +654,7 @@ class TestPlan:
             k0 = ndtr(-np.arange(1, nodes) * (c * u))
             rounding = density._EPS * (math.log2(size) * math.sqrt(2.0 * math.fsum(k0 * k0)) + 24.0)
             budget = density._GRID_ERROR * span - rounding
-            orders = [p for p in _ORDERS if _remainder(radius, p) <= budget]
+            orders = [p for p in range(1, _exact_top(c) + 1) if _remainder(radius, p) <= budget]
             if orders:
                 met.append((c, nodes, size, c * u, orders[0], _remainder(radius, orders[0]), rounding))
         if not met:
@@ -633,6 +666,26 @@ class TestPlan:
         assert plan.rounding == pytest.approx(rounding, rel=1e-12, abs=0.0)
         assert np.array_equal(plan.z, np.arange(nodes) * step)
         assert np.array_equal(plan.step_free[1:], -ndtr(-plan.z[1:])) and plan.step_free[0] == 0.0
+
+    def test_the_power_table_is_exact_at_every_order_the_plan_can_take(self):
+        # A sweep of h from 1 to 1000 grid steps, fine enough to reach each
+        # rung's top order, collects every (c, P) that _plan returns there;
+        # so do the h that put each rung's top-order bound just inside the
+        # budget, where only the rounding estimate asks for one order more.
+        # _fine_values takes (-s)^a from _powers(c, P); each must be exact.
+        edges = [_bandwidth_inside(c, _exact_top(c)) for c in density._COARSENING]
+        taken = {}
+        for h in np.geomspace(1e-4, 1e-1, 1001).tolist() + edges:
+            plan = density._plan(10001, h, 1.0)
+            if plan.kind == "fft":
+                taken.setdefault(plan.c, set()).add(plan.order)
+        tops = {c: max(orders) for c, orders in taken.items()}
+        assert tops == {c: _exact_top(c) for c in density._COARSENING}
+        for c, orders in taken.items():
+            for order in orders:
+                table = density._powers(c, order).tolist()
+                for a, row in enumerate(table):
+                    assert [Fraction(v) for v in row] == [Fraction(c // 2 - q, c) ** a for q in range(c)]
 
 
 def _spectra_reference(moments, kernels, rows):
@@ -711,6 +764,24 @@ def _coarse_rows(c, order, points, seed):
 _ORDERS = range(1, len(density._NDTR_DERIVATIVE_MAX) + 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_top(c):
+    """The highest order P, up to 12, at which every (k/c)**a of rung c's
+    power table, |k| <= c/2 and a < P, is a double, checked in Fractions."""
+    ks = range(c // 2 - c + 1, c // 2 + 1)
+    order = 1
+    while order < len(_ORDERS) and all(
+        Fraction(float(Fraction(k, c) ** order)) == Fraction(k, c) ** order for k in ks
+    ):
+        order += 1
+    return order
+
+
+def _rung_orders(coarsenings):
+    """(order, c) for each c and every order _plan may take there."""
+    return [(order, c) for c in coarsenings for order in range(1, density._TOP_ORDER[c] + 1)]
+
+
 def _coarse_grid(points, c, h):
     """grid_values' coarse node count, FFT length, step U = c*u and z = j*U."""
     nodes = (points - 1 + c // 2) // c + 1
@@ -721,8 +792,7 @@ def _coarse_grid(points, c, h):
 class TestSameBits:
     """The memory-lean forms against the plain formulas they replace."""
 
-    @pytest.mark.parametrize("c", [1, 2, 32])
-    @pytest.mark.parametrize("order", _ORDERS)
+    @pytest.mark.parametrize("order,c", _rung_orders([1, 2, 32, 64]))
     def test_kernel_spectra_match_the_row_by_row_build(self, c, order):
         from scipy.special import ndtr
 
@@ -733,8 +803,7 @@ class TestSameBits:
         got = density._kernel_spectra(z, step_free, step, order, size)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("c", [1, 2, 32])
-    @pytest.mark.parametrize("order", _ORDERS)
+    @pytest.mark.parametrize("order,c", _rung_orders([1, 2, 32, 64]))
     def test_moment_spectra_match_one_bincount_per_order(self, c, order):
         nodes, size, _, _ = _coarse_grid(1001, c, 0.05)
         t = np.random.default_rng(order).uniform(size=57) * (1000 / c)
@@ -744,8 +813,7 @@ class TestSameBits:
         got = density._moment_spectra(node, t - node, counts, order, size)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("c", [1, 2, 4, 8, 16, 32])
-    @pytest.mark.parametrize("order", _ORDERS)
+    @pytest.mark.parametrize("order,c", _rung_orders([1, 2, 4, 8, 16, 32, 64]))
     def test_fine_values_match_a_python_power_sum(self, c, order):
         # grid_values hands over one row at c = 1, but any count works.
         # This pins np.einsum's order: each term added in turn from a = 0,
@@ -754,8 +822,7 @@ class TestSameBits:
         got = density._fine_values(rows, c, 1001)
         assert got.tobytes() == _power_sum_reference(rows, c, 1001).tobytes()
 
-    @pytest.mark.parametrize("c", [1, 2, 32])
-    @pytest.mark.parametrize("order", _ORDERS)
+    @pytest.mark.parametrize("order,c", _rung_orders([1, 2, 32, 64]))
     def test_horner_matches_node_by_node_evaluation(self, c, order):
         # The fine values against Horner's rule, the evaluation they replace:
         # the same bits where s = 0 (every node at c = 1), and elsewhere
@@ -777,14 +844,14 @@ class TestSameBits:
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
-        c=st.sampled_from(density._COARSENING),
-        order=st.sampled_from(_ORDERS),
+        rung=st.sampled_from(_rung_orders(density._COARSENING)),
         points=st.integers(2, 200),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_fine_values_are_within_the_dot_product_bound(self, c, order, points, seed):
+    def test_fine_values_are_within_the_dot_product_bound(self, rung, points, seed):
         # |computed - exact| <= gamma_P * sum_a |(-s)^a * rows[a][M]|
         # (Higham 2002, section 3.1), taken as (P + 1) * eps.
+        order, c = rung
         rows = _coarse_rows(c, order, points, seed)
         got = density._fine_values(rows, c, points).tolist()
         table = [[Fraction(v) for v in row] for row in rows.tolist()]
@@ -795,7 +862,7 @@ class TestSameBits:
             bound = (order + 1) * eps * sum(abs(t) for t in terms)
             assert abs(Fraction(value) - sum(terms)) <= bound
 
-    @pytest.mark.parametrize("c", [2, 32])
+    @pytest.mark.parametrize("c", [2, 32, 64])
     @pytest.mark.parametrize("order", [2, 7, 10])
     def test_fine_values_do_not_depend_on_row_alignment(self, c, order):
         rows = _coarse_rows(c, order, 10001, order)
@@ -869,13 +936,13 @@ class TestScratchMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("shape,seed,c", [("lognormal", 1, 16), ("lognormal", 1, 32), ("normal", 0, 32)])
+    @pytest.mark.parametrize("shape,seed,c", [("lognormal", 1, 16), ("lognormal", 1, 32), ("normal", 0, 64)])
     def test_the_fast_path_holds_few_coarse_blocks(self, monkeypatch, shape, seed, c):
-        # Silverman's bandwidth plans c = 32 on both columns; a fixed h of
-        # 80 grid steps plans c = 16.
+        # Silverman's bandwidth plans c = 32 on the lognormal column and
+        # c = 64 on the normal one; a fixed h of 80 grid steps plans c = 16.
         calls = record_spectra(monkeypatch)
         x = _column(shape, 69, np.random.default_rng(seed))
-        h = es.select_bandwidth(x) if c == 32 else 80 / 10000
+        h = es.select_bandwidth(x) if c >= 32 else 80 / 10000
         cdf = es.estimate_cdf(x, h)
         peak = self._peak(lambda: cdf.grid_values(10001))
         [(rows, length)] = calls

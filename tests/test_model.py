@@ -7,6 +7,7 @@ most tests simply try to build a bad one and expect a refusal.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestSchemaFiles:
             es.load_schema(path)
         path.write_text('{"version": 1, "indicators": [{"name": "x", "category": "c"}]}')
         with pytest.raises(es.InvariantError, match="malformed record: 'direction'"):
+            es.load_schema(path)
+
+    def test_a_record_that_breaks_an_invariant_keeps_its_own_error(self, tmp_path):
+        # InvariantError is a ValueError, which load_schema otherwise wraps
+        # as a malformed record; the schema's own fault is raised as it is.
+        path = tmp_path / "schema.json"
+        records = [{"name": "x", "category": "c", "direction": "positive"}] * 2
+        path.write_text(json.dumps({"version": 1, "indicators": records}))
+        with pytest.raises(es.InvariantError, match=r"^duplicate indicator names: x$"):
             es.load_schema(path)
 
 
@@ -305,6 +315,10 @@ class TestVectors:
                 make(np.array(values))
             assert type(info.value) is es.NonFiniteInputError
             assert not isinstance(info.value, ValueError)
+
+    def test_a_vector_has_one_entry_an_indicator(self):
+        assert len(es.EntropyVector(np.array([0.0, 0.5, 1.0]))) == 3
+        assert len(es.WeightVector(np.array([0.25, 0.75]))) == 2
 
     def test_weight_vector_must_sum_to_one(self):
         es.WeightVector(np.array([0.25, 0.75]))

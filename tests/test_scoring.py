@@ -627,12 +627,17 @@ class TestBenchPlans:
     """The grid plans that bench/workloads.generate's columns get."""
 
     @pytest.mark.parametrize("seed", range(1, 11))
-    def test_every_silverman_column_runs_on_the_coarsest_grid(self, seed):
-        # The heavy-tailed columns' Silverman h is 119-172 grid steps at
-        # 10001 points; c = 32 needs about 109.
-        run = es.run_pipeline(bench_dataset(70, seed))
+    def test_every_silverman_column_runs_on_the_coarsest_grid_its_bandwidth_allows(self, seed):
+        # At 10001 points c = 64 needs h of about 276 grid steps, at its top
+        # order 11, and c = 32 about 109.  Over seeds 1-10 the lognormal
+        # columns' Silverman h is 119-216 steps, and every other column's
+        # at least 329.
+        ds = bench_dataset(70, seed)
+        run = es.run_pipeline(ds)
         plans = [density._plan(10001, cdf.bandwidth, cdf._span) for cdf in run.cdfs]
-        assert [(plan.kind, plan.c) for plan in plans] == [("fft", 32)] * 17
+        expected = [("fft", 32 if name.startswith("lognormal") else 64) for name in ds.schema.names]
+        assert [(plan.kind, plan.c) for plan in plans] == expected
+        assert {plan.order for plan in plans if plan.c == 64} <= set(range(7, 12))
 
     def test_a_bandwidth_of_two_steps_takes_the_ffts_at_1001_points(self):
         # At 1000 rows one lognormal column's Silverman h is 2.29 steps of a
