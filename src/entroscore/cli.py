@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,12 +38,13 @@ __all__ = ["build_parser", "run", "main"]
 _USE_OUT_DIR = ""
 
 # The --config keys.  A file names a path or a choice with a JSON string;
-# EvaluationOptions, or QuadratureConfig for quadrature_points, judges
-# each option value on its own, so that a refusal names the file.
+# _options judges each option value on its own, so that a refusal names
+# the file.
 _STRING_KEYS = ("input", "schema", "out_dir", "method", "weight_rule")
 _OPTION_KEYS = (
     "method", "weight_rule", "bandwidth", "boundary_correction", "quadrature_points", "scale", "threads"
 )
+_KEYS = {*_STRING_KEYS, *_OPTION_KEYS}
 
 
 class RunPaths(NamedTuple):
@@ -159,6 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options(values: dict) -> EvaluationOptions:
+    """EvaluationOptions from the option keys in values, the one place an
+    option key becomes a field: an absent or None key keeps its default,
+    bandwidth "silverman" is None, and quadrature_points is a
+    QuadratureConfig.  A bad value raises InvariantError."""
+    given = {key: values[key] for key in _OPTION_KEYS if values.get(key) is not None}
+    if given.get("bandwidth") == "silverman":
+        given["bandwidth"] = None
+    if "quadrature_points" in given:
+        given["quadrature"] = QuadratureConfig(points=given.pop("quadrature_points"))
+    return EvaluationOptions(**given)
+
+
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     try:
         payload = _read_json(path, "config")
@@ -168,19 +181,14 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         parser.error(str(exc))
     if not isinstance(payload, dict):
         parser.error(f"config {path} must hold a JSON object")
-    unknown = sorted(set(payload) - {*_STRING_KEYS, *_OPTION_KEYS})
+    unknown = sorted(set(payload) - _KEYS)
     if unknown:
         parser.error(f"config {path} has unknown keys: {', '.join(unknown)}")
     for key, value in payload.items():
-        if value is None or (key == "bandwidth" and value == "silverman"):
-            continue  # null leaves the default
-        if key in _STRING_KEYS and not isinstance(value, str):
+        if key in _STRING_KEYS and value is not None and not isinstance(value, str):
             parser.error(f"config {path}: {key} must be a string, got {value!r}")
         try:
-            if key == "quadrature_points":
-                QuadratureConfig(points=value)
-            elif key in _OPTION_KEYS:
-                replace(EvaluationOptions(), **{key: value})
+            _options({key: value})
         except InvariantError as exc:
             parser.error(f"config {path}: {exc}")
     return payload
@@ -196,39 +204,19 @@ def resolve_config(
     or config value.
     """
     file_values = _load_config_file(args.config, parser) if args.config else {}
-
-    def pick(key, default):
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            return flag_value
-        file_value = file_values.get(key)
-        return default if file_value is None else file_value
-
-    input_path = pick("input", None)
-    if input_path is None:
-        parser.error("--input is required")
-
-    defaults = EvaluationOptions()
-    bandwidth = pick("bandwidth", defaults.bandwidth)
+    flags = {key: value for key, value in vars(args).items() if key in _KEYS}
+    values = {key: value for key, value in [*file_values.items(), *flags.items()] if value is not None}
     if getattr(args, "no_boundary_correction", None):
-        boundary_correction = False
-    else:
-        boundary_correction = pick("boundary_correction", defaults.boundary_correction)
+        values["boundary_correction"] = False
+
+    if "input" not in values:
+        parser.error("--input is required")
     try:
-        options = EvaluationOptions(
-            method=pick("method", defaults.method),
-            weight_rule=pick("weight_rule", defaults.weight_rule),
-            bandwidth=None if bandwidth == "silverman" else bandwidth,
-            boundary_correction=boundary_correction,
-            quadrature=QuadratureConfig(points=pick("quadrature_points", defaults.quadrature.points)),
-            scale=pick("scale", defaults.scale),
-            threads=pick("threads", defaults.threads),
-        )
+        options = _options(values)
     except InvariantError as exc:
         parser.error(str(exc))
 
-    out_dir = pick("out_dir", None)
-    out_dir = Path(out_dir) if out_dir is not None else None
+    out_dir = Path(values["out_dir"]) if "out_dir" in values else None
 
     def resolve_dump(raw, default_name: str | None, flag: str):
         if raw is None:
@@ -240,8 +228,8 @@ def resolve_config(
         return Path(raw)
 
     paths = RunPaths(
-        input=Path(input_path),
-        schema=pick("schema", "default"),
+        input=Path(values["input"]),
+        schema=values.get("schema", "default"),
         out_dir=out_dir,
         dump_normalized=resolve_dump(
             getattr(args, "dump_normalized", None), "normalized.csv", "--dump-normalized"
@@ -251,30 +239,18 @@ def resolve_config(
     return paths, options
 
 
-def _resolve_schema(paths: RunPaths) -> Schema:
-    if paths.schema == "default":
-        return default_schema()
-    return load_schema(paths.schema)
-
-
 def _read_dataset(paths: RunPaths, schema: Schema):
+    """The input's dataset and ingest report; a dropped row is noted on stderr."""
     with open(paths.input, "rb") as fh:
-        return parse_csv(fh, schema)
-
-
-def _note_drops(report) -> None:
+        dataset, report = parse_csv(fh, schema)
     if report.rows_dropped:
         ids = ", ".join(report.dropped_ids)
-        print(
-            f"note: dropped {report.rows_dropped} incomplete row(s): {ids}",
-            file=sys.stderr,
-        )
+        print(f"note: dropped {report.rows_dropped} incomplete row(s): {ids}", file=sys.stderr)
+    return dataset, report
 
 
-def _cmd_validate(paths: RunPaths, options: EvaluationOptions) -> int:
-    schema = _resolve_schema(paths)
+def _cmd_validate(paths: RunPaths, schema: Schema, options: EvaluationOptions) -> int:
     dataset, report = _read_dataset(paths, schema)
-    _note_drops(report)
     findings = validate(dataset)
     if findings:
         for finding in findings:
@@ -287,10 +263,8 @@ def _cmd_validate(paths: RunPaths, options: EvaluationOptions) -> int:
     return 0
 
 
-def _cmd_weights(paths: RunPaths, options: EvaluationOptions) -> int:
-    schema = _resolve_schema(paths)
-    dataset, report = _read_dataset(paths, schema)
-    _note_drops(report)
+def _cmd_weights(paths: RunPaths, schema: Schema, options: EvaluationOptions) -> int:
+    dataset, _ = _read_dataset(paths, schema)
     result = run_pipeline(dataset, options)
     sys.stdout.write(weights_table(schema, result.report.entropies, result.report.weights))
     if paths.out_dir is not None:
@@ -311,12 +285,10 @@ def _check_file_names(schema: Schema) -> None:
             )
 
 
-def _cmd_evaluate(paths: RunPaths, options: EvaluationOptions) -> int:
-    schema = _resolve_schema(paths)
+def _cmd_evaluate(paths: RunPaths, schema: Schema, options: EvaluationOptions) -> int:
     if paths.dump_cdf_dir is not None and options.method != "discrete":
         _check_file_names(schema)
-    dataset, ingest_report = _read_dataset(paths, schema)
-    _note_drops(ingest_report)
+    dataset, _ = _read_dataset(paths, schema)
     result = run_pipeline(dataset, options)
     report = result.report
 
@@ -359,7 +331,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](paths, options)
+        schema = default_schema() if paths.schema == "default" else load_schema(paths.schema)
+        return _COMMANDS[args.command](paths, schema, options)
     except (EntroscoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -187,7 +187,7 @@ def compute_weights(entropies, rule: str = "paper") -> WeightVector:
     if isinstance(entropies, EntropyVector):
         values = entropies.entropies
     else:
-        values = np.asarray(entropies, dtype=np.float64)
+        values = _real_array(entropies, "entropies")
     if values.ndim != 1 or values.size < 1:
         raise InvariantError("entropies must be a non-empty 1-D vector")
     if not np.all(np.isfinite(values)):

@@ -52,8 +52,9 @@ class Direction(str, Enum):
     INVERSE = "inverse"
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, what: str, integers: bool = False) -> np.ndarray:
+    """A read-only copy of values, which _real_array checks and converts."""
+    arr = np.array(_real_array(values, what, integers))
     arr.flags.writeable = False
     return arr
 
@@ -89,18 +90,20 @@ def _check_flag(value, name: str) -> bool:
     return bool(value)
 
 
-def _real_array(values, what: str) -> np.ndarray:
+def _real_array(values, what: str, integers: bool = False) -> np.ndarray:
     """values as float64, checked to be an array of bool, integer or floating
-    values: strings, complex numbers, objects and ragged sequences raise
-    InvariantError, named by what.
+    values: strings, complex numbers, objects (None among them) and ragged
+    sequences raise InvariantError, named by what.  With integers, values
+    must be integers, not bools or floats, and come back as intp.
     """
+    kinds, dtype, noun = ("iu", np.intp, "integers") if integers else ("biuf", np.float64, "real numbers")
     try:
         x = np.asarray(values)
     except ValueError:  # a ragged sequence
-        raise InvariantError(f"{what} must be an array of real numbers") from None
-    if x.dtype.kind not in "biuf":
-        raise InvariantError(f"{what} must be real numbers, got dtype {x.dtype}")
-    return x.astype(np.float64, copy=False)
+        raise InvariantError(f"{what} must be an array of {noun}") from None
+    if x.dtype.kind not in kinds:
+        raise InvariantError(f"{what} must be {noun}, got dtype {x.dtype}")
+    return x.astype(dtype, copy=False)
 
 
 def _sample_array(samples, user: str) -> np.ndarray:
@@ -268,8 +271,8 @@ def default_schema() -> Schema:
 class RawDataset:
     """Entity identifiers plus the raw n x m indicator matrix.
 
-    Missing values are carried as NaN; a dataset fed to the pipeline must
-    be complete and finite (see ingest.validate).
+    Missing values are carried as NaN, not None; a dataset fed to the
+    pipeline must be complete and finite (see ingest.validate).
     """
 
     entity_ids: tuple[str, ...]
@@ -278,7 +281,7 @@ class RawDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "values", _frozen_array(self.values, "dataset values"))
         if self.values.ndim != 2:
             raise InvariantError("dataset values must form a 2-D grid")
         n, m = self.values.shape
@@ -315,7 +318,7 @@ class NormalizedMatrix:
     schema: Schema
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "values", _frozen_array(self.values, "normalized values"))
         self._check()
 
     @classmethod
@@ -350,7 +353,7 @@ class EntropyVector:
     entropies: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entropies", _frozen_array(self.entropies))
+        object.__setattr__(self, "entropies", _frozen_array(self.entropies, "entropies"))
         if self.entropies.ndim != 1 or self.entropies.size < 1:
             raise InvariantError("entropy vector must be 1-D and non-empty")
         if not np.all(np.isfinite(self.entropies)):
@@ -369,7 +372,7 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
+        object.__setattr__(self, "weights", _frozen_array(self.weights, "weights"))
         if self.weights.ndim != 1 or self.weights.size < 1:
             raise InvariantError("weight vector must be 1-D and non-empty")
         if not np.all(np.isfinite(self.weights)):
@@ -414,7 +417,8 @@ class EvaluationReport:
     """Entropies, weights, scores, ranking, and descriptive statistics.
 
     scores live on [0, scale] (scale defaults to 100); ranking is the
-    permutation of row indices that sorts scores in non-increasing order.
+    permutation of row indices, as integers, that sorts scores in
+    non-increasing order.
     """
 
     entropies: EntropyVector
@@ -425,8 +429,8 @@ class EvaluationReport:
     scale: float = 100.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", _frozen_array(self.scores))
-        object.__setattr__(self, "ranking", _frozen_array(self.ranking, dtype=np.intp))
+        object.__setattr__(self, "scores", _frozen_array(self.scores, "scores"))
+        object.__setattr__(self, "ranking", _frozen_array(self.ranking, "ranking", integers=True))
         scale = _check_positive_real(self.scale, "scale")
         if self.scores.ndim != 1:
             raise InvariantError("scores must be 1-D")

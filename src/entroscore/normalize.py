@@ -20,7 +20,7 @@ from .errors import (
     NonFiniteInputError,
     _named,
 )
-from .model import Direction, NormalizedMatrix, RawDataset
+from .model import Direction, NormalizedMatrix, RawDataset, _real_array
 
 __all__ = ["normalize_positive", "normalize_inverse", "normalize_matrix"]
 
@@ -54,7 +54,7 @@ def _column_fault(
 
 
 def _rescale(column, inverse: bool, ids: Sequence[str] | None = None) -> np.ndarray:
-    col = np.asarray(column, dtype=np.float64)
+    col = _real_array(column, "column")
     fault = _column_fault(col, ids)
     if fault is not None:
         error, detail = fault

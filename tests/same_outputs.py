@@ -23,6 +23,10 @@ this checkout's bench/workloads.py generates:
   --no-boundary-correction, where every column takes c = 64 at order 3;
   and the Silverman bandwidths at --quadrature-points 100001, where every
   column takes c = 64;
+- on the cli_kde seed-1 input, `weights --out-dir`, `validate`, `evaluate
+  --config` with a file that gives every option key, the input and the
+  schema, the same with two of its keys overridden by flags, and a config
+  with one bad value, whose exit code and stderr are compared;
 - run_pipeline, default options, on the lib_wide datasets of seeds 1-3: the
   normalized values, bandwidths, entropies, weights, scores, ranking and
   statistics.
@@ -63,6 +67,16 @@ RUNGS = (
     ("wide-raw-c64", ("--bandwidth", "100", "--no-boundary-correction")),
     ("fine-c64", ("--quadrature-points", "100001")),
 )
+# A --config value for every option key, none of them its default.
+CONFIG = {
+    "method": "continuous",
+    "weight_rule": "classic",
+    "bandwidth": 0.05,
+    "boundary_correction": False,
+    "quadrature_points": 2001,
+    "scale": 10,
+    "threads": 2,
+}
 
 
 def _jobs(inputs: Path) -> list[dict]:
@@ -90,9 +104,36 @@ def _jobs(inputs: Path) -> list[dict]:
             runs = [(f"t{threads}", ("--threads", str(threads))) for threads in THREADS]
             if name == "cli_kde" and seed == 1:
                 runs += RUNGS
+                jobs += _command_jobs(f"{name}-{seed}", where)
             for suffix, extra in runs:
                 jobs.append({"name": f"{name}-{seed}-{suffix}", "kind": "cli", "argv": [*argv, *extra]})
     return jobs
+
+
+def _command_jobs(prefix: str, where: Path) -> list[dict]:
+    """weights, validate, and evaluate through --config files, on the input under where.
+
+    The config files are named relative to where's grandparent, the
+    directory the runs start in, so that the bad one's stderr names no
+    temporary directory.
+    """
+    paths = {"input": str(where / "input.csv"), "schema": str(where / "schema.json")}
+    files = ["--input", paths["input"], "--schema", paths["schema"]]
+    (where / "config.json").write_text(json.dumps({**CONFIG, **paths}))
+    (where / "bad_config.json").write_text(json.dumps({**CONFIG, **paths, "scale": -1}))
+    config, bad = (str((where / name).relative_to(where.parents[1])) for name in ("config.json", "bad_config.json"))
+    dumps = ["--dump-normalized", "--dump-cdf"]
+    return [
+        {"name": f"{prefix}-weights", "kind": "cli", "argv": ["weights", *files]},
+        {"name": f"{prefix}-validate", "kind": "cli", "argv": ["validate", *files], "out_dir": False},
+        {"name": f"{prefix}-config", "kind": "cli", "argv": ["evaluate", "--config", str(config), *dumps]},
+        {
+            "name": f"{prefix}-config-flags",
+            "kind": "cli",
+            "argv": ["evaluate", "--config", str(config), "--bandwidth", "silverman", "--weight-rule", "paper", *dumps],
+        },
+        {"name": f"{prefix}-config-bad", "kind": "cli", "argv": ["evaluate", "--config", str(bad)]},
+    ]
 
 
 def _run_jobs(src: str, jobs_file: str, out: str) -> None:
@@ -110,7 +151,8 @@ def _run_jobs(src: str, jobs_file: str, out: str) -> None:
         if job["kind"] == "cli":
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.run([*job["argv"], "--out-dir", str(where / "files")])
+                out_dir = ["--out-dir", str(where / "files")] if job.get("out_dir", True) else []
+                code = cli.run([*job["argv"], *out_dir])
             (where / "stdout.txt").write_text(stdout.getvalue())
             (where / "stderr.txt").write_text(stderr.getvalue())
             (where / "exit_code.txt").write_text(f"{code}\n")
@@ -178,7 +220,7 @@ def main(argv: list[str]) -> int:
         for side, src in (("ref", tmp / "tree" / "src"), ("this", ROOT / "src")):
             # Both sides write to the same paths, then the outputs move aside.
             subprocess.run(
-                [sys.executable, __file__, "--run", str(src), str(jobs_file), str(tmp / "out")], check=True
+                [sys.executable, __file__, "--run", str(src), str(jobs_file), str(tmp / "out")], check=True, cwd=tmp
             )
             shutil.move(tmp / "out", tmp / f"out-{side}")
             results[side] = _outputs(tmp / f"out-{side}")

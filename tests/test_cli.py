@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
-from entroscore.cli import run
+from entroscore.cli import build_parser, resolve_config, run
 from entroscore.report import CDF_GRID_POINTS
 from helpers import CSV_SPECIALS, csv_bytes, read_records
 
@@ -511,6 +511,33 @@ class TestSchemaCategories:
         assert "\nOperation capacity  Cost" in out
 
 
+# Each option key: the (config value, field value) pairs a file may give,
+# and the (flags, field value) pairs the command line may.
+OPTION_SOURCES = {
+    "method": (
+        [("discrete", "discrete"), ("continuous", "continuous")],
+        [(["--method", "discrete"], "discrete"), (["--method", "continuous"], "continuous")],
+    ),
+    "weight_rule": (
+        [("classic", "classic"), ("paper", "paper")],
+        [(["--weight-rule", "classic"], "classic"), (["--weight-rule", "paper"], "paper")],
+    ),
+    "bandwidth": (
+        [(0.25, 0.25), (1, 1), ("silverman", None)],
+        [(["--bandwidth", "0.5"], 0.5), (["--bandwidth", "silverman"], None)],
+    ),
+    "boundary_correction": ([(True, True), (False, False)], [(["--no-boundary-correction"], False)]),
+    "quadrature_points": ([(101, 101), (10001, 10001)], [(["--quadrature-points", "201"], 201)]),
+    "scale": ([(50, 50), (2.5, 2.5)], [(["--scale", "25"], 25.0)]),
+    "threads": ([(2, 2), (1, 1)], [(["--threads", "3"], 3)]),
+}
+
+
+def _field(options, key):
+    """The EvaluationOptions field that option key sets."""
+    return options.quadrature.points if key == "quadrature_points" else getattr(options, key)
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -635,6 +662,49 @@ class TestConfigPrecedence:
                     "--threads", "2", "--scale", "50", "--bandwidth", "0.25",
                     "--quadrature-points", "101"]) == 0
         assert capsys.readouterr().out == from_config
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_flag_beats_file_beats_default(self, tmp_path_factory, data):
+        defaults = es.EvaluationOptions()
+        payload, argv, expected = {}, [], {}
+        for key, (file_pairs, flag_pairs) in OPTION_SOURCES.items():
+            where = data.draw(st.sampled_from(["file", "flag", "both", "neither"]), label=key)
+            expected[key] = _field(defaults, key)
+            if where in ("flag", "both"):
+                flag, expected[key] = data.draw(st.sampled_from(flag_pairs), label=f"{key} flag")
+                argv += flag
+            if where in ("file", "both"):
+                # A value that differs from the flag's, so that the winner shows.
+                choices = [pair for pair in file_pairs if where == "file" or pair[1] != expected[key]]
+                payload[key], value = data.draw(st.sampled_from(choices), label=f"{key} file")
+                if where == "file":
+                    expected[key] = value
+        cfg = tmp_path_factory.mktemp("precedence") / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        parser = build_parser()
+        args = parser.parse_args(["evaluate", "--input", "data.csv", "--config", str(cfg), *argv])
+        _, options = resolve_config(args, parser)
+        for key, want in expected.items():
+            got = _field(options, key)
+            assert (type(got), got) == (type(want), want), key
+
+    def test_a_null_schema_in_the_file_is_the_built_in_schema(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": None}))
+        parser = build_parser()
+        paths, _ = resolve_config(parser.parse_args(["validate", "--input", "data.csv", "--config", str(cfg)]), parser)
+        assert paths.schema == "default"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_an_empty_schema_path_is_not_the_built_in_schema(self, small_csv, tmp_path, capsys, source):
+        # "" names no file: the run fails reading it, as for any other path.
+        csv_path, _ = small_csv
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": ""}))
+        extra = ["--schema", ""] if source == "flag" else ["--config", str(cfg)]
+        assert run(["validate", "--input", str(csv_path), *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

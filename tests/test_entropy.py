@@ -316,6 +316,20 @@ class TestComputeWeights:
             es.compute_weights(np.array(entropies))
         assert isinstance(info.value, ValueError) == (error is es.InvariantError)
 
+    @pytest.mark.parametrize(
+        "entropies,message",
+        [
+            (["0.5", "0.25"], "must be real numbers, got dtype <U4$"),
+            ([0.5, 0.25j], "must be real numbers, got dtype complex128$"),
+            ([0.5, None], "must be real numbers, got dtype object$"),
+            ([0.5, [0.25]], "must be an array of real numbers$"),
+        ],
+        ids=["numeric-str", "complex", "none", "ragged"],
+    )
+    def test_bare_entropies_must_be_real_numbers(self, entropies, message):
+        with pytest.raises(es.InvariantError, match=f"^entropies {message}"):
+            es.compute_weights(entropies)
+
     def test_entropies_summing_past_the_largest_double_are_refused_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -364,7 +364,7 @@ def _report(scale, scores=(0.0, 0.0), ranking=(0, 1)):
     stats = es.DescriptiveStats(mean=0.0, median=0.0, std_dev=0.0, kurtosis=math.nan,
                                 skewness=math.nan, smallest=0.0, largest=0.0, obs=2)
     return es.EvaluationReport(es.EntropyVector([0.5, 0.5]), es.WeightVector(_WEIGHTS),
-                               np.array(scores), np.array(ranking), stats, scale=scale)
+                               scores, ranking, stats, scale=scale)
 
 
 class TestEvaluationReport:
@@ -398,6 +398,49 @@ class TestEvaluationReport:
     def test_rejects_a_score_that_is_not_finite(self, bad):
         with pytest.raises(es.InvariantError, match=r"^scores must lie in \[0, 100.0\]$"):
             _report(100.0, scores=(bad, 50.0))
+
+    @pytest.mark.parametrize(
+        "ranking,dtype",
+        [([1.9, 0.2], "float64"), ([1.0, 0.0], "float64"), ([True, False], "bool"), (["1", "0"], "<U1")],
+        ids=["fractions", "whole-floats", "bools", "numeric-str"],
+    )
+    def test_rejects_a_ranking_that_is_not_integers(self, ranking, dtype):
+        with pytest.raises(es.InvariantError, match=f"^ranking must be integers, got dtype {dtype}$"):
+            _report(100.0, ranking=ranking)
+
+
+# Each domain type's array: a call that builds one around a value, the name
+# its refusal carries, and a valid value.
+ARRAY_TAKERS = {
+    "dataset": (lambda v: es.RawDataset(("a", "b"), v, simple_schema(2)), "dataset values", [[1.0, 2.0], [3.0, 4.0]]),
+    "normalized": (lambda v: es.NormalizedMatrix(v, simple_schema(2)), "normalized values", [[0.0, 1.0], [1.0, 0.0]]),
+    "entropies": (es.EntropyVector, "entropies", [0.5, 0.25]),
+    "weights": (es.WeightVector, "weights", [0.5, 0.5]),
+    "scores": (lambda v: _report(100.0, scores=v), "scores", [0.0, 0.0]),
+}
+
+
+class TestArraysAreRealNumbers:
+    """Every domain type refuses an array that is not of real numbers."""
+
+    @pytest.mark.parametrize("taker", ARRAY_TAKERS)
+    @pytest.mark.parametrize(
+        "cell,message",
+        [
+            (str, "must be real numbers, got dtype <U"),
+            (lambda x: None, "must be real numbers, got dtype object$"),
+            (complex, "must be real numbers, got dtype complex128$"),
+            (lambda x: [x], "must be an array of real numbers$"),
+        ],
+        ids=["numeric-str", "none", "complex", "ragged"],
+    )
+    def test_refuses_what_is_not_real(self, taker, cell, message):
+        make, what, good = ARRAY_TAKERS[taker]
+        nested = isinstance(good[0], list)
+        row = good[0] if nested else good
+        row = [cell(row[0]), *row[1:]]  # the first number replaced
+        with pytest.raises(es.InvariantError, match=f"^{what} {message}"):
+            make([row, *good[1:]] if nested else row)
 
 
 # Each taker of a positive real: its call, and the error it raises.

@@ -126,6 +126,21 @@ class TestErrors:
         with pytest.raises(es.InvariantError):
             es.normalize_positive(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("normalize", [es.normalize_positive, es.normalize_inverse])
+    @pytest.mark.parametrize(
+        "column,message",
+        [
+            (["1", "2"], "must be real numbers, got dtype <U1$"),
+            ([1.0, 2j], "must be real numbers, got dtype complex128$"),
+            ([1.0, None], "must be real numbers, got dtype object$"),
+            ([1.0, [2.0]], "must be an array of real numbers$"),
+        ],
+        ids=["numeric-str", "complex", "none", "ragged"],
+    )
+    def test_column_must_be_real_numbers(self, normalize, column, message):
+        with pytest.raises(es.InvariantError, match=f"^column {message}"):
+            normalize(column)
+
 
 class TestNormalizeMatrix:
     def test_direction_dispatch(self):
