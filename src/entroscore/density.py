@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError, _named
-from .model import _check_count, _check_flag, _check_positive_real, _real_array, _sample_array
+from .errors import DegenerateColumnError, InvalidBandwidthError, InvariantError, NonFiniteInputError, _named
+from .model import _check_count, _check_flag, _check_positive_real, _real_array
 
 __all__ = ["select_bandwidth", "estimate_cdf", "CdfEstimate"]
 
@@ -102,6 +102,7 @@ _ENDS = np.array([0.0, 1.0])
 _ENDS.flags.writeable = False
 
 _NO_BANDWIDTH = "sample standard deviation and IQR are both zero; no bandwidth exists"
+_OVERFLOW = "sample standard deviation or IQR overflows float64"
 _FLAT = "bandwidth so large the kernel CDF is flat on [0, 1]"
 
 
@@ -113,11 +114,12 @@ def select_bandwidth(samples) -> float:
     DegenerateColumnError is raised.  That happens when max equals min, and
     also when the spread underflows to zero in float64.  Where the spread
     is a few subnormals and the rule's h rounds to 0.0, InvalidBandwidthError
-    is raised, as estimate_cdf raises it for a bandwidth of 0.0.
+    is raised, as estimate_cdf raises it for a bandwidth of 0.0, and where
+    either spread overflows float64, NonFiniteInputError.
     """
     # Sort so the reduction order, and hence the result bit pattern, does
     # not depend on how the caller happened to order the samples.
-    x = np.sort(_sample_array(samples, "bandwidth selection"))
+    x = np.sort(_real_array(samples, "samples for bandwidth selection", least=2, finite=True))
     [h] = _silverman(x[np.newaxis], (None,))
     return h
 
@@ -133,10 +135,14 @@ def _silverman(x: np.ndarray, names) -> list[float]:
     bandwidth raises select_bandwidth's error, named after its indicator.
     """
     shrink = x.shape[-1] ** (-0.2)
-    std = _sample_std(x).tolist()
-    iqr = ((_sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)) / 1.34).tolist()
+    # A spread past the largest double is refused below: min(inf, IQR) is a wrong h.
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = _sample_std(x).tolist()
+        iqr = ((_sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)) / 1.34).tolist()
     bandwidths = []
     for name, s, q in zip(names, std, iqr):
+        if not (math.isfinite(s) and math.isfinite(q)):
+            raise _named(NonFiniteInputError(_OVERFLOW), name)
         spread = min(s, q)
         if spread == 0.0:
             spread = max(s, q)
@@ -220,7 +226,7 @@ class CdfEstimate:
     """
 
     def __init__(self, samples, bandwidth: float, boundary_correction: bool = True):
-        x = np.sort(_sample_array(samples, "a CDF estimate"))
+        x = np.sort(_real_array(samples, "samples for a CDF estimate", least=2, finite=True))
         if x[0] < 0.0 or x[-1] > 1.0:
             raise InvariantError("samples must lie in [0, 1]")
         x.flags.writeable = False

@@ -20,10 +20,9 @@ from .errors import (
     AllZeroEntropyError,
     DegenerateColumnError,
     InvariantError,
-    NonFiniteInputError,
     QuadratureOutOfRangeError,
 )
-from .model import EntropyVector, WeightVector, _check_count, _real_array, _sample_array
+from .model import EntropyVector, WeightVector, _check_count, _real_array
 
 __all__ = [
     "QuadratureConfig",
@@ -159,7 +158,7 @@ def discrete_entropy(column) -> float:
     lands in [0, 1] for any column of length n >= 2.  An all-zero column
     has no distribution and raises DegenerateColumnError.
     """
-    col = _sample_array(column, "discrete entropy")
+    col = _real_array(column, "samples for discrete entropy", least=2, finite=True)
     if np.any(col < 0.0):
         raise InvariantError("discrete entropy needs non-negative values")
     with np.errstate(over="ignore"):
@@ -187,13 +186,9 @@ def compute_weights(entropies, rule: str = "paper") -> WeightVector:
     if isinstance(entropies, EntropyVector):
         values = entropies.entropies
     else:
-        values = _real_array(entropies, "entropies")
-    if values.ndim != 1 or values.size < 1:
-        raise InvariantError("entropies must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteInputError("entropies must be finite")
-    if np.any(values < 0.0):
-        raise InvariantError("entropies must be non-negative")
+        values = _real_array(entropies, "entropies", least=1, finite=True)
+        if np.any(values < 0.0):
+            raise InvariantError("entropies must be non-negative")
     _check_weight_rule(rule)
 
     mass = values if rule == "paper" else 1.0 - values

@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,9 +52,9 @@ class Direction(str, Enum):
     INVERSE = "inverse"
 
 
-def _frozen_array(values, what: str, integers: bool = False) -> np.ndarray:
-    """A read-only copy of values, which _real_array checks and converts."""
-    arr = np.array(_real_array(values, what, integers))
+def _frozen_array(values, what: str, integers: bool = False, **checks) -> np.ndarray:
+    """A read-only copy of values, which _real_array checks (checks: its least and finite) and converts."""
+    arr = np.array(_real_array(values, what, integers, **checks))
     arr.flags.writeable = False
     return arr
 
@@ -90,11 +90,17 @@ def _check_flag(value, name: str) -> bool:
     return bool(value)
 
 
-def _real_array(values, what: str, integers: bool = False) -> np.ndarray:
+def _real_array(
+    values, what: str, integers: bool = False, *, least: int | None = None, finite: bool = False
+) -> np.ndarray:
     """values as float64, checked to be an array of bool, integer or floating
     values: strings, complex numbers, objects (None among them) and ragged
     sequences raise InvariantError, named by what.  With integers, values
-    must be integers, not bools or floats, and come back as intp.
+    must be integers, not bools or floats, and come back as intp.  With
+    least, values must be 1-D and hold at least least entries, else
+    InvariantError; with finite, no NaN or inf, else NonFiniteInputError.
+    The library's one check of an array's kind, shape and finiteness, in
+    that order.
     """
     kinds, dtype, noun = ("iu", np.intp, "integers") if integers else ("biuf", np.float64, "real numbers")
     try:
@@ -103,21 +109,11 @@ def _real_array(values, what: str, integers: bool = False) -> np.ndarray:
         raise InvariantError(f"{what} must be an array of {noun}") from None
     if x.dtype.kind not in kinds:
         raise InvariantError(f"{what} must be {noun}, got dtype {x.dtype}")
-    return x.astype(dtype, copy=False)
-
-
-def _sample_array(samples, user: str) -> np.ndarray:
-    """samples as float64, checked to be real numbers, 1-D and at least two
-    long (else InvariantError), and finite (else NonFiniteInputError).
-
-    The one home of this check for the stages below normalization; user
-    names the caller in the message.
-    """
-    x = _real_array(samples, f"samples for {user}")
-    if x.ndim != 1 or x.size < 2:
-        raise InvariantError(f"{user} needs a 1-D array of at least two samples")
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError(f"{user} needs finite samples")
+    x = x.astype(dtype, copy=False)
+    if least is not None and (x.ndim != 1 or x.size < least):
+        raise InvariantError(f"{what} must be 1-D" + (f" and at least {least} long" if least else ""))
+    if finite and not np.isfinite(x).all():
+        raise NonFiniteInputError(f"{what} must be finite")
     return x
 
 
@@ -151,12 +147,17 @@ class IndicatorSpec:
 
 @dataclass(frozen=True)
 class Schema:
-    """Ordered collection of indicator specs with pairwise-distinct names."""
+    """Ordered collection of indicator specs with pairwise-distinct names;
+    indicators must be an iterable of IndicatorSpec, else InvariantError."""
 
     indicators: tuple[IndicatorSpec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indicators", tuple(self.indicators))
+        given = self.indicators
+        object.__setattr__(self, "indicators", tuple(given) if isinstance(given, Iterable) else (given,))
+        for spec in self.indicators:
+            if not isinstance(spec, IndicatorSpec):
+                raise InvariantError(f"schema indicators must be IndicatorSpecs, got {spec!r}")
         if len(self.indicators) < 1:
             raise InvariantError("schema needs at least one indicator")
         names = [spec.name for spec in self.indicators]
@@ -353,11 +354,7 @@ class EntropyVector:
     entropies: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entropies", _frozen_array(self.entropies, "entropies"))
-        if self.entropies.ndim != 1 or self.entropies.size < 1:
-            raise InvariantError("entropy vector must be 1-D and non-empty")
-        if not np.all(np.isfinite(self.entropies)):
-            raise NonFiniteInputError("entropies must be finite")
+        object.__setattr__(self, "entropies", _frozen_array(self.entropies, "entropies", least=1, finite=True))
         if np.any(self.entropies < 0.0) or np.any(self.entropies > 1.0):
             raise InvariantError("entropies must lie in [0, 1]")
 
@@ -372,14 +369,11 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _frozen_array(self.weights, "weights"))
-        if self.weights.ndim != 1 or self.weights.size < 1:
-            raise InvariantError("weight vector must be 1-D and non-empty")
-        if not np.all(np.isfinite(self.weights)):
-            raise NonFiniteInputError("weights must be finite")
+        object.__setattr__(self, "weights", _frozen_array(self.weights, "weights", least=1, finite=True))
         if np.any(self.weights < 0.0):
             raise InvariantError("weights must be non-negative")
-        total = float(np.sum(self.weights))
+        with np.errstate(over="ignore"):  # weights near the largest double, refused below
+            total = float(np.sum(self.weights))
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise InvariantError(f"weights sum to {total!r}, not 1")
 
@@ -429,11 +423,9 @@ class EvaluationReport:
     scale: float = 100.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", _frozen_array(self.scores, "scores"))
+        object.__setattr__(self, "scores", _frozen_array(self.scores, "scores", least=0))
         object.__setattr__(self, "ranking", _frozen_array(self.ranking, "ranking", integers=True))
         scale = _check_positive_real(self.scale, "scale")
-        if self.scores.ndim != 1:
-            raise InvariantError("scores must be 1-D")
         # A NaN fails both comparisons, so it is refused with the rest.
         if not np.all((self.scores >= 0.0) & (self.scores <= scale)):
             raise InvariantError(f"scores must lie in [0, {self.scale}]")

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DegenerateColumnError,
     EntroscoreError,
-    InvariantError,
     NonFiniteInputError,
     _named,
 )
@@ -28,14 +27,12 @@ __all__ = ["normalize_positive", "normalize_inverse", "normalize_matrix"]
 def _column_fault(
     col: np.ndarray, ids: Sequence[str] | None = None
 ) -> tuple[type[EntroscoreError], str] | None:
-    """Why a raw float64 column cannot be min-max normalized, or None.
+    """Why a raw 1-D float64 column cannot be min-max normalized, or None.
 
     The one home of the non-finite and degenerate-column checks:
     ingest.validate reports the fault and the normalizers raise it.  ids,
     when given, label the entries so a non-finite fault names them.
     """
-    if col.ndim != 1:
-        return InvariantError, "column must be one-dimensional"
     if col.size < 2:
         return DegenerateColumnError, "column needs at least two entries"
     bad = ~np.isfinite(col)
@@ -54,7 +51,7 @@ def _column_fault(
 
 
 def _rescale(column, inverse: bool, ids: Sequence[str] | None = None) -> np.ndarray:
-    col = _real_array(column, "column")
+    col = _real_array(column, "column", least=0)
     fault = _column_fault(col, ids)
     if fault is not None:
         error, detail = fault

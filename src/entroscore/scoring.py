@@ -110,8 +110,14 @@ def composite_scores(matrix, weights, scale: float = 100.0) -> np.ndarray:
     times a sum above 1 that overflows.
     """
     scale = _check_positive_real(scale, "scale")
-    values = matrix.values if isinstance(matrix, NormalizedMatrix) else _finite(matrix, "matrix")
-    w = weights.weights if isinstance(weights, WeightVector) else _finite(weights, "weight vector")
+    if isinstance(matrix, NormalizedMatrix):
+        values = matrix.values
+    else:
+        values = _real_array(matrix, "the matrix", finite=True)
+    if isinstance(weights, WeightVector):
+        w = weights.weights
+    else:
+        w = _real_array(weights, "the weight vector", finite=True)
     if values.ndim != 2 or w.ndim != 1 or values.shape[1] != w.size:
         raise DimensionMismatchError(
             f"matrix has {values.shape[1] if values.ndim == 2 else '?'} columns "
@@ -129,32 +135,13 @@ def composite_scores(matrix, weights, scale: float = 100.0) -> np.ndarray:
     return np.clip(scores, 0.0, scale)
 
 
-def _finite(values, what: str) -> np.ndarray:
-    """values as a float64 array of real numbers (else InvariantError), or
-    NonFiniteInputError if one is NaN or infinite."""
-    arr = _real_array(values, f"the {what}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInputError(f"the {what} must be finite, got NaN or infinite entries")
-    return arr
-
-
 def rank(scores) -> np.ndarray:
     """Indices sorted by score descending; ties keep input order.
 
     scores must be a 1-D list, else InvariantError, of finite numbers,
     else NonFiniteInputError: describe's checks.
     """
-    return np.argsort(-_score_list(scores, "rank", 0), kind="stable")
-
-
-def _score_list(scores, caller: str, least: int) -> np.ndarray:
-    """scores as a 1-D float64 array of at least least finite real numbers, or caller's named error."""
-    arr = _real_array(scores, "scores")
-    if arr.ndim != 1 or arr.size < least:
-        raise InvariantError(f"{caller} needs a {'non-empty ' if least else ''}1-D score list")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInputError(f"{caller} needs finite scores, got NaN or infinite ones")
-    return arr
+    return np.argsort(-_real_array(scores, "scores for rank", least=0, finite=True), kind="stable")
 
 
 def describe(scores) -> DescriptiveStats:
@@ -172,7 +159,7 @@ def describe(scores) -> DescriptiveStats:
     deviation past the largest double (scores of both signs near it); a
     list that is not 1-D, or is empty, raises InvariantError.
     """
-    arr = _score_list(scores, "describe", 1)
+    arr = _real_array(scores, "scores for describe", least=1, finite=True)
     n = arr.size
     unit = arr
     magnitude = float(np.abs(arr).max())

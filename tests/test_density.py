@@ -72,6 +72,12 @@ class TestSelectBandwidth:
             pytest.param([0.5], es.InvariantError, id="bad0"),
             pytest.param([[0.1, 0.2]], es.InvariantError, id="bad1"),
             pytest.param([0.1, np.nan], es.NonFiniteInputError, id="bad2"),
+            # Finite samples whose standard deviation overflows, where
+            # min(inf, IQR) would take the IQR and give a wrong h.
+            pytest.param([1e308, -1e308, 0.0], es.NonFiniteInputError, id="spread-overflows"),
+            pytest.param([-1e308, 1e308], es.NonFiniteInputError, id="two-spread-overflows"),
+            pytest.param([1.7e308, 1.7e308, 1.0], es.NonFiniteInputError, id="sum-overflows"),
+            pytest.param(np.linspace(-1e300, 1e300, 101), es.NonFiniteInputError, id="std-overflows"),
         ],
     )
     def test_invalid_inputs(self, bad, error):

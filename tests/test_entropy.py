@@ -303,8 +303,8 @@ class TestComputeWeights:
             es.compute_weights(np.array([0.5]), rule="softmax")
 
     @pytest.mark.parametrize("entropies,message", [
-        ([], "non-empty 1-D vector"),
-        ([[0.5, 0.5]], "non-empty 1-D vector"),
+        ([], "must be 1-D and at least 1 long"),
+        ([[0.5, 0.5]], "must be 1-D and at least 1 long"),
         ([0.5, math.nan], "must be finite"),
         ([0.5, -0.1], "must be non-negative"),
     ])

@@ -82,6 +82,13 @@ class TestSchema:
         with pytest.raises(es.InvariantError, match="dup"):
             es.Schema((spec, spec))
 
+    def test_rejects_what_is_not_an_iterable_of_specs(self):
+        spec = es.IndicatorSpec("a", "operation", "positive")
+        with pytest.raises(es.InvariantError, match="^schema indicators must be IndicatorSpecs, got 'b'$"):
+            es.Schema([spec, "b"])
+        with pytest.raises(es.InvariantError, match="^schema indicators must be IndicatorSpecs, got 3$"):
+            es.Schema(3)
+
     def test_record_round_trip(self):
         schema = simple_schema(4, inverse=(0, 3))
         again = es.Schema.from_records(schema.to_records())
@@ -276,9 +283,9 @@ class TestVectors:
     @pytest.mark.parametrize(
         "entropies,error,message",
         [
-            ([], es.InvariantError, r"^entropy vector must be 1-D and non-empty$"),
-            ([[0.5, 0.5]], es.InvariantError, r"^entropy vector must be 1-D and non-empty$"),
-            (0.5, es.InvariantError, r"^entropy vector must be 1-D and non-empty$"),
+            ([], es.InvariantError, r"^entropies must be 1-D and at least 1 long$"),
+            ([[0.5, 0.5]], es.InvariantError, r"^entropies must be 1-D and at least 1 long$"),
+            (0.5, es.InvariantError, r"^entropies must be 1-D and at least 1 long$"),
             ([0.5, math.nan], es.NonFiniteInputError, r"^entropies must be finite$"),
             ([0.5, math.inf], es.NonFiniteInputError, r"^entropies must be finite$"),
             ([0.5, -math.inf], es.NonFiniteInputError, r"^entropies must be finite$"),
@@ -295,13 +302,14 @@ class TestVectors:
         [
             ([0.5, math.nan], es.NonFiniteInputError, r"^weights must be finite$"),
             ([math.inf, 0.0], es.NonFiniteInputError, r"^weights must be finite$"),
-            ([], es.InvariantError, r"^weight vector must be 1-D and non-empty$"),
-            ([[0.5, 0.5]], es.InvariantError, r"^weight vector must be 1-D and non-empty$"),
-            (1.0, es.InvariantError, r"^weight vector must be 1-D and non-empty$"),
+            ([], es.InvariantError, r"^weights must be 1-D and at least 1 long$"),
+            ([[0.5, 0.5]], es.InvariantError, r"^weights must be 1-D and at least 1 long$"),
+            (1.0, es.InvariantError, r"^weights must be 1-D and at least 1 long$"),
             ([-0.1, 1.1], es.InvariantError, r"^weights must be non-negative$"),
             ([-1e-300, 1.0], es.InvariantError, r"^weights must be non-negative$"),
             ([0.25, 0.75 + 1e-9], es.InvariantError, r"^weights sum to 1\.000000001, not 1$"),
             ([0.25, 0.25], es.InvariantError, r"^weights sum to 0\.5, not 1$"),
+            ([1e308, 1e308], es.InvariantError, r"^weights sum to inf, not 1$"),
         ],
     )
     def test_every_weight_vector_guard(self, weights, error, message):

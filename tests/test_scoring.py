@@ -123,21 +123,21 @@ class TestRank:
 
     @pytest.mark.parametrize("scores", [np.ones((2, 2)) * [[0.0, 1.0]], [[1.0]], 3.0])
     def test_a_score_list_that_is_not_1d_is_refused(self, scores):
-        with pytest.raises(es.InvariantError, match="^rank needs a 1-D score list$"):
+        with pytest.raises(es.InvariantError, match="^scores for rank must be 1-D$"):
             es.rank(scores)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_are_refused_quietly(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(es.NonFiniteInputError, match="^rank needs finite scores"):
+            with pytest.raises(es.NonFiniteInputError, match="^scores for rank must be finite"):
                 es.rank([0.1, bad])
 
     @pytest.mark.parametrize("scores", [["3", "1"], [10**30, 1]], ids=["strings", "huge-int"])
     def test_scores_that_are_not_real_numbers_are_refused(self, scores):
-        with pytest.raises(es.InvariantError, match="^scores must be real numbers"):
+        with pytest.raises(es.InvariantError, match="^scores for rank must be real numbers"):
             es.rank(scores)
-        with pytest.raises(es.InvariantError, match="^scores must be real numbers"):
+        with pytest.raises(es.InvariantError, match="^scores for describe must be real numbers"):
             es.describe(scores)
 
     def test_an_empty_score_list_ranks_to_nothing(self):
@@ -264,12 +264,12 @@ class TestDescribe:
     def test_non_finite_scores_are_refused_quietly(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(es.NonFiniteInputError, match="finite scores"):
+            with pytest.raises(es.NonFiniteInputError, match="scores for describe must be finite"):
                 es.describe([1.0, bad, 2.0, 3.0])
 
     @pytest.mark.parametrize("scores", [[], [[1.0, 2.0]]])
     def test_an_empty_or_nested_score_list_is_refused(self, scores):
-        with pytest.raises(es.InvariantError, match="non-empty 1-D score list"):
+        with pytest.raises(es.InvariantError, match="scores for describe must be 1-D and at least 1 long"):
             es.describe(scores)
 
     def test_scores_near_the_largest_double_warn_nothing(self):
@@ -320,8 +320,9 @@ def _quiet_or_named(call):
 
 
 class TestLibraryInputs:
-    """scoring's bare-array entry points, and compute_weights, on any float array:
-    finite results or a named error, and never a warning."""
+    """The library's bare-array entry points, and the entropy and weight
+    vectors, on any float array: finite results or a named error, and never
+    a warning."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(scores=_ARRAYS)
@@ -358,6 +359,38 @@ class TestLibraryInputs:
         weights = _quiet_or_named(lambda: es.compute_weights(entropies, rule))
         if weights is not None:
             assert np.isfinite(weights.weights).all()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(samples=_ARRAYS)
+    @example(samples=np.array([1e308, -1e308, 0.0]))
+    @example(samples=np.linspace(-1e300, 1e300, 101))
+    def test_select_bandwidth(self, samples):
+        h = _quiet_or_named(lambda: es.select_bandwidth(samples))
+        if h is not None:
+            assert 0.0 < h < math.inf
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(samples=_ARRAYS, bandwidth=st.floats(), correct=st.booleans())
+    def test_estimate_cdf(self, samples, bandwidth, correct):
+        cdf = _quiet_or_named(lambda: es.estimate_cdf(samples, bandwidth, correct))
+        if cdf is not None:
+            assert cdf.bandwidth == bandwidth and cdf.support_samples.size == samples.size
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(column=_ARRAYS)
+    def test_discrete_entropy(self, column):
+        h = _quiet_or_named(lambda: es.discrete_entropy(column))
+        if h is not None:
+            assert 0.0 <= h <= 1.0
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(values=_ARRAYS)
+    @example(values=np.array([1e308, 1e308]))
+    def test_entropy_and_weight_vectors(self, values):
+        for make in (es.EntropyVector, es.WeightVector):
+            vector = _quiet_or_named(lambda: make(values))
+            if vector is not None:
+                assert len(vector) == values.size
 
 
 class TestEvaluationOptions:
