@@ -556,7 +556,7 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
     else:
         raw_lo, span = np.zeros(m), np.ones(m)
     return tuple(
-        CdfEstimate._from_sorted(row, hj, correct, lo, sp)
+        CdfEstimate._from_sorted(row, hj, bool(correct), lo, sp)
         for row, hj, lo, sp in zip(x, h.tolist(), raw_lo.tolist(), span.tolist())
     )
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -100,7 +100,8 @@ def _parse_cell(cell: str) -> float | None:
 def _parse_row(cells: Sequence[str], text: str, out: array) -> bool:
     """Append a row's indicator values to out; False drops the row.
 
-    text holds every cell, with nothing between them but commas.
+    cells are the row's cells after its id, in file order, and text
+    holds them all, with nothing between them but commas.
     float() on the raw cell agrees with _parse_cell whenever that text
     is ASCII without '_', 'n' or 'N': float() then strips the same
     whitespace str.strip() does (or raises, on '\\x1c'-'\\x1f'), and every
@@ -136,8 +137,6 @@ def _check_decodable(text: str, line_num: int) -> None:
     sequence, or it does and the sequence breaks off (at the end of the
     input the strict decoder says "unexpected end of data" instead).
     """
-    if text.isascii():
-        return
     at = next((i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff"), None)
     if at is None:
         return
@@ -162,7 +161,8 @@ def parse_csv(source: BinaryIO | bytes, schema: Schema) -> tuple[RawDataset, Ing
     MalformedCsvError where the csv module cannot read a line, as when a
     field is longer than its field_size_limit, or where a byte is not
     UTF-8, naming the line that holds the first such byte.  Faults on a
-    line, the header's included, are raised in file order.
+    line, the header's included, are raised in file order; of the faults
+    in one record, a non-UTF-8 byte is raised first.
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
@@ -187,7 +187,8 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str], str]]:
     with the lines after it to a csv.reader, which reads its record and
     leaves the rest, so quoted line breaks, line numbers and csv's errors
     stay the csv module's.  A csv.Error is raised as MalformedCsvError,
-    naming the line csv stopped on.
+    naming the line csv stopped on, and so is a record holding a byte
+    that is not UTF-8 (see _check_decodable), before it is yielded.
     """
     lines = iter(lines)
     limit = csv.field_size_limit()
@@ -200,76 +201,60 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str], str]]:
             except csv.Error as exc:
                 raise MalformedCsvError(f"line {line_num + reader.line_num}: {exc}") from None
             line_num += reader.line_num
-            yield line_num, record, ",".join(record)
+            text = ",".join(record)
         else:
             line_num += 1
-            line = line.rstrip("\r\n")
-            yield line_num, line.split(",") if line else [], line
+            text = line.rstrip("\r\n")
+            record = text.split(",") if text else []
+        if not text.isascii():
+            _check_decodable(text, line_num)
+        yield line_num, record, text
 
 
 def _parse_records(records, schema: Schema) -> tuple[RawDataset, IngestReport]:
     try:
-        line_num, header, text = next(records)
+        _, header, _ = next(records)
     except StopIteration:
         raise EmptyInputError("input has no header row") from None
 
-    _check_decodable(text, line_num)
     header = [cell.strip() for cell in header]
     if not header or header[0] != ENTITY_COLUMN:
         found = header[0] if header else "nothing"
         raise HeaderMismatchError(
             f"first column must be '{ENTITY_COLUMN}', got {found!r}"
         )
-    indicator_headers = header[1:]
     seen: set[str] = set()
-    for name in indicator_headers:
+    for name in header[1:]:
         if name in seen:
             raise HeaderMismatchError(f"duplicate column '{name}'")
         seen.add(name)
     for name in schema.names:
         if name not in seen:
             raise HeaderMismatchError(f"schema indicator '{name}' has no column")
-    unknown = [name for name in indicator_headers if name not in set(schema.names)]
+    unknown = seen.difference(schema.names)
     if unknown:
         raise HeaderMismatchError(
             f"columns not in schema: {', '.join(sorted(unknown))}"
         )
-    # pick gives each schema indicator's cell, in schema order.  The header
-    # holds exactly the schema's names, so where it lists them in that order
-    # (always, with one indicator) the cells are one slice after the id;
-    # otherwise there are at least two, and itemgetter gives a tuple.
-    width = len(header)
-    columns = [indicator_headers.index(name) + 1 for name in schema.names]
-    if columns == list(range(1, width)):
-        pick = operator.itemgetter(slice(1, None))
-    else:
-        pick = operator.itemgetter(*columns)
 
+    width = len(header)
     entity_ids: list[str] = []
-    # Kept rows' values, packed row after row as C doubles.
+    # Kept rows' values in file column order, packed row after row as C doubles.
     values = array("d")
     dropped: list[str] = []
-    rows_read = 0
     for line_num, record, text in records:
         if not record:
             continue  # blank line, not a data row
-        rows_read += 1
         entity_id = record[0].strip()
         if not entity_id:
             raise DuplicateEntityIdError(f"line {line_num}: blank entity id")
-        # A kept row's other cells are ASCII (_parse_row keeps no row with a
-        # non-ASCII cell, and a row of the header's width has no cell it
-        # does not pick), so only its id can hold an undecodable byte.
-        if not entity_id.isascii():
-            _check_decodable(text, line_num)
-        # The picked cells are the row's cells after the id, so the text
-        # after the id's comma holds them all.
-        if len(record) == width and _parse_row(pick(record), text[len(record[0]) + 1 :], values):
+        # The text after the id's comma holds the row's other cells.
+        if len(record) == width and _parse_row(record[1:], text[len(record[0]) + 1 :], values):
             entity_ids.append(entity_id)
         else:
-            _check_decodable(text, line_num)
             dropped.append(entity_id)
 
+    rows_read = len(entity_ids) + len(dropped)
     if rows_read == 0:
         raise EmptyInputError("input has a header but no data rows")
     if len(entity_ids) < 2:
@@ -277,17 +262,17 @@ def _parse_records(records, schema: Schema) -> tuple[RawDataset, IngestReport]:
             f"only {len(entity_ids)} usable row(s) remain after dropping "
             f"{len(dropped)} incomplete row(s); need at least 2"
         )
-    counts: dict[str, int] = {}
-    for entity_id in entity_ids:
-        counts[entity_id] = counts.get(entity_id, 0) + 1
-    dupes = sorted(eid for eid, k in counts.items() if k > 1)
-    if dupes:
+    if len(set(entity_ids)) < len(entity_ids):
+        dupes = sorted(eid for eid, k in Counter(entity_ids).items() if k > 1)
         raise DuplicateEntityIdError(f"duplicate entity ids: {', '.join(dupes)}")
 
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(entity_ids), len(schema))
+    if header[1:] != list(schema.names):
+        # take's copy is in C order, where matrix[:, order]'s is in Fortran order.
+        matrix = matrix.take([header.index(name) - 1 for name in schema.names], axis=1)
+        del values  # freed before the dataset copies the matrix
     dataset = RawDataset(tuple(entity_ids), matrix, schema)
-    report = IngestReport(rows_read, dropped)
-    return dataset, report
+    return dataset, IngestReport(rows_read, dropped)
 
 
 def validate(dataset: RawDataset) -> list[ValidationFinding]:

@@ -27,6 +27,12 @@ this checkout's bench/workloads.py generates:
   --config` with a file that gives every option key, the input and the
   schema, the same with two of its keys overridden by flags, and a config
   with one bad value, whose exit code and stderr are compared;
+- on the cli_ingest seed-1 input rewritten as users' files come (the
+  indicator columns in reverse order, CR line ends, a BOM, one id quoted
+  with a comma in it and one non-ASCII id), `evaluate --method discrete
+  --out-dir --dump-normalized` and `validate`; and the same file with one
+  byte that is not UTF-8 in a kept row's cell, whose exit code and
+  stderr are compared;
 - run_pipeline, default options, on the lib_wide datasets of seeds 1-3: the
   normalized values, bandwidths, entropies, weights, scores, ranking and
   statistics.
@@ -41,6 +47,7 @@ The exit code is 1 on any difference, else 0.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -89,7 +96,8 @@ def _jobs(inputs: Path) -> list[dict]:
         spec = workloads.WORKLOADS[name]
         for seed in SEEDS:
             where = inputs / f"{name}-{seed}"
-            desc = workloads.write_inputs(spec, workloads.generate(spec, seed), where)
+            generated = workloads.generate(spec, seed)
+            desc = workloads.write_inputs(spec, generated, where)
             if desc["kind"] == "lib":
                 jobs.append({"name": f"{name}-{seed}", "kind": "lib", "desc": desc})
                 continue
@@ -105,6 +113,8 @@ def _jobs(inputs: Path) -> list[dict]:
             if name == "cli_kde" and seed == 1:
                 runs += RUNGS
                 jobs += _command_jobs(f"{name}-{seed}", where)
+            if name == "cli_ingest" and seed == 1:
+                jobs += _rewritten_jobs(f"{name}-{seed}", where, generated.kept_ids)
             for suffix, extra in runs:
                 jobs.append({"name": f"{name}-{seed}-{suffix}", "kind": "cli", "argv": [*argv, *extra]})
     return jobs
@@ -133,6 +143,40 @@ def _command_jobs(prefix: str, where: Path) -> list[dict]:
             "argv": ["evaluate", "--config", str(config), "--bandwidth", "silverman", "--weight-rule", "paper", *dumps],
         },
         {"name": f"{prefix}-config-bad", "kind": "cli", "argv": ["evaluate", "--config", str(bad)]},
+    ]
+
+
+def _rewritten_jobs(prefix: str, where: Path, kept_ids) -> list[dict]:
+    """evaluate and validate on the input under where, rewritten as users' files come.
+
+    The rewrite lists the indicator columns in reverse order, ends its
+    lines with CR, starts with a BOM, quotes one kept row's id, which
+    gains a comma, and gives another a non-ASCII id.  A copy with one
+    byte that is not UTF-8 in a third kept row's cell fails the run; its
+    exit code and stderr are compared.  Files are named relative to
+    where's grandparent, as in _command_jobs.
+    """
+    with open(where / "input.csv", encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    first, second, third = kept_ids[:3]
+    renamed = {first: f"{first},q", second: f"{second}\u00e9"}
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r")
+    writer.writerows([renamed.get(record[0], record[0]), *reversed(record[1:])] for record in records)
+    data = text.getvalue().encode("utf-8-sig")
+    at = data.index(f"\r{third},".encode()) + len(third) + 2
+    (where / "rewritten.csv").write_bytes(data)
+    (where / "rewritten_bad.csv").write_bytes(data[:at] + b"\xe9" + data[at:])
+    good, bad, schema = (
+        str((where / name).relative_to(where.parents[1]))
+        for name in ("rewritten.csv", "rewritten_bad.csv", "schema.json")
+    )
+    evaluate = ["evaluate", "--schema", schema, "--method", "discrete"]
+    validate = ["validate", "--input", good, "--schema", schema]
+    return [
+        {"name": f"{prefix}-rewritten", "kind": "cli", "argv": [*evaluate, "--input", good, "--dump-normalized"]},
+        {"name": f"{prefix}-rewritten-validate", "kind": "cli", "argv": validate, "out_dir": False},
+        {"name": f"{prefix}-rewritten-bad-byte", "kind": "cli", "argv": [*evaluate, "--input", bad], "out_dir": False},
     ]
 
 

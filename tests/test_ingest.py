@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import entroscore as es
 from entroscore import ingest
 from entroscore.ingest import _parse_cell
-from helpers import csv_bytes, simple_schema
+from helpers import CSV_SPECIALS, csv_bytes, simple_schema
 
 
 SCHEMA2 = simple_schema(2)
@@ -348,6 +348,29 @@ class TestPackedBuffer:
         assert ds.values.shape == (n, m)
         assert peak < 3.5 * n * m * 8
 
+    def test_reordered_parse_peak_tracks_the_matrix_size(self):
+        # Columns in another order than the schema's are put in its order
+        # by one copy, and the packed values go before the dataset copies
+        # that, so the peak stays at two matrices, not three.
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing; its peak is not this test's")
+        n, m = 4000, 17
+        schema = simple_schema(m)
+        rng = np.random.default_rng(7)
+        values = rng.uniform(0.0, 1e3, (n, m))
+        payload = csv_bytes(
+            ["entity_id", *reversed(schema.names)],
+            [[f"E{i:06d}", *map(repr, row[::-1])] for i, row in enumerate(values.tolist())],
+        )
+        tracemalloc.start()
+        try:
+            ds, _ = es.parse_csv(payload, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.values.tobytes() == values.tobytes()
+        assert peak < 3.5 * n * m * 8
+
 
 class TestUnreadableCsv:
     def test_overlong_field_names_its_line(self):
@@ -553,6 +576,149 @@ class TestNonUtf8Input:
         path.write_bytes(data)
         with open(path, "rb", buffering=0) as fh:
             assert parse(fh)[0].entity_ids == tuple(row[0] for row in self.ROWS)
+
+    def test_bad_byte_comes_before_a_blank_id_in_its_record(self):
+        data = HEADER2_LINE + b"a,1,2\n  ,\xff3,4\nb,5,6\n"
+        with pytest.raises(es.MalformedCsvError, match="^line 3: not UTF-8: byte 0xff: invalid start byte$"):
+            parse(data)
+
+    @pytest.mark.parametrize(
+        "data,line",
+        [(b"a,1\nb,\xe92\nc,3\n", 2), (b'a,1\n"b\r\nx",\xe92\nc,3\n', 3), (b'a,1\n"b\xe9\nx",2\nc,3\n', 2)],
+        ids=["split", "csv-reader", "csv-reader-first-line"],
+    )
+    def test_the_record_reader_refuses_the_record(self, data, line):
+        # _records raises before it yields the record, on either path, so
+        # no caller sees a record's text with a byte that is not UTF-8.
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="")
+        records = ingest._records(stream)
+        assert next(records) == (1, ["a", "1"], "a,1")
+        with pytest.raises(es.MalformedCsvError, match=rf"^line {line}: not UTF-8: byte 0xe9: "):
+            next(records)
+
+
+# Cell and id spellings for CSV files drawn whole: numbers as float()
+# and _parse_cell read them apart, the missing markers, NUL, non-ASCII
+# text and the characters that make csv quote a field.
+GRAMMAR_CELLS = st.sampled_from(
+    ["1", "-2.5", " 3 ", "1e3", "+.5", "-nan", "nan", "NaN", "inf", "-Infinity", "1_0", "na", "NA", "",
+     "abc", "1e400", "\x1c4", "\x001", "١", "4,5", 'x"y', "6\r\n7", "8\r9", "é"]
+) | st.integers(-99, 999).map(str) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+GRAMMAR_IDS = st.sampled_from([None] * 12 + ["", "  ", "été", "日本", "a,b", 'q"x', "x\ny", "x\r\ny", "\x00z", "r0"])
+BAD_BYTES = st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\x80", b"\xf0\x9f"])
+
+
+def _field(cell: str, quoting: str) -> str:
+    if quoting == "always" or (quoting == "needed" and any(ch in cell for ch in CSV_SPECIALS)):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes, schema): a CSV file drawn from a grammar, and its schema.
+
+    The header names the schema's 1-3 indicators in a drawn order, and
+    may duplicate one, add an unknown one or lose one.  Rows hold ids
+    and cells from the spellings above, sometimes one cell short or
+    long, quoted where needed, always or never, with drawn line ends
+    and blank lines; the file may start with a BOM, and a byte that is
+    not UTF-8 may go anywhere in it.
+    """
+    schema = simple_schema(draw(st.integers(1, 3)))
+    names = list(draw(st.permutations(schema.names)))
+    change = draw(st.sampled_from([None] * 12 + ["duplicate", "unknown", "lose"]))
+    if change == "duplicate":
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    elif change == "unknown":
+        names.insert(draw(st.integers(0, len(names))), "mystery")
+    elif change == "lose":
+        names.pop()
+    quoting = draw(st.sampled_from(["needed"] * 3 + ["always", "never"]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(_field(cell, quoting) for cell in ["entity_id", *names]) + draw(ends)]
+    for i in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(ends))  # a blank line
+        width = len(schema) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+        cells = [draw(GRAMMAR_IDS) or f"r{i}", *(draw(GRAMMAR_CELLS) for _ in range(width))]
+        lines.append(",".join(_field(cell, quoting) for cell in cells) + draw(ends))
+    data = "".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(BAD_BYTES) + data[at:]
+    return data, schema
+
+
+def reference_csv(data: bytes, schema):
+    """What parse_csv makes of data, from csv.reader and _parse_cell.
+
+    Returns (kept, dropped) as reference_parse does, with each kept row's
+    values in schema order, or the error class parse_csv raises: each
+    record's faults in file order, a byte that is not UTF-8 first, then
+    the header's or a blank id, then the counts and duplicate ids.
+    """
+    text = data.decode("utf-8-sig", errors="surrogateescape")
+    header, kept, dropped = None, [], []
+    try:
+        for record in csv.reader(io.StringIO(text, newline="")):
+            if any("\udc80" <= ch <= "\udcff" for cell in record for ch in cell):
+                return es.MalformedCsvError
+            if header is None:
+                header = [cell.strip() for cell in record]
+                if header[:1] != [ingest.ENTITY_COLUMN] or sorted(header[1:]) != sorted(schema.names):
+                    return es.HeaderMismatchError
+            elif record:
+                eid = record[0].strip()
+                if not eid:
+                    return es.DuplicateEntityIdError
+                cells = dict(zip(header, record)) if len(record) == len(header) else {}
+                values = [_parse_cell(cells[name]) if cells else None for name in schema.names]
+                if None not in values:
+                    kept.append((eid, values))
+                else:
+                    dropped.append(eid)
+    except csv.Error:
+        return es.MalformedCsvError
+    ids = [eid for eid, _ in kept]
+    if not kept and not dropped:
+        return es.EmptyInputError
+    if len(kept) < 2:
+        return es.TooFewRowsError
+    if len(set(ids)) < len(ids):
+        return es.DuplicateEntityIdError
+    return kept, dropped
+
+
+class TestParseGrammar:
+    """parse_csv on whole files drawn from a grammar, against reference_csv."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(csv_files())
+    def test_matches_the_reference(self, drawn):
+        data, schema = drawn
+        expected = reference_csv(data, schema)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ds, report = es.parse_csv(data, schema)
+            except es.EntroscoreError as exc:
+                raised = type(exc)
+            else:
+                raised = None
+        assert [str(w.message) for w in caught] == []
+        if raised is not None:
+            assert raised is expected
+            return
+        assert isinstance(expected, tuple), f"parsed where {expected.__name__} is due"
+        kept, dropped = expected
+        assert ds.entity_ids == tuple(eid for eid, _ in kept)
+        assert report.dropped_ids == tuple(dropped)
+        assert report.rows_read == report.rows_retained + report.rows_dropped == len(kept) + len(dropped)
+        assert ds.values.flags.c_contiguous
+        assert ds.values.tobytes() == np.array([values for _, values in kept], dtype=np.float64).tobytes()
 
 
 class TestHeaderErrors:

@@ -564,6 +564,17 @@ class TestRunPipeline:
         assert run.bandwidths is None
         assert run.cdfs is None
 
+    @pytest.mark.parametrize("correct", [np.True_, np.False_])
+    def test_estimates_hold_the_correction_flag_as_a_bool(self, correct):
+        # As estimate_cdf does, whatever flag type the options were given.
+        ds = random_dataset(np.random.default_rng(36), 20, 2)
+        run = es.run_pipeline(ds, es.EvaluationOptions(boundary_correction=correct))
+        expected = es.estimate_cdf(run.normalized.values[:, 0], 0.1, correct).boundary_correction
+        assert type(expected) is bool
+        assert [(type(cdf.boundary_correction), cdf.boundary_correction) for cdf in run.cdfs] == [
+            (bool, expected)
+        ] * 2
+
     @pytest.mark.parametrize(
         "shape,options",
         [
