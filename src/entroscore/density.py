@@ -20,9 +20,10 @@ ones on a few nodes, half of them between coarse nodes, where every term
 of the expansion shows.  Where no coarsening meets the bound, or a
 checked value is off by more, the exact values are returned.
 
-The bandwidth and the correction's endpoint sums are written for m
-columns at once: the one-column calls are their m = 1 case, and _setup
-runs them for all of a pipeline run's columns, with the same bits.
+_setup builds every estimate, m columns at once (sorted samples,
+bandwidths, the correction's endpoint sums): run_pipeline passes all of
+a run's columns, and the CdfEstimate constructor is its one-column case,
+as select_bandwidth is _silverman's, with the same bits.
 """
 
 from __future__ import annotations
@@ -218,38 +219,25 @@ class CdfEstimate:
     kernel summation order, and therefore the value, never depends on the
     order the samples arrived in.
 
-    bandwidth must be a real number, not a bool, above 0 and finite as a
-    double, else InvalidBandwidthError, and is kept as that double;
-    boundary_correction a bool or numpy bool, else InvariantError.  These
-    are model's checks, which EvaluationOptions shares.  A call takes
-    bool, integer or floating values, else raises InvariantError.
+    The constructor judges the samples (real, 1-D, two or more, finite,
+    within [0, 1]), then bandwidth, a real number, not a bool, above 0
+    and finite as a double, else InvalidBandwidthError, kept as that
+    double, then boundary_correction, a bool or numpy bool, else
+    InvariantError: model's checks, which EvaluationOptions shares.  Its
+    fields come from _setup on the one column, which refuses a bandwidth
+    that leaves the estimate flat on [0, 1].  A call takes bool, integer
+    or floating values, else raises InvariantError.
     """
 
     def __init__(self, samples, bandwidth: float, boundary_correction: bool = True):
-        x = np.sort(_real_array(samples, "samples for a CDF estimate", least=2, finite=True))
-        if x[0] < 0.0 or x[-1] > 1.0:
+        x = _real_array(samples, "samples for a CDF estimate", least=2, finite=True)
+        if x.min() < 0.0 or x.max() > 1.0:
             raise InvariantError("samples must lie in [0, 1]")
-        x.flags.writeable = False
-        self._samples = x
-        self._bandwidth = _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError)
-        self._correct = _check_flag(boundary_correction, "boundary_correction")
-        self._raw_lo, self._span = 0.0, 1.0
-        if self._correct:
-            lo, hi = self._raw(_ENDS).tolist()
-            if hi - lo <= 0.0:
-                raise InvalidBandwidthError(_FLAT)
-            self._raw_lo, self._span = lo, hi - lo
-
-    @classmethod
-    def _from_sorted(cls, samples, bandwidth, correct, raw_lo, span):
-        """The estimate __init__ would build from sorted, read-only samples
-        whose bandwidth and correction span _setup has checked."""
-        self = cls.__new__(cls)
-        self._samples = samples
-        self._bandwidth = bandwidth
-        self._correct = correct
-        self._raw_lo, self._span = raw_lo, span
-        return self
+        bandwidth = _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError)
+        correct = _check_flag(boundary_correction, "boundary_correction")
+        # points = 1: one column's endpoint sums take one block, whatever the grid.
+        [built] = _setup(x[:, np.newaxis], (None,), bandwidth, correct, 1)
+        vars(self).update(vars(built))
 
     @property
     def support_samples(self) -> np.ndarray:
@@ -266,7 +254,7 @@ class CdfEstimate:
     def _raw(self, x: np.ndarray) -> np.ndarray:
         """Mean of per-sample Gaussian CDFs at every value of x: _kernel_means of one column."""
         h = np.array([self._bandwidth])
-        return _kernel_means(self._samples[np.newaxis], h, x.reshape(1, -1), 1).reshape(x.shape)
+        return _kernel_means(self._samples[np.newaxis], h, x.reshape(-1), 1).reshape(x.shape)
 
     def __call__(self, x):
         arr = _real_array(x, "CDF arguments")
@@ -489,18 +477,18 @@ def _checked_nodes(points: int, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_means(x: np.ndarray, bandwidths: np.ndarray, nodes: np.ndarray, depth: int):
-    """The raw estimate of each column at its own nodes: out[j, i] is the
-    mean over x[j] of ndtr((nodes[j, i] - x[j]) / bandwidths[j]).
+    """The raw estimate of every column at the same nodes: out[j, i] is
+    the mean over x[j] of ndtr((nodes[i] - x[j]) / bandwidths[j]).
 
-    x is a C-contiguous, row-sorted (m, n) array, nodes an (m, k) one,
-    which may be a broadcast view.  The kernel terms fill one reused block
-    of up to depth columns by as many of their nodes as _BLOCK_ELEMENTS
-    allows.  Each mean is one row's sum along the contiguous last axis,
-    numpy's 1-D pairwise sum, so neither the block nor m changes a bit.
+    x is a C-contiguous, row-sorted (m, n) array and nodes a 1-D array of
+    k values.  The kernel terms fill one reused block of up to depth
+    columns by as many of the nodes as _BLOCK_ELEMENTS allows.  Each mean
+    is one row's sum along the contiguous last axis, numpy's 1-D pairwise
+    sum, so neither the block nor m changes a bit.
     """
     ndtr = _ndtr()
     m, n = x.shape
-    k = nodes.shape[1]
+    k = nodes.size
     width = max(1, min(k, _BLOCK_ELEMENTS // n))
     depth = min(m, depth)
     out = np.empty((m, k))
@@ -513,7 +501,7 @@ def _kernel_means(x: np.ndarray, bandwidths: np.ndarray, nodes: np.ndarray, dept
             for i in range(0, k, width):
                 part = slice(i, i + width)
                 z = scratch[: min(depth, m - j), : min(width, k - i)]
-                np.subtract(nodes[columns, part, np.newaxis], x[columns, np.newaxis], out=z)
+                np.subtract(nodes[part, np.newaxis], x[columns, np.newaxis], out=z)
                 z /= bandwidths[columns, np.newaxis, np.newaxis]
                 # np.mean's sum, and below its division by n: the same bits.
                 np.add.reduce(ndtr(z, out=z), axis=2, out=out[columns, part])
@@ -527,10 +515,12 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
     is None) and the correction's endpoint sums.  Returns the
     CdfEstimates, which hold the bandwidths as checked doubles.
 
-    The columns are copied into one C-contiguous (m, n) array sorted
-    along its rows, which the estimates share, and every sum runs along a
-    contiguous row, so each column gets the bits of select_bandwidth,
-    CdfEstimate and grid_values on its own.  A sort of the transposed
+    The public constructor, CdfEstimate(samples, bandwidth, correct), is
+    its one-column case, so every estimate is set up here.  The columns
+    are copied into one C-contiguous (m, n) array sorted along its rows,
+    which the estimates share, and every sum runs along a contiguous row,
+    so each column of m gets the bits of its own one-column call, and of
+    select_bandwidth where bandwidth is None.  A sort of the transposed
     view would stay Fortran-ordered, and numpy then sums down its columns
     in another order.  A block of the endpoint sums holds at most 2 *
     points doubles, 16 bytes a grid point, as much as the two grid-sized
@@ -548,17 +538,18 @@ def _setup(columns: np.ndarray, names, bandwidth, correct: bool, points: int):
     else:
         h = np.full(m, _check_positive_real(bandwidth, "bandwidth", InvalidBandwidthError))
     if correct:
-        ends = np.broadcast_to(_ENDS, (m, 2))
-        raw_lo, raw_hi = _kernel_means(x, h, ends, max(1, points // n)).T
+        raw_lo, raw_hi = _kernel_means(x, h, _ENDS, max(1, points // n)).T
         span = raw_hi - raw_lo
-        for j in np.flatnonzero(span <= 0.0)[:1]:
-            raise _named(InvalidBandwidthError(_FLAT), names[j])
     else:
         raw_lo, span = np.zeros(m), np.ones(m)
-    return tuple(
-        CdfEstimate._from_sorted(row, hj, bool(correct), lo, sp)
-        for row, hj, lo, sp in zip(x, h.tolist(), raw_lo.tolist(), span.tolist())
-    )
+    estimates = []
+    for name, row, hj, lo, sp in zip(names, x, h.tolist(), raw_lo.tolist(), span.tolist()):
+        if sp <= 0.0:
+            raise _named(InvalidBandwidthError(_FLAT), name)
+        cdf = CdfEstimate.__new__(CdfEstimate)
+        cdf._samples, cdf._bandwidth, cdf._correct, cdf._raw_lo, cdf._span = row, hj, bool(correct), lo, sp
+        estimates.append(cdf)
+    return tuple(estimates)
 
 
 def _moment_rows(node, offset, counts, order):

@@ -26,7 +26,7 @@ from .errors import (
     MalformedCsvError,
     TooFewRowsError,
 )
-from .model import RawDataset, Schema
+from .model import RawDataset, Schema, _check_count
 from .normalize import _column_fault
 
 __all__ = [
@@ -58,12 +58,16 @@ class ValidationFinding:
 
 @dataclass(frozen=True)
 class IngestReport:
-    """Counts and identifiers of rows removed during parsing."""
+    """Counts and identifiers of rows removed during parsing; rows_read
+    must be an int and dropped_ids an iterable, else InvariantError."""
 
     rows_read: int
     dropped_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _check_count(self.rows_read, "rows_read")
+        if not isinstance(self.dropped_ids, Iterable):
+            raise InvariantError(f"dropped ids must be an iterable, got {self.dropped_ids!r}")
         object.__setattr__(self, "dropped_ids", tuple(self.dropped_ids))
         if self.rows_dropped > self.rows_read:
             raise InvariantError("cannot drop more rows than were read")

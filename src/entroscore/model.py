@@ -273,7 +273,8 @@ class RawDataset:
     """Entity identifiers plus the raw n x m indicator matrix.
 
     Missing values are carried as NaN, not None; a dataset fed to the
-    pipeline must be complete and finite (see ingest.validate).
+    pipeline must be complete and finite (see ingest.validate).  entity_ids
+    must be an iterable and schema a Schema, else InvariantError.
     """
 
     entity_ids: tuple[str, ...]
@@ -281,6 +282,10 @@ class RawDataset:
     schema: Schema
 
     def __post_init__(self) -> None:
+        if not isinstance(self.entity_ids, Iterable):
+            raise InvariantError(f"entity ids must be an iterable, got {self.entity_ids!r}")
+        if not isinstance(self.schema, Schema):
+            raise InvariantError(f"dataset schema must be of type Schema, got {type(self.schema).__name__}")
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
         object.__setattr__(self, "values", _frozen_array(self.values, "dataset values"))
         if self.values.ndim != 2:
@@ -335,6 +340,8 @@ class NormalizedMatrix:
         return self
 
     def _check(self) -> None:
+        if not isinstance(self.schema, Schema):
+            raise InvariantError(f"normalized schema must be of type Schema, got {type(self.schema).__name__}")
         if self.values.ndim != 2:
             raise InvariantError("normalized values must form a 2-D grid")
         if self.values.shape[1] != len(self.schema):
@@ -387,7 +394,8 @@ class DescriptiveStats:
 
     kurtosis and skewness are NaN when undefined (fewer than four
     observations or zero variance); kurtosis is the excess form, so a
-    normal distribution scores 0.
+    normal distribution scores 0.  The statistics must be real numbers and
+    obs an int, else InvariantError.
     """
 
     mean: float
@@ -400,6 +408,9 @@ class DescriptiveStats:
     obs: int
 
     def __post_init__(self) -> None:
+        moments = (self.mean, self.median, self.std_dev, self.kurtosis, self.skewness, self.smallest, self.largest)
+        _real_array(moments, "descriptive statistics", least=0)
+        _check_count(self.obs, "obs")
         if self.obs < 1:
             raise InvariantError("obs must be positive")
         if not (self.smallest <= self.median <= self.largest):
@@ -412,7 +423,9 @@ class EvaluationReport:
 
     scores live on [0, scale] (scale defaults to 100); ranking is the
     permutation of row indices, as integers, that sorts scores in
-    non-increasing order.
+    non-increasing order.  entropies, weights and stats must be an
+    EntropyVector, a WeightVector of the same length and a
+    DescriptiveStats, else InvariantError.
     """
 
     entropies: EntropyVector
@@ -423,6 +436,12 @@ class EvaluationReport:
     scale: float = 100.0
 
     def __post_init__(self) -> None:
+        for field, kind in (("entropies", EntropyVector), ("weights", WeightVector), ("stats", DescriptiveStats)):
+            value = getattr(self, field)
+            if not isinstance(value, kind):
+                raise InvariantError(f"{field} must be of type {kind.__name__}, got {type(value).__name__}")
+        if len(self.entropies) != len(self.weights):
+            raise InvariantError(f"{len(self.entropies)} entropies but {len(self.weights)} weights")
         object.__setattr__(self, "scores", _frozen_array(self.scores, "scores", least=0))
         object.__setattr__(self, "ranking", _frozen_array(self.ranking, "ranking", integers=True))
         scale = _check_positive_real(self.scale, "scale")

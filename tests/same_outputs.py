@@ -35,7 +35,14 @@ this checkout's bench/workloads.py generates:
   stderr are compared;
 - run_pipeline, default options, on the lib_wide datasets of seeds 1-3: the
   normalized values, bandwidths, entropies, weights, scores, ranking and
-  statistics.
+  statistics;
+- the library's one-column calls on each normalized column of the lib_wide
+  seed-1 dataset, which run_pipeline never makes: select_bandwidth, and
+  estimate_cdf at the column's Silverman bandwidth, at 4e-4 (c = 1) and at
+  100 (the exact sum with the correction), each with the correction on
+  and off, whose sorted samples, bandwidth, raw_lo and span, values on
+  101 nodes and grid_values(10001) are compared; and estimate_cdf on
+  pairs of bad arguments, whose error class and message are compared.
 
 Each tree runs in its own interpreter with its own src/ first on sys.path,
 and writes to the same paths, so no output differs by where it was written.
@@ -84,6 +91,17 @@ CONFIG = {
     "scale": 10,
     "threads": 2,
 }
+# estimate_cdf's fixed bandwidths in the library jobs, beside each column's
+# Silverman bandwidth.
+LIBRARY_BANDWIDTHS = (("c1", 4e-4), ("wide-exact", 100.0))
+# (samples, bandwidth, flag), two of them bad: the first bad one in the
+# constructor's order (samples, their range, bandwidth, flag) is refused.
+BAD_ARGUMENTS = (
+    ([-0.1, 0.5], 0.0, True),
+    ([0.2, 0.8], "0.1", 0),
+    ([0.2, 0.8], 1e20, 0),
+    ([float("nan"), 0.5], 0.0, True),
+)
 
 
 def _jobs(inputs: Path) -> list[dict]:
@@ -100,6 +118,8 @@ def _jobs(inputs: Path) -> list[dict]:
             desc = workloads.write_inputs(spec, generated, where)
             if desc["kind"] == "lib":
                 jobs.append({"name": f"{name}-{seed}", "kind": "lib", "desc": desc})
+                if seed == 1:
+                    jobs.append({"name": f"{name}-{seed}-library", "kind": "library", "desc": desc})
                 continue
             argv = [
                 "evaluate",
@@ -187,7 +207,7 @@ def _run_jobs(src: str, jobs_file: str, out: str) -> None:
     import numpy as np
 
     import workloads
-    from entroscore import cli, run_pipeline
+    from entroscore import cli, normalize_matrix, run_pipeline
 
     for job in json.loads(Path(jobs_file).read_text()):
         where = Path(out) / job["name"]
@@ -201,7 +221,11 @@ def _run_jobs(src: str, jobs_file: str, out: str) -> None:
             (where / "stderr.txt").write_text(stderr.getvalue())
             (where / "exit_code.txt").write_text(f"{code}\n")
             continue
-        run = run_pipeline(workloads.make_op(job["desc"]).dataset)
+        dataset = workloads.make_op(job["desc"]).dataset
+        if job["kind"] == "library":
+            _library_outputs(normalize_matrix(dataset).values.T, where)
+            continue
+        run = run_pipeline(dataset)
         report = run.report
         stats = report.stats
         arrays = {
@@ -215,6 +239,37 @@ def _run_jobs(src: str, jobs_file: str, out: str) -> None:
         }
         for name, array in arrays.items():
             np.save(where / f"{name}.npy", np.ascontiguousarray(array))
+
+
+def _library_outputs(columns, where: Path) -> None:
+    """The library jobs' outputs on each of columns, and the refusals, under where."""
+    import numpy as np
+
+    from entroscore import EntroscoreError, estimate_cdf, select_bandwidth
+
+    nodes = np.linspace(0.0, 1.0, 101)
+    for j, column in enumerate(columns):
+        silverman = select_bandwidth(column)
+        np.save(where / f"column{j:02d}-silverman.npy", np.array([silverman]))
+        for label, h in (("silverman", silverman), *LIBRARY_BANDWIDTHS):
+            for correct in (True, False):
+                cdf = estimate_cdf(column, h, correct)
+                arrays = {
+                    "samples": cdf.support_samples,
+                    "scalars": np.array([cdf.bandwidth, cdf._raw_lo, cdf._span]),
+                    "cdf": cdf(nodes),
+                    "grid": cdf.grid_values(10001),
+                }
+                for name, array in arrays.items():
+                    np.save(where / f"column{j:02d}-{label}-{'on' if correct else 'off'}-{name}.npy", array)
+    refusals = []
+    for samples, h, flag in BAD_ARGUMENTS:
+        try:
+            estimate_cdf(samples, h, flag)
+            refusals.append("accepted")
+        except EntroscoreError as exc:
+            refusals.append(f"{type(exc).__name__}: {exc}")
+    (where / "refusals.txt").write_text("\n".join(refusals) + "\n")
 
 
 def _outputs(root: Path) -> dict[str, bytes]:

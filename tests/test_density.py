@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import density
-from helpers import record_spectra
+from helpers import random_dataset, record_spectra
 
 
 class TestSelectBandwidth:
@@ -270,6 +272,45 @@ class TestCdfErrors:
         with pytest.raises(es.InvariantError, match="^samples for a CDF estimate must be real numbers"):
             es.estimate_cdf(bad, 0.1)
 
+    # Two bad arguments at once: the first in the constructor's order
+    # (samples, their [0, 1] range, bandwidth, flag) is the one refused.
+    @pytest.mark.parametrize(
+        "samples,h,flag,error,message",
+        [
+            ([-0.1, 0.5], 0.0, True, es.InvariantError, r"^samples must lie in \[0, 1\]$"),
+            ([0.2, 0.8], "0.1", 0, es.InvalidBandwidthError, "^bandwidth must be a real number, got '0.1'$"),
+            ([0.2, 0.8], 1e20, 0, es.InvariantError, "^boundary_correction must be True or False, got 0$"),
+            ([np.nan, 0.5], 0.0, True, es.NonFiniteInputError, "^samples for a CDF estimate must be finite$"),
+        ],
+        ids=["range-before-bandwidth", "bandwidth-before-flag", "flag-before-flatness", "nan-before-bandwidth"],
+    )
+    def test_the_first_bad_argument_in_order_is_refused(self, samples, h, flag, error, message):
+        with pytest.raises(error, match=message) as info:
+            es.estimate_cdf(samples, h, flag)
+        assert type(info.value) is error
+
+
+class TestCopies:
+    @pytest.mark.parametrize("source", ["estimate_cdf", "run_pipeline"])
+    def test_pickle_and_deepcopy_keep_every_field_and_bit(self, source):
+        # pickle and copy build the copy through cls.__new__(cls), with no
+        # arguments, then fill in its fields.
+        rng = np.random.default_rng(36)
+        if source == "estimate_cdf":
+            x = _column("lognormal", 70, rng)
+            cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        else:
+            cdf = es.run_pipeline(random_dataset(rng, 40, 3)).cdfs[1]
+        expected = cdf.grid_values(10001).tobytes()
+        for twin in (pickle.loads(pickle.dumps(cdf)), copy.deepcopy(cdf)):
+            assert type(twin) is es.CdfEstimate and vars(twin).keys() == vars(cdf).keys()
+            for name, value in vars(cdf).items():
+                if isinstance(value, np.ndarray):
+                    assert vars(twin)[name].tobytes() == value.tobytes()
+                else:
+                    assert type(vars(twin)[name]) is type(value) and vars(twin)[name] == value
+            assert twin.grid_values(10001).tobytes() == expected
+
 
 class TestFidelity:
     """Against uniform data the estimate should track phi(x) = x."""
@@ -408,13 +449,13 @@ class TestGridValues:
 
     def test_never_evaluates_the_kernel_on_the_grid(self, monkeypatch):
         calls = []
-        raw = es.CdfEstimate._raw
+        kernel_means = density._kernel_means
 
-        def counted(self, x):
-            calls.append(x.size)
-            return raw(self, x)
+        def counted(x, bandwidths, nodes, depth):
+            calls.append(nodes.size)
+            return kernel_means(x, bandwidths, nodes, depth)
 
-        monkeypatch.setattr(es.CdfEstimate, "_raw", counted)
+        monkeypatch.setattr(density, "_kernel_means", counted)
         x = _column("normal", 500, np.random.default_rng(32))
         cdf = es.estimate_cdf(x, es.select_bandwidth(x))
         cdf.grid_values(10001)

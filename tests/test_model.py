@@ -416,6 +416,59 @@ class TestEvaluationReport:
         with pytest.raises(es.InvariantError, match=f"^ranking must be integers, got dtype {dtype}$"):
             _report(100.0, ranking=ranking)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("entropies", es.EntropyVector([0.5]), "^1 entropies but 2 weights$"),
+            ("entropies", [0.5, 0.5], "^entropies must be of type EntropyVector, got list$"),
+            ("weights", _WEIGHTS, "^weights must be of type WeightVector, got ndarray$"),
+            ("stats", None, "^stats must be of type DescriptiveStats, got NoneType$"),
+        ],
+        ids=["lengths", "bare-entropies", "bare-weights", "no-stats"],
+    )
+    def test_rejects_parts_of_another_type_or_length(self, field, value, message):
+        # One entropy for two weights was accepted before, and weights_table
+        # then dropped the second indicator; stats=None raised AttributeError.
+        with pytest.raises(es.InvariantError, match=message):
+            dataclasses.replace(_report(100.0), **{field: value})
+
+
+# Each public domain constructor given an argument of the wrong type, which
+# raised a bare TypeError (or was accepted) before, and its refusal.
+_WRONG_TYPES = {
+    "stats-str-obs": (lambda: es.DescriptiveStats(1, 1, 1, 1, 1, 1, 1, "3"), "^obs must be an integer, got '3'$"),
+    "stats-float-obs": (lambda: es.DescriptiveStats(1, 1, 1, 1, 1, 1, 1, 2.5), "^obs must be an integer, got 2.5$"),
+    "stats-none-mean": (
+        lambda: es.DescriptiveStats(None, 1, 1, 1, 1, 1, 1, 2),
+        "^descriptive statistics must be real numbers, got dtype object$",
+    ),
+    "ingest-str-rows": (lambda: es.IngestReport("3", ()), "^rows_read must be an integer, got '3'$"),
+    "ingest-none-ids": (lambda: es.IngestReport(3, None), "^dropped ids must be an iterable, got None$"),
+    "dataset-int-ids": (
+        lambda: es.RawDataset(5, [[1.0], [2.0]], simple_schema(1)),
+        "^entity ids must be an iterable, got 5$",
+    ),
+    "dataset-no-schema": (
+        lambda: es.RawDataset(("a", "b"), [[1.0], [2.0]], None),
+        "^dataset schema must be of type Schema, got NoneType$",
+    ),
+    "normalized-no-schema": (
+        lambda: es.NormalizedMatrix([[0.0], [1.0]], None),
+        "^normalized schema must be of type Schema, got NoneType$",
+    ),
+    "adopted-no-schema": (
+        lambda: es.NormalizedMatrix._adopt(np.array([[0.0], [1.0]]), None),
+        "^normalized schema must be of type Schema, got NoneType$",
+    ),
+}
+
+
+class TestConstructorArgumentTypes:
+    @pytest.mark.parametrize("make,message", _WRONG_TYPES.values(), ids=_WRONG_TYPES.keys())
+    def test_a_wrong_type_is_an_invariant_error(self, make, message):
+        with pytest.raises(es.InvariantError, match=message):
+            make()
+
 
 # Each domain type's array: a call that builds one around a value, the name
 # its refusal carries, and a valid value.
