@@ -1,8 +1,9 @@
 """entroscore: entropy-weighted composite scoring of tabular indicators.
 
 Pipeline: direction-aware min-max normalization, Gaussian-kernel CDF
-estimation per indicator, continuous entropy by Simpson quadrature,
-entropy-proportional weights, and weighted composite scores with
+estimation per indicator, continuous entropy by Gauss-Legendre panels on
+the kernel CDF's coarse cells (Simpson's rule on the grid where there are
+none), entropy-proportional weights, and weighted composite scores with
 rankings and descriptive statistics.
 """
 

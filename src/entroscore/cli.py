@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quadrature-points",
         type=int,
         metavar="N",
-        help="odd Simpson grid size on [0, 1] (default 10001)",
+        help="odd quadrature grid size on [0, 1], which sets the entropy rule's cells (default 10001)",
     )
     pipeline.add_argument(
         "--threads",

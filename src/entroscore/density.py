@@ -20,6 +20,11 @@ ones on a few nodes, half of them between coarse nodes, where every term
 of the expansion shows.  Where no coarsening meets the bound, or a
 checked value is off by more, the exact values are returned.
 
+continuous_entropy does not take the grid values where the coarsening c
+is 2 or more: CdfEstimate._panel_values reads the same coarse rows at the
+nodes of six-point Gauss-Legendre panels on the coarse cells, under the
+same check, and the entropy's integral is their weighted sum.
+
 _setup builds every estimate, m columns at once (sorted samples,
 bandwidths, the correction's endpoint sums): run_pipeline passes all of
 a run's columns, and the CdfEstimate constructor is its one-column case,
@@ -55,11 +60,15 @@ _BLOCK_ELEMENTS = 65_536
 # bandwidth is under about seven grid steps and the FFTs run on the full
 # grid one order at a time, and up to about 250-300 from seven to fourteen
 # steps, where they run on every second node with ten to twelve orders.
-# At this cap that is at most about 0.25 GB.
-# Simpson's error on H, an h^2 term of up to 3e-8 at 10001 points on the
-# benchmark's 70-row columns, is about 3e-12 here, below the 1.5e-10 that
-# the kernel CDF's own error may move H by, so a finer grid would not make
-# H more accurate.
+# At this cap that is at most about 0.25 GB.  The entropy's panels take
+# 6/c values a grid point, and _panels caches 12/c doubles a grid point
+# for each of the last 16 (c, points) it laid out: at c = 2, 48 MB at
+# this cap.
+# Where c >= 2 the panels leave H within about 1e-14 of its integral at
+# any grid.  Simpson's error on H, which the exact sum and c = 1 keep, an
+# h^2 term of up to 3e-8 at 10001 points on the benchmark's 70-row
+# columns, is about 3e-12 here, below the 1.5e-10 that the kernel CDF's
+# own error may move H by, so a finer grid would not make H more accurate.
 _MAX_POINTS = 1_000_001
 
 # grid_values keeps |grid_values(points) - self(grid)| within this on
@@ -97,6 +106,20 @@ _FACTORIALS.flags.writeable = False
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(np.float64).eps)
+
+# continuous_entropy's rule on the coarse cells: Gauss-Legendre's six
+# nodes on [-1, 1] and their weights, np.polynomial.legendre.leggauss(6)
+# written out (importing numpy.polynomial costs a fresh process 4-6 ms),
+# and the panels that split the first cell toward 0.
+_GL_NODES = (
+    -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+    0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
+)
+_GL_WEIGHTS = (
+    0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+    0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
+)
+_GRADED_PANELS = 40
 
 # The boundary correction's endpoints.
 _ENDS = np.array([0.0, 1.0])
@@ -335,6 +358,21 @@ class CdfEstimate:
         _check_count(points, "grid points")
         if not 2 <= points <= _MAX_POINTS:
             raise InvariantError(f"grid points must be from 2 to {_MAX_POINTS}, got {points}")
+        c, rows = self._coarse_rows(points)
+        if rows is not None:
+            values = _fine_values(rows, c, points)
+            del rows
+            values.clip(0.0, 1.0, out=values)
+            check, checked = _checked_nodes(points, c)
+            if self._near_exact(values[check], checked):
+                return values
+        return self(np.linspace(0.0, 1.0, points))
+
+    def _coarse_rows(self, points: int, least: int = 1):
+        """grid_values' plan and coarse phase: (c, the finished coarse rows),
+        or (c, None), with no array work past the plan, where the plan is
+        the exact sum (c = 0) or takes a c below least.
+        """
         # The factorials of C(p, a) = p!/(a! (p-a)!) are folded in: f^q/q!
         # into the moments, p! into the kernels, 1/a! into the rows.  The
         # plan is unpacked, not held, and each array is dropped once used
@@ -342,41 +380,78 @@ class CdfEstimate:
         # keeps its peak below what one column at a time held); for c > 1
         # the kernels' transform is taken before the moments' rows exist.
         kind, c, order, nodes, size, step, _, _, z, step_free = _plan(points, self._bandwidth, self._span)
-        if kind == "fft":
-            offset = self._samples * ((points - 1) / c)
-            node = np.rint(offset).astype(np.intp)  # k
-            offset -= node  # f
-            counts = np.bincount(node, minlength=nodes).astype(np.float64)
-            if c > 1:
-                spectra = _kernel_spectra(z, step_free, step, order, size)
-                del z, step_free
-                moments = _moment_spectra(node, offset, counts, order, size)
-                del node, offset
-                spectra = _spectra(moments, spectra)
-                del moments
-            else:
-                spectra = _binned_spectrum(z, step_free, step, node, offset, counts, order, size)
-                del z, step_free, node, offset
-            rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
-            del spectra
-            rows[0] += counts.cumsum() - 0.5 * counts
-            del counts
-            n = self._samples.size
-            # Finish the rows, not the grid: row a carries 1/(n * a! * span),
-            # and row 0, the constant term, the correction's offset.
-            span = self._span
-            rows /= ((n * span) * _FACTORIALS[: len(rows)])[:, np.newaxis]
-            if self._correct:
-                rows[0] -= self._raw_lo / span
-            values = _fine_values(rows, c, points)
-            del rows
-            values.clip(0.0, 1.0, out=values)
-            check, checked = _checked_nodes(points, c)
-            off = values[check]
-            off -= self(checked)
-            if np.abs(off, out=off).max() <= _GRID_ERROR:
-                return values
-        return self(np.linspace(0.0, 1.0, points))
+        if kind != "fft" or c < least:
+            return c, None
+        offset = self._samples * ((points - 1) / c)
+        node = np.rint(offset).astype(np.intp)  # k
+        offset -= node  # f
+        counts = np.bincount(node, minlength=nodes).astype(np.float64)
+        if c > 1:
+            spectra = _kernel_spectra(z, step_free, step, order, size)
+            del z, step_free
+            moments = _moment_spectra(node, offset, counts, order, size)
+            del node, offset
+            spectra = _spectra(moments, spectra)
+            del moments
+        else:
+            spectra = _binned_spectrum(z, step_free, step, node, offset, counts, order, size)
+            del z, step_free, node, offset
+        rows = np.fft.irfft(spectra, size, axis=1)[:, :nodes].copy()
+        del spectra
+        rows[0] += counts.cumsum() - 0.5 * counts
+        del counts
+        n = self._samples.size
+        # Finish the rows, not the grid: row a carries 1/(n * a! * span),
+        # and row 0, the constant term, the correction's offset.
+        span = self._span
+        rows /= ((n * span) * _FACTORIALS[: len(rows)])[:, np.newaxis]
+        if self._correct:
+            rows[0] -= self._raw_lo / span
+        return c, rows
+
+    def _near_exact(self, values: np.ndarray, nodes: np.ndarray) -> bool:
+        """Whether values, taken from the coarse rows at nodes, are all within
+        _GRID_ERROR of self(nodes): the check on the checked grid nodes."""
+        off = values - self(nodes)
+        return bool(np.abs(off, out=off).max() <= _GRID_ERROR)
+
+    def _panel_values(self, points: int):
+        """phi at the nodes of continuous_entropy's Gauss-Legendre panels and
+        the panels' weights, or None where grid_values' plan for points is
+        the exact sum or c = 1.
+
+        The panels are the coarse cells [M*D, (M+1)*D], D = c/(points - 1),
+        six nodes each (_panels): a node x reads coarse row M = rint(x/D)
+        at offset s = x/D - M in (-1/2, 1/2), the polynomial in -s that
+        grid_values evaluates on the grid nodes.  Every full cell but the
+        first is one (L, 6) product with an interior cell's table, and
+        only the first cell's graded panels, the last cell's cut one and
+        the checked grid nodes gather their rows, so no array is as large
+        as the coarse phase's.  The checked values have grid_values' bits
+        and go through its check; where one is off, the values are
+        self(nodes), one exact sum at the panel nodes.
+        """
+        c, rows = self._coarse_rows(points, least=2)
+        if rows is None:
+            return None
+        layout = _panels(c, points)
+        order, cells, gathered = len(rows), layout.cells, layout.index.size
+        # Coarse row R's six values are cell R - 1's upper half, at s < 0,
+        # then cell R's lower half, so from values[gathered] on each six
+        # are one interior cell's in order.  The first three (row 1's, in
+        # the graded first cell) fall on the gathered slots, which are
+        # written after them, and the last three (row L's, past the last
+        # full cell) on three spare ones.
+        values = np.empty(gathered + 6 * cells - 3)
+        block = values[gathered - 3 :].reshape(cells, 6)
+        np.einsum("am,aq->mq", rows[:, 1 : cells + 1], layout.table[:order, :6], out=block)
+        np.einsum("am,am->m", rows[:, layout.index], layout.table[:order, 6:], out=values[:gathered])
+        del rows
+        values.clip(0.0, 1.0, out=values)
+        checked = _checked_nodes(points, c)[1]
+        if self._near_exact(values[: checked.size], checked):
+            return values[checked.size : -3], layout.weights
+        return self(layout.nodes), layout.weights
 
     def __repr__(self) -> str:
         return (
@@ -474,6 +549,63 @@ def _checked_nodes(points: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.linspace(0.0, 1.0, points)[check]
     check.flags.writeable = nodes.flags.writeable = False
     return check, nodes
+
+
+class _Panels(NamedTuple):
+    """continuous_entropy's Gauss-Legendre panels on the coarse cells of
+    grid_values' plan at coarsening c and points grid nodes (_panels)."""
+
+    cells: int  # L, the full coarse cells in [0, 1]
+    index: np.ndarray  # each gathered value's coarse row: the checked grid nodes', then the edge panels'
+    table: np.ndarray  # (12, 6 + gathered): (-s)^a at an interior cell's six nodes as read, then at each gathered value
+    nodes: np.ndarray  # the panel nodes x, in the order _panel_values returns their values
+    weights: np.ndarray  # and their weights
+
+
+@functools.lru_cache(maxsize=16)
+def _panels(c: int, points: int) -> _Panels:
+    """The panels of _panel_values at coarsening c >= 2, all arrays read-only.
+
+    In units of the coarse step D = c/(points - 1) the full cells are [M,
+    M + 1], M < L = (points - 1) // c, and a partial one [L, (points - 1)/c]
+    ends at x = 1.  Each panel carries the six-point rule.  The first cell
+    is split geometrically toward 0, [2^-(k+1), 2^-k] for k < 39 and [0,
+    2^-39], where phi ln phi is about a * x ln x when the correction pins
+    phi(0) = 0; the partial cell, where there is one, is one panel.  A
+    node u reads row M = rint(u) at s = u - M, and a checked grid node m =
+    c*M - c//2 + q reads row M at -s = (c//2 - q)/c, whose powers np.vander
+    forms as _powers does: their first P rows are _powers(c, P)'s bits.
+    The weights are positive and sum to 1 within a few ulps.
+    """
+    t, w = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
+    step = c / (points - 1)
+    cells = (points - 1) // c
+    lo = np.ldexp(1.0, -np.arange(1, _GRADED_PANELS + 1))
+    lo[-1] = 0.0
+    hi = np.ldexp(1.0, -np.arange(_GRADED_PANELS))
+    if cells * c < points - 1:
+        lo, hi = np.r_[lo, cells], np.r_[hi, (points - 1) / c]
+    half = (hi - lo) / 2.0
+    edge = ((lo + half)[:, np.newaxis] + half[:, np.newaxis] * t).reshape(-1)
+    check = _checked_nodes(points, c)[0] + c // 2
+    interior = np.arange(1, cells)[:, np.newaxis] + (1.0 + t) / 2.0
+    table = np.vander(
+        # Row R's interior nodes: cell R - 1's upper half (s < 0), then
+        # cell R's lower half (s > 0); then the gathered values'.
+        np.r_[(1.0 - t[3:]) / 2.0, -(1.0 + t[:3]) / 2.0, (c // 2 - check % c) / c, np.rint(edge) - edge],
+        len(_NDTR_DERIVATIVE_MAX),
+        increasing=True,
+    ).T.copy()
+    layout = _Panels(
+        cells,
+        np.r_[check // c, np.rint(edge)].astype(np.intp),
+        table,
+        np.r_[edge, interior.reshape(-1)] * step,
+        np.r_[(half[:, np.newaxis] * w).reshape(-1), np.tile(w / 2.0, cells - 1)] * step,
+    )
+    for array in layout[1:]:
+        array.flags.writeable = False
+    return layout
 
 
 def _kernel_means(x: np.ndarray, bandwidths: np.ndarray, nodes: np.ndarray, depth: int):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ from unittest import mock
 import numpy as np
 
 import entroscore as es
-from entroscore import density
+from entroscore import density, entropy
 
 # Text drawn for a CSV file holds the characters that make csv quote a
 # field, and a NUL.
@@ -53,6 +54,21 @@ def bench_dataset(rows: int, seed: int) -> es.RawDataset:
         for name, category, inverse in zip(inputs.names, inputs.categories, inputs.inverse)
     )
     return es.RawDataset(inputs.kept_ids, inputs.clean, es.Schema(specs))
+
+
+def exact_entropy(cdf, config: es.QuadratureConfig = es.DEFAULT_QUADRATURE) -> float:
+    """continuous_entropy(cdf, config) on cdf's exact values, as it comes
+    out where a checked value is off: where grid_values' plan takes c >= 2,
+    the Gauss-Legendre panel sum on cdf at the panel nodes, else Simpson's
+    sum on cdf at the grid nodes."""
+    plan = density._plan(config.points, cdf.bandwidth, cdf._span)
+    if plan.kind != "fft" or plan.c < 2:
+        return es.continuous_entropy(lambda grid: cdf(grid), config)
+    layout = density._panels(plan.c, config.points)
+    integrand = entropy._phi_log_phi(cdf(layout.nodes))
+    integrand *= layout.weights
+    value = float(-math.e * np.add.reduce(integrand))
+    return min(max(value, 0.0), 1.0) + 0.0
 
 
 # The builders of a column's coarse spectrum: _spectra's P rows at c > 1,

@@ -41,8 +41,11 @@ this checkout's bench/workloads.py generates:
   estimate_cdf at the column's Silverman bandwidth, at 4e-4 (c = 1) and at
   100 (the exact sum with the correction), each with the correction on
   and off, whose sorted samples, bandwidth, raw_lo and span, values on
-  101 nodes and grid_values(10001) are compared; and estimate_cdf on
-  pairs of bad arguments, whose error class and message are compared.
+  101 nodes, grid_values(10001) and continuous_entropy (as its float.hex,
+  so each rule's plans show apart: the Silverman bandwidths plan c = 64
+  or 32, 4e-4 plans c = 1, and 100 the exact sum with the correction and
+  c = 64 without it) are compared; and estimate_cdf on pairs of bad
+  arguments, whose error class and message are compared.
 
 Each tree runs in its own interpreter with its own src/ first on sys.path,
 and writes to the same paths, so no output differs by where it was written.
@@ -245,7 +248,7 @@ def _library_outputs(columns, where: Path) -> None:
     """The library jobs' outputs on each of columns, and the refusals, under where."""
     import numpy as np
 
-    from entroscore import EntroscoreError, estimate_cdf, select_bandwidth
+    from entroscore import EntroscoreError, continuous_entropy, estimate_cdf, select_bandwidth
 
     nodes = np.linspace(0.0, 1.0, 101)
     for j, column in enumerate(columns):
@@ -260,8 +263,10 @@ def _library_outputs(columns, where: Path) -> None:
                     "cdf": cdf(nodes),
                     "grid": cdf.grid_values(10001),
                 }
+                stem = f"column{j:02d}-{label}-{'on' if correct else 'off'}"
                 for name, array in arrays.items():
-                    np.save(where / f"column{j:02d}-{label}-{'on' if correct else 'off'}-{name}.npy", array)
+                    np.save(where / f"{stem}-{name}.npy", array)
+                (where / f"{stem}-entropy.txt").write_text(continuous_entropy(cdf).hex() + "\n")
     refusals = []
     for samples, h, flag in BAD_ARGUMENTS:
         try:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import entroscore as es
 from entroscore import density
-from helpers import random_dataset, record_spectra
+from helpers import exact_entropy, random_dataset, record_spectra
 
 
 class TestSelectBandwidth:
@@ -581,16 +581,15 @@ class TestGridValues:
         assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, 3)))) <= density._GRID_ERROR
 
     def test_entropy_within_its_bound_of_the_exact_path(self):
-        # continuous_entropy documents the bound e * (27.6 eps + 2.8e-11).
+        # continuous_entropy documents the bound e * (27.6 eps + 2.8e-11)
+        # between its rule on the coarse rows' values and on the exact ones.
         bound = math.e * (27.6 * density._GRID_ERROR + 2.8e-11)
         rng = np.random.default_rng(33)
         for shape in ("uniform", "normal", "lognormal", "ties", "spike"):
             for correct in (True, False):
                 x = _column(shape, 150, rng)
                 cdf = es.estimate_cdf(x, es.select_bandwidth(x), correct)
-                fast = es.continuous_entropy(cdf)
-                exact = es.continuous_entropy(lambda g: cdf(g))
-                assert abs(fast - exact) <= bound
+                assert abs(es.continuous_entropy(cdf) - exact_entropy(cdf)) <= bound
 
     def test_the_derivative_maxima_bound_the_ndtr_derivatives_closely(self):
         # max over z of |He_{p-1}(z) phi(z)| on a 1e-4 grid over [-12, 12],
@@ -674,6 +673,152 @@ class TestGridValues:
             cdf = es.estimate_cdf(x, h, correct)
             fast = cdf.grid_values(points)
             assert np.max(np.abs(fast - cdf(np.linspace(0.0, 1.0, points)))) <= density._GRID_ERROR
+
+
+class TestPanels:
+    """continuous_entropy's Gauss-Legendre panels on the coarse cells (_panels,
+    CdfEstimate._panel_values), against the rule's definition and grid_values."""
+
+    # c >= 2 planned below points, down to 3 points, with and without a
+    # partial last cell.
+    _LAYOUTS = [
+        (c, points)
+        for c in density._COARSENING[:-1]
+        for points in (3, 5, 9, 17, 33, 65, 67, 129, 1001, 4097, 10001, 100001)
+        if c < points
+    ]
+
+    def test_the_literal_rule_is_leggauss_6(self):
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        np.testing.assert_array_max_ulp(np.array(density._GL_NODES), nodes, maxulp=4)
+        np.testing.assert_array_max_ulp(np.array(density._GL_WEIGHTS), weights, maxulp=4)
+
+    @pytest.mark.parametrize("c,points", _LAYOUTS)
+    def test_weights_are_positive_and_sum_to_1(self, c, points):
+        # continuous_entropy's bound on H rests on this.
+        layout = density._panels(c, points)
+        assert layout.weights.shape == layout.nodes.shape
+        assert layout.weights.min() > 0.0
+        assert abs(math.fsum(layout.weights) - 1.0) <= 4 * density._EPS
+        assert 0.0 < layout.nodes.min() and layout.nodes.max() < 1.0
+        # Every row read is a coarse row of the plan.
+        assert layout.index.max() <= (points - 1 + c // 2) // c
+        assert layout.table.shape == (len(density._NDTR_DERIVATIVE_MAX), 6 + layout.index.size)
+        assert not any(a.flags.writeable for a in (layout.index, layout.table, layout.nodes, layout.weights))
+
+    @pytest.mark.parametrize("c,points", [(64, 10001), (2, 3), (4, 17), (32, 4097)])
+    def test_the_panels_integrate_polynomials_of_degree_11(self, c, points):
+        # Six nodes a panel: every panel integrates x^k, k <= 11, within rounding.
+        layout = density._panels(c, points)
+        for k in range(12):
+            got = math.fsum(layout.weights * layout.nodes**k)
+            assert got == pytest.approx(1.0 / (k + 1), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "steps,points,correct",
+        [
+            (None, 10001, True),
+            (None, 4097, False),
+            (80, 10001, True),
+            (12, 10001, False),
+            (20, 3, False),
+            (None, 1001, True),
+        ],
+    )
+    def test_the_checked_values_are_grid_values_to_the_bit(self, monkeypatch, steps, points, correct):
+        # Both paths check the values they take from the coarse rows; the
+        # panels' values on the checked nodes must be grid_values' own.
+        seen = []
+        near_exact = es.CdfEstimate._near_exact
+
+        def spy(cdf, values, nodes):
+            seen.append(values.copy())
+            return near_exact(cdf, values, nodes)
+
+        monkeypatch.setattr(es.CdfEstimate, "_near_exact", spy)
+        for shape in ("uniform", "lognormal", "spike"):
+            x = _column(shape, 70, np.random.default_rng(44))
+            h = es.select_bandwidth(x) if steps is None else steps / (points - 1)
+            cdf = es.estimate_cdf(x, h, correct)
+            plan = _plan_of(cdf, points)
+            assert plan.kind == "fft" and plan.c >= 2
+            seen.clear()
+            grid = cdf.grid_values(points)
+            phi, _ = cdf._panel_values(points)
+            check, _ = density._checked_nodes(points, plan.c)
+            [from_grid, from_panels] = seen
+            assert from_grid.tobytes() == grid[check].tobytes() == from_panels.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 300),
+        shape=st.sampled_from(["uniform", "normal", "lognormal", "ties", "spike"]),
+        scale=st.floats(-2.5, 0.5),
+        correct=st.booleans(),
+        points=st.one_of(
+            st.integers(1, 60).map(lambda k: 2 * k + 1),
+            st.sampled_from([1001, 4097, 10001, 20001]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_within_the_stated_bound_of_the_exact_path(self, n, shape, scale, correct, points, seed):
+        # The panel nodes read the coarse rows at offsets in (-1/2, 1/2),
+        # where grid_values' bound holds too.
+        x = _column(shape, n, np.random.default_rng(seed))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x) * 10.0**scale, correct)
+        plan = _plan_of(cdf, points)
+        panels = cdf._panel_values(points)
+        if plan.kind != "fft" or plan.c < 2:
+            assert panels is None
+            return
+        phi, weights = panels
+        layout = density._panels(plan.c, points)
+        assert weights is layout.weights and phi.shape == weights.shape
+        assert np.max(np.abs(phi - cdf(layout.nodes))) <= density._GRID_ERROR
+
+    def test_the_kernel_is_evaluated_on_the_checked_nodes_only(self, monkeypatch):
+        calls = []
+        kernel_means = density._kernel_means
+
+        def counted(x, bandwidths, nodes, depth):
+            calls.append(nodes.size)
+            return kernel_means(x, bandwidths, nodes, depth)
+
+        x = _column("normal", 70, np.random.default_rng(45))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x))
+        monkeypatch.setattr(density, "_kernel_means", counted)
+        es.continuous_entropy(cdf)
+        assert calls == [17]
+
+    @pytest.mark.parametrize("steps,c", [(None, 64), (12, 2)], ids=["silverman-c64", "12-steps-c2"])
+    def test_values_off_on_a_checked_node_give_the_exact_panel_sum(self, monkeypatch, steps, c):
+        rows = density._kernel_rows
+
+        def skewed(*args):
+            for row in rows(*args):
+                row *= 1.0 + 1e-9
+                yield row
+
+        x = _column("normal", 100, np.random.default_rng(34))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x) if steps is None else steps / 10000.0)
+        assert _plan_of(cdf, 10001).c == c
+        layout = density._panels(c, 10001)
+        exact = exact_entropy(cdf)
+        assert cdf._panel_values(10001)[0].tobytes() != cdf(layout.nodes).tobytes()
+        assert abs(es.continuous_entropy(cdf) - exact) < 1e-12
+        monkeypatch.setattr(density, "_kernel_rows", skewed)
+        phi, weights = cdf._panel_values(10001)
+        assert phi.tobytes() == cdf(layout.nodes).tobytes() and weights is layout.weights
+        assert es.continuous_entropy(cdf).hex() == exact.hex()
+
+    @pytest.mark.parametrize("steps", [1.5, 4.0], ids=["exact", "c1"])
+    def test_the_exact_sum_and_c_1_keep_simpson(self, steps):
+        # Their grid values have no coarse cells to put panels on.
+        x = _column("uniform", 60, np.random.default_rng(37))
+        cdf = es.estimate_cdf(x, steps / 10000.0)
+        assert cdf._panel_values(10001) is None
+        grid = cdf.grid_values(10001)
+        assert es.continuous_entropy(cdf).hex() == es.continuous_entropy(lambda _: grid).hex()
 
 
 class TestPlan:
@@ -1003,6 +1148,17 @@ class TestScratchMemory:
         # them in grid order, and the coarse rows.
         fine = (c * nodes + rows * nodes) * 8
         assert peak <= max(transforms, fine) + 64 * 1024
+
+    @pytest.mark.parametrize("shape,seed,steps", [("lognormal", 1, None), ("normal", 0, None), ("uniform", 2, 12)])
+    def test_the_panels_add_nothing_to_the_coarse_phase_peak(self, shape, seed, steps):
+        # c = 32, 64 and 2.  The panels' values, the gathered rows and the
+        # integrand are smaller than the coarse phase's transforms, which
+        # are freed before them.
+        x = _column(shape, 69, np.random.default_rng(seed))
+        cdf = es.estimate_cdf(x, es.select_bandwidth(x) if steps is None else steps / 10000)
+        es.continuous_entropy(cdf)  # builds the cached layout
+        rows = self._peak(lambda: cdf._coarse_rows(10001, 2))
+        assert self._peak(lambda: es.continuous_entropy(cdf)) <= rows + 1024
 
     def test_the_full_grid_ffts_hold_one_order_at_a_time(self, monkeypatch):
         # h of two grid steps at 100001 points plans c = 1 at order 12.  Its

@@ -1,13 +1,17 @@
 """Continuous and discrete entropy, and the weight rules built on them.
 
-The continuous form integrates -phi ln phi over [0, 1] with composite
-Simpson quadrature and scales by e, which normalizes the result so that
-any CDF yields a value in [0, 1].  For phi(x) = x**k the entropy has the
-closed form e * k / (k + 1)**2, giving exact anchors to test against.
+The continuous form integrates -phi ln phi over [0, 1] and scales by e,
+which normalizes the result so that any CDF yields a value in [0, 1]:
+by Gauss-Legendre panels on a kernel estimate's coarse cells, and by
+composite Simpson quadrature on the grid for other plans and any other
+callable.  For phi(x) = x**k the entropy has the closed form
+e * k / (k + 1)**2, giving exact anchors to test against; tests/oracle.py
+is the reference for the kernel estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -17,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroscore as es
+import oracle
 from entroscore import entropy
+from helpers import bench_dataset
 
 
 def power_cdf(k):
@@ -218,6 +224,117 @@ class TestContinuousEntropyErrors:
         cdf = es.estimate_cdf([0.0, 0.5, 1.0], 0.2)
         with pytest.raises(es.InvariantError, match="quadrature must be a QuadratureConfig"):
             es.continuous_entropy(cdf, 5)
+
+
+class TestOracle:
+    """tests/oracle.py, the reference the rules below are held to."""
+
+    @pytest.mark.parametrize("width", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("k,anchor", [(1, math.e / 4), (2, 2 * math.e / 9)])
+    def test_the_closed_form_anchors(self, width, k, anchor):
+        assert abs(oracle.reference_entropy(lambda x: x**k, width) - anchor) <= 1e-15
+
+    @pytest.mark.parametrize("column", [2, 5])
+    @pytest.mark.parametrize("correct", [True, False])
+    def test_a_finer_setting_agrees(self, column, correct):
+        # Panels of h/4 at order 32 against h/2 at order 24, on the
+        # lognormal and the spiky columns.
+        cdf = _bench_estimate(70, column, correct)
+        finer = oracle.estimate_entropy(cdf, order=32, panels_per_bandwidth=4)
+        assert abs(finer - _reference(70, column, correct)) <= 1e-15
+
+
+# (rows, column) of bench/workloads.generate's seed-11 data: at 40 and 70
+# rows each of its six column shapes (uniform, normal, lognormal, integer
+# with ties, bimodal, spiky), and at 1000 rows the uniform, lognormal and
+# spiky ones, which plan c = 64, 8 and 32.
+_BENCH_COLUMNS = [(rows, j) for rows in (40, 70) for j in range(6)] + [(1000, 0), (1000, 2), (1000, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_estimate(rows: int, column: int, correct: bool) -> es.CdfEstimate:
+    x = es.normalize_matrix(bench_dataset(rows, 11)).values[:, column]
+    return es.estimate_cdf(x, es.select_bandwidth(x), correct)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(rows: int, column: int, correct: bool) -> float:
+    return oracle.estimate_entropy(_bench_estimate(rows, column, correct))
+
+
+class TestAgainstTheReference:
+    """H of the benchmark's column shapes against tests/oracle.py."""
+
+    @pytest.mark.parametrize("correct", [True, False])
+    @pytest.mark.parametrize("rows,column", _BENCH_COLUMNS)
+    def test_the_panels_are_within_1e_13(self, rows, column, correct):
+        # The Gauss-Legendre panels on the coarse cells.  Measured: 1.1e-14.
+        cdf = _bench_estimate(rows, column, correct)
+        assert cdf._panel_values(10001) is not None
+        assert abs(es.continuous_entropy(cdf) - _reference(rows, column, correct)) <= 1e-13
+
+    @pytest.mark.parametrize("correct", [True, False])
+    @pytest.mark.parametrize("rows,column", [key for key in _BENCH_COLUMNS if key[0] < 1000] + [(1000, 2)])
+    def test_simpson_is_within_its_stated_bound(self, rows, column, correct):
+        # Simpson's rule on 10001 exact values, which the exact sum and c =
+        # 1 keep (README): with the correction on, phi ln phi ~ a x ln x at
+        # 0 and the sum leaves H low, by at most 1e-7 here (measured:
+        # 8.7e-8 on the 1000-row lognormal column); with it off, within
+        # 1e-11 either way (measured: 7.1e-12).
+        simpson = es.continuous_entropy(lambda grid: _bench_estimate(rows, column, correct)(grid))
+        error = simpson - _reference(rows, column, correct)
+        if correct:
+            assert -1e-7 <= error <= 1e-13
+        else:
+            assert abs(error) <= 1e-11
+
+
+@st.composite
+def _awkward_samples(draw):
+    """A column of one spike, of ties, or piled on 0 and 1."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["spike", "ties", "piled"]))
+    if kind == "spike":
+        return np.r_[np.full(n - 1, draw(st.floats(0.0, 1.0))), draw(st.floats(0.0, 1.0))]
+    if kind == "ties":
+        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        return np.array(levels)[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(levels), size=n)]
+    zeros = draw(st.integers(0, n))
+    return np.r_[np.zeros(zeros), np.ones(n - zeros)]
+
+
+# Bandwidths in grid steps at each rung of grid_values' ladder: the exact
+# sum below about 1.7, c = 1, 2, 4, 8, 16, 32 and 64 above; and plain
+# bandwidths at its wide exits, where the correction's small span sends
+# every column to the exact sum and, without it, c = 64 takes a low order.
+_LADDER_STEPS = (1.0, 2.0, 4.0, 12.0, 25.0, 50.0, 80.0, 150.0, 400.0, 1500.0)
+_WIDE = (1.0, 2.5, 3.0, 100.0, 1e6, 1e-300, 1e300)
+
+
+class TestEntropyOfAnyEstimate:
+    """estimate_cdf then continuous_entropy: a float in [0, 1] or a named error, and no warning."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        samples=_awkward_samples(),
+        h=st.one_of(
+            st.sampled_from(_LADDER_STEPS).map(lambda steps: ("steps", steps)),
+            st.sampled_from(_WIDE).map(lambda h: ("h", h)),
+            st.floats(-300.0, 300.0).map(lambda e: ("h", 10.0**e)),
+        ),
+        correct=st.booleans(),
+        points=st.integers(1, 10_000).map(lambda k: 2 * k + 1),
+    )
+    def test_a_float_in_the_unit_interval_or_a_named_error(self, samples, h, correct, points):
+        kind, value = h
+        bandwidth = value / (points - 1) if kind == "steps" else value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = es.continuous_entropy(es.estimate_cdf(samples, bandwidth, correct), es.QuadratureConfig(points))
+            except es.EntroscoreError:
+                return
+        assert type(got) is float and 0.0 <= got <= 1.0
 
 
 class TestDiscreteEntropy:

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import entroscore as es
 from entroscore import density, model, scoring
-from helpers import bench_dataset, random_dataset, simple_schema, wrapped_spectra
+from helpers import bench_dataset, exact_entropy, random_dataset, simple_schema, wrapped_spectra
 
 
 class TestCompositeScores:
@@ -733,7 +733,8 @@ class TestBatchedSetup:
         # estimate_cdf and continuous_entropy on each normalized column.
         # With Silverman's rule, the columns in exact get h = 1e-5, below
         # the fast path.  skew, if drawn, puts one FFT column's values off
-        # its check; that column alone must come back as the exact sum.
+        # its check; that column alone must come back as its rule's sum on
+        # the exact values.
         rng = np.random.default_rng(seed)
         values = np.column_stack([_kind_column(int(rng.integers(4)), n, rng) for _ in range(m)])
         flat = values.max(axis=0) == values.min(axis=0)
@@ -775,7 +776,7 @@ class TestBatchedSetup:
         if skew is not None and fft_columns:
             skew = fft_columns[skew % len(fft_columns)]
             cdf = es.estimate_cdf(normalized.values[:, skew], hs[skew], correct)
-            entropies[skew] = es.continuous_entropy(lambda grid: cdf(grid), options.quadrature)
+            entropies[skew] = exact_entropy(cdf, options.quadrature)
         else:
             skew = None
         weights = es.compute_weights(np.array(entropies))
